@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 I/O or format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -55,7 +56,7 @@ def _cmd_embed(args) -> int:
     key = read_key(args.key)
     cover = read_image(args.cover)
     secrets = [read_image(s) for s in args.secret]
-    stego, report = embed_images(cover, secrets, key, workers=args.workers)
+    stego, report = embed_images(cover, secrets, key)
     write_srf(stego, args.out)
     out = {"out": str(args.out)}
     if args.export_pgm8:
@@ -98,15 +99,19 @@ def _list_corpus(directory) -> list[Path]:
 
 
 def _load_report(path) -> dict:
+    """A fresh report, or the one to resume; any other file is refused, not overwritten."""
     path = Path(path)
-    if path.exists():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(data, dict) and data.get("version") == 1:
-                return data
-        except (OSError, json.JSONDecodeError):
-            pass
-    return {"version": 1, "covers": {}, "completed": []}
+    if not path.exists():
+        return {"version": 1, "covers": {}, "completed": []}
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: cannot resume report: {exc}") from None
+    if not (isinstance(data, dict) and data.get("version") == 1
+            and isinstance(data.get("covers"), dict)
+            and isinstance(data.get("completed"), list)):
+        raise FormatError(f"{path}: not a version 1 bench report")
+    return data
 
 
 def _save_report(report: dict, path) -> None:
@@ -118,27 +123,22 @@ def _save_report(report: dict, path) -> None:
 def _cmd_bench(args) -> int:
     """Sweep 1..S embedded secrets per cover, averaging PSNR over all
     secret-subset choices, and collect full stego/extraction metrics at the
-    maximum secret count. Restart-safe: covers already in the report file are
-    skipped."""
+    maximum secret count. Restart-safe: covers the report lists as completed
+    are skipped; a cover that errored is recorded but retried on the next run."""
     key = read_key(args.key)
     base = key.params
     cover_files = _list_corpus(args.covers)
     secret_files = _list_corpus(args.secrets)[:4]
     report = _load_report(args.report)
-    report["params"] = {"seed": key.seed, "N": base.N, "M": base.M, "b": base.b,
-                        "l": base.l, "p1": base.p1, "p2": base.p2, "p3": base.p3,
-                        "m": base.m, "alpha": base.alpha, "beta": base.beta,
-                        "gamma": base.gamma, "c": base.c}
+    report["params"] = {"seed": key.seed, **dataclasses.asdict(base)}
+    del report["params"]["num_secrets"]  # the sweep runs every count up to it
     secrets = [read_image(f) for f in secret_files]
     nsec = len(secrets)
 
     # one derived key per secret count; assignments are prefixes of each other
     keys = {}
     for k in range(1, nsec + 1):
-        params_k = StegoParams(N=base.N, M=base.M, b=base.b, l=base.l, p1=base.p1,
-                               p2=base.p2, p3=base.p3, m=base.m, alpha=base.alpha,
-                               beta=base.beta, gamma=base.gamma, c=base.c,
-                               num_secrets=k)
+        params_k = dataclasses.replace(base, num_secrets=k)
         keys[k] = make_key(key.seed, params_k, derive_assignment(key.seed, k))
 
     for cover_file in cover_files:
@@ -155,7 +155,7 @@ def _cmd_bench(args) -> int:
                 values = []
                 for combo in itertools.combinations(range(nsec), k):
                     chosen = [secrets[i] for i in combo]
-                    stego, rpt = embed_images(cover, chosen, keys[k], workers=args.workers)
+                    stego, rpt = embed_images(cover, chosen, keys[k])
                     values.append(psnr(cover_q, quantize_u8(stego)))
                     if k == nsec:
                         entry["stego_metrics"] = compare(cover, stego).to_dict()
@@ -170,7 +170,8 @@ def _cmd_bench(args) -> int:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_clock_s"] = time.perf_counter() - t_start
         report["covers"][name] = entry
-        report["completed"].append(name)
+        if "error" not in entry:
+            report["completed"].append(name)
         _save_report(report, args.report)
 
     if args.csv:
@@ -215,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--key", required=True)
     em.add_argument("--out", required=True, help="stego output (SRF float container)")
     em.add_argument("--export-pgm8", help="additionally export an 8-bit PGM view")
-    em.add_argument("--workers", type=int, default=1)
     em.set_defaults(func=_cmd_embed)
 
     ex = sub.add_parser("extract", help="recover secrets from a stego image")
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--key", required=True)
     be.add_argument("--report", required=True, help="JSON report path (restart-safe)")
     be.add_argument("--csv", help="also write PSNR curves as CSV")
-    be.add_argument("--workers", type=int, default=1)
     be.set_defaults(func=_cmd_bench)
     return parser
 

@@ -2,13 +2,13 @@
 end-to-end hide/recover pipelines.
 
 Secret block i always pairs with cover block i in row-major block order.
+The per-block functions also take stacks of blocks along a leading axis.
 The stego raster is never quantized inside the pipeline; 8-bit export is an
 explicit step in the raster module.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +22,10 @@ from .solver import (CachedFactorization, LassoProblem, SolverConfig, SolverResu
                      default_lambda, prepare, solve_lasso)
 from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
                        make_dct_basis, make_zigzag, partition_blocks, sparsify)
+
+# Blocks per batched call. Whole 4096-block sub-images would hold several
+# (4096, p1+m) measurement stacks at once; 512 keeps them near 1.4 MB each.
+SLAB = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +74,14 @@ class EmbedReport:
 
 
 def _check_rule_vector(y: MeasurementVector, p: StegoParams) -> None:
-    if y.y.size != p.p1 + p.m or y.split != p.p1:
+    if y.y.shape[-1] != p.p1 + p.m or y.split != p.p1:
         raise DimensionError(
-            f"measurement vector (length {y.y.size}, split {y.split}) does not match "
+            f"measurement vector (length {y.y.shape[-1]}, split {y.split}) does not match "
             f"params (p1={p.p1}, m={p.m})")
 
 
 def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> MeasurementVector:
-    """Transplant the first p3 entries of t into a copy of y.
+    """Transplant the first p3 entries of t into a copy of y (row by row for stacks).
 
     In 1-based positions: the first coefficient lands at p1 scaled by alpha,
     the next c-1 at p1-c+1 .. p1-1 scaled by beta, and the remaining p3-c at
@@ -86,15 +90,15 @@ def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> Measureme
     """
     _check_rule_vector(y, p)
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1 or t.size != p.l * p.l:
-        raise DimensionError(f"secret coefficient vector must have length l^2={p.l * p.l}, "
-                             f"got {t.size}")
+    if t.shape != y.y.shape[:-1] + (p.l * p.l,):
+        raise DimensionError(f"secret coefficients must have shape {y.y.shape[:-1]} + "
+                             f"(l^2={p.l * p.l},), got {t.shape}")
     p1, p3, c = p.p1, p.p3, p.c
     src = y.y
     out = src.copy()
-    out[p1 - 1] = src[p1 - 2 * c - 1] + p.alpha * t[0]
-    out[p1 - c : p1 - 1] = src[p1 - 2 * c : p1 - c - 1] + p.beta * t[1:c]
-    out[p1 + p3 : p1 + 2 * p3 - c] = src[p1 + c : p1 + p3] + p.gamma * t[c:p3]
+    out[..., p1 - 1] = src[..., p1 - 2 * c - 1] + p.alpha * t[..., 0]
+    out[..., p1 - c : p1 - 1] = src[..., p1 - 2 * c : p1 - c - 1] + p.beta * t[..., 1:c]
+    out[..., p1 + p3 : p1 + 2 * p3 - c] = src[..., p1 + c : p1 + p3] + p.gamma * t[..., c:p3]
     return MeasurementVector(out, p1)
 
 
@@ -105,10 +109,10 @@ def extract_rule(y2: MeasurementVector, p: StegoParams) -> np.ndarray:
     _check_rule_vector(y2, p)
     p1, p3, c = p.p1, p.p3, p.c
     src = y2.y
-    t = np.zeros(p.l * p.l)
-    t[0] = (src[p1 - 1] - src[p1 - 2 * c - 1]) / p.alpha
-    t[1:c] = (src[p1 - c : p1 - 1] - src[p1 - 2 * c : p1 - c - 1]) / p.beta
-    t[c:p3] = (src[p1 + p3 : p1 + 2 * p3 - c] - src[p1 + c : p1 + p3]) / p.gamma
+    t = np.zeros(src.shape[:-1] + (p.l * p.l,))
+    t[..., 0] = (src[..., p1 - 1] - src[..., p1 - 2 * c - 1]) / p.alpha
+    t[..., 1:c] = (src[..., p1 - c : p1 - 1] - src[..., p1 - 2 * c : p1 - c - 1]) / p.beta
+    t[..., c:p3] = (src[..., p1 + p3 : p1 + 2 * p3 - c] - src[..., p1 + c : p1 + p3]) / p.gamma
     return t
 
 
@@ -124,31 +128,29 @@ def rule_index_sets(p: StegoParams) -> tuple[set[int], set[int]]:
 def reconstruct_block(y: MeasurementVector, phi: MeasurementMatrix, basis: DctBasis,
                       zz: ZigZagOrder, cfg: SolverConfig | None = None,
                       cache: CachedFactorization | None = None) -> tuple[np.ndarray, SolverResult]:
-    """Rebuild a pixel block from measurements.
+    """Rebuild a pixel block, or a stack of blocks, from measurements.
 
     The u-part is copied verbatim into the spectrum; the v-part is recovered by
-    the l1 solver with a per-block scale-aware weight. Returns the block and
+    the l1 solver with a per-block scale-aware weight. Returns the block(s) and
     the solver result.
     """
     cfg = SolverConfig() if cfg is None else cfg
     lam = default_lambda(phi.entries, y.v, cfg.lambda_scale)
     result = solve_lasso(LassoProblem(phi.entries, y.v, lam), cfg, cache)
-    coeffs = np.concatenate([y.u, result.s])
+    coeffs = np.concatenate([y.u, result.s], axis=-1)
     return desparsify(Spectrum(coeffs), basis, zz), result
 
 
 def secret_to_coeffs(secret: Raster, p: StegoParams, basis: DctBasis,
                      zz: ZigZagOrder) -> SecretCoeffs:
     """Block-wise DCT of a secret raster, each block flattened in zig-zag order."""
-    blocks = partition_blocks(secret, p.l)
-    return SecretCoeffs(np.stack([sparsify(blk, basis, zz).coeffs for blk in blocks]))
+    return SecretCoeffs(sparsify(partition_blocks(secret, p.l), basis, zz).coeffs)
 
 
 def coeffs_to_raster(t: SecretCoeffs, p: StegoParams, basis: DctBasis,
                      zz: ZigZagOrder) -> Raster:
     """Inverse zig-zag plus block-wise inverse DCT; assembles the M x M raster."""
-    blocks = np.stack([desparsify(Spectrum(v), basis, zz) for v in t.blocks])
-    return assemble_blocks(blocks, p.M, p.M)
+    return assemble_blocks(desparsify(Spectrum(t.blocks), basis, zz), p.M, p.M)
 
 
 def _bases(p: StegoParams) -> tuple[DctBasis, ZigZagOrder, DctBasis, ZigZagOrder]:
@@ -168,21 +170,22 @@ def pipeline_config(p: StegoParams) -> SolverConfig:
     return SolverConfig(rho=max(1.0, p.m / 10.0))
 
 
+def _slabs(count: int):
+    """Consecutive slices of at most SLAB blocks covering blocks 0..count-1."""
+    return (slice(lo, min(lo + SLAB, count)) for lo in range(0, count, SLAB))
+
+
 def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
-                 cfg: SolverConfig | None = None, workers: int = 1) -> tuple[Raster, EmbedReport]:
+                 cfg: SolverConfig | None = None) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
 
     Per assigned sub-image: partition into b x b blocks, sparsify, project to
     measurements, transplant the paired secret block's coefficients, then
     rebuild pixels through the l1 solver. Unassigned sub-images pass through
     bitwise untouched, as do cover blocks beyond the secret's block count.
-    Per-block work items are independent; `workers` > 1 spreads them over a
-    thread pool without changing the output.
     """
     p = key.params
     cfg = pipeline_config(p) if cfg is None else cfg
-    if workers < 1:
-        raise ParamError(f"workers must be at least 1, got {workers}")
     if cover.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"cover must be {p.N}x{p.N} per key, got {cover.height}x{cover.width}")
@@ -201,32 +204,21 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
     for si, k in enumerate(key.assignment):
         sub = subs[k - 1]
         blocks = partition_blocks(sub, p.b)
-        coeffs = secret_to_coeffs(secrets[si], p, basis_l, zz_l)
-        n_payload = coeffs.blocks.shape[0]
-
-        def hide(i: int, _blocks=blocks, _coeffs=coeffs):
-            spec = sparsify(_blocks[i], basis_b, zz_b, split=p.p1)
-            carrier = embed_rule(measure(spec, phi), _coeffs.blocks[i], p)
-            block, res = reconstruct_block(carrier, phi, basis_b, zz_b, cfg, cache)
-            fit = float(np.linalg.norm(phi.entries @ res.s - carrier.v))
-            return block, res.iterations, res.converged, fit
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(hide, range(n_payload)))
-        else:
-            results = [hide(i) for i in range(n_payload)]
-
-        out_blocks = blocks.copy()
-        for i, (block, _, _, _) in enumerate(results):
-            out_blocks[i] = block
-        iters = [r[1] for r in results]
+        payload = secret_to_coeffs(secrets[si], p, basis_l, zz_l).blocks
+        n_payload = payload.shape[0]
+        iters, ok = np.empty(n_payload, dtype=int), np.empty(n_payload, dtype=bool)
+        fit = np.empty(n_payload)  # ||phi s - y_v|| per block
+        for part in _slabs(n_payload):
+            spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
+            carrier = embed_rule(measure(spec, phi), payload[part], p)
+            blocks[part], res = reconstruct_block(carrier, phi, basis_b, zz_b, cfg, cache)
+            iters[part], ok[part] = res.iterations, res.converged
+            fit[part] = np.linalg.norm(res.s @ phi.entries.T - carrier.v, axis=-1)
         stats.append(SubImageStats(
             sub_index=k, blocks=n_payload,
-            iterations_mean=float(np.mean(iters)), iterations_max=int(np.max(iters)),
-            residual_mean=float(np.mean([r[3] for r in results])),
-            unconverged=sum(1 for r in results if not r[2])))
-        subs[k - 1] = assemble_blocks(out_blocks, sub.height, sub.width)
+            iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
+            residual_mean=float(fit.mean()), unconverged=int(np.count_nonzero(~ok))))
+        subs[k - 1] = assemble_blocks(blocks, sub.height, sub.width)
 
     stego = inverse_subsample(QuadSample(tuple(subs)))
     stego = Raster(stego.pixels, "float")
@@ -252,8 +244,8 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     for k in key.assignment:
         blocks = partition_blocks(quad.sub[k - 1], p.b)
         vecs = np.empty((p.secret_blocks, p.l * p.l))
-        for i in range(p.secret_blocks):
-            spec = sparsify(blocks[i], basis_b, zz_b, split=p.p1)
-            vecs[i] = extract_rule(measure(spec, phi), p)
+        for part in _slabs(p.secret_blocks):
+            spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
+            vecs[part] = extract_rule(measure(spec, phi), p)
         out.append(coeffs_to_raster(SecretCoeffs(vecs), p, basis_l, zz_l))
     return out

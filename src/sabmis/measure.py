@@ -201,36 +201,36 @@ def gen_matrix(key: StegoKey) -> MeasurementMatrix:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementVector:
-    """Per-block measurements: u-part copied coefficients, v-part random projections."""
+    """Per-block measurements, a vector or stack: u-part copied coefficients, v-part projections."""
 
     y: np.ndarray
     split: int
 
     def __post_init__(self):
         y = np.array(self.y, dtype=np.float64, copy=True)
-        if y.ndim != 1 or y.size == 0:
-            raise DimensionError("measurements must form a non-empty vector")
-        if not 0 < self.split < y.size:
-            raise DimensionError(f"split {self.split} out of range for {y.size} measurements")
+        if y.ndim not in (1, 2) or y.size == 0:
+            raise DimensionError("measurements must form a non-empty vector or stack")
+        if not 0 < self.split < y.shape[-1]:
+            raise DimensionError(f"split {self.split} out of range for {y.shape[-1]} measurements")
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
     @property
     def u(self) -> np.ndarray:
-        return self.y[: self.split]
+        return self.y[..., : self.split]
 
     @property
     def v(self) -> np.ndarray:
-        return self.y[self.split :]
+        return self.y[..., self.split :]
 
 
 def measure(s: Spectrum, phi: MeasurementMatrix) -> MeasurementVector:
-    """y = [s_u ; phi @ s_v]: linear in the spectrum, identity on its u-part."""
+    """y = [s_u ; phi @ s_v] per block: linear in the spectrum, identity on its u-part."""
     if s.split is None:
         raise DimensionError("spectrum needs a u/v split to be measured")
-    if s.v.size != phi.cols:
-        raise DimensionError(f"v-part length {s.v.size} != matrix columns {phi.cols}")
-    return MeasurementVector(np.concatenate([s.u, phi.entries @ s.v]), s.split)
+    if s.v.shape[-1] != phi.cols:
+        raise DimensionError(f"v-part length {s.v.shape[-1]} != matrix columns {phi.cols}")
+    return MeasurementVector(np.concatenate([s.u, s.v @ phi.entries.T], axis=-1), s.split)
 
 
 _INT_FIELDS = ("version", "seed", "N", "M", "b", "l", "p1", "p2", "p3", "m",

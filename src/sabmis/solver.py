@@ -1,9 +1,9 @@
 """l1-regularized least squares via ADMM with a reusable direct factorization.
 
-Solves min 0.5 * ||phi @ s - y||^2 + lam * ||s||_1. The quadratic subproblem
-matrix (phi^T phi + rho I) is small (p2 x p2), so it is factorized once per
-(phi, rho) pair and shared across the thousands of per-block solves of an
-image.
+Solves min 0.5 * ||phi @ s - y||^2 + lam * ||s||_1 for one measurement vector
+or a stack of them. The quadratic subproblem matrix (phi^T phi + rho I) is
+small (p2 x p2), so it is factorized once per (phi, rho) pair and one
+triangular solve serves every block of a stack at once.
 """
 
 from __future__ import annotations
@@ -18,34 +18,38 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import DimensionError, ParamError, SolverError
 
 
-def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
-    """Elementwise sign(v) * max(|v| - kappa, 0): the l1 proximal operator."""
-    if kappa < 0:
+def soft_threshold(v: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
+    """Elementwise sign(v) * max(|v| - kappa, 0), the l1 proximal operator; kappa broadcasts."""
+    if np.any(np.asarray(kappa) < 0):
         raise ParamError(f"soft threshold needs kappa >= 0, got {kappa}")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def default_lambda(phi: np.ndarray, y: np.ndarray, scale: float = 1e-3) -> float:
-    """Scale-aware regularization weight: scale * ||phi^T y||_inf."""
-    return scale * float(np.max(np.abs(phi.T @ y)))
+def default_lambda(phi: np.ndarray, y: np.ndarray, scale: float = 1e-3) -> float | np.ndarray:
+    """Scale-aware regularization weight scale * ||phi^T y||_inf, one per row of y."""
+    return scale * np.max(np.abs(y @ phi), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class LassoProblem:
+    """One problem, or a stack sharing phi: y (count, m) with lam (count,)."""
+
     phi: np.ndarray
     y: np.ndarray
-    lam: float
+    lam: float | np.ndarray
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if phi.ndim != 2 or y.ndim != 1 or y.size != phi.shape[0]:
+        if phi.ndim != 2 or y.ndim not in (1, 2) or y.shape[-1] != phi.shape[0]:
             raise DimensionError(
-                f"inconsistent problem: phi {phi.shape}, y length {y.size}")
+                f"inconsistent problem: phi {phi.shape}, y shape {y.shape}")
+        if np.shape(self.lam) != y.shape[:-1]:
+            raise DimensionError(f"lam shape {np.shape(self.lam)} does not match y {y.shape}")
         if not np.isfinite(y).all():
             raise SolverError("measurements contain non-finite values")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        if not (np.isfinite(self.lam).all() and np.all(np.asarray(self.lam) >= 0)):
             raise ParamError(f"lam must be finite and nonnegative, got {self.lam}")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "y", y)
@@ -85,7 +89,6 @@ class CachedFactorization:
     phi: np.ndarray
     rho: float
     chol: tuple
-    phi_t: np.ndarray
     fingerprint: str
 
 
@@ -110,7 +113,7 @@ def prepare(phi: np.ndarray, rho: float) -> CachedFactorization:
         chol = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"(phi^T phi + rho I) is not positive definite: {exc}") from exc
-    return CachedFactorization(phi, float(rho), chol, phi.T.copy(), _fingerprint(phi, rho))
+    return CachedFactorization(phi, float(rho), chol, _fingerprint(phi, rho))
 
 
 def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
@@ -123,39 +126,50 @@ def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
     eps_pri  = sqrt(n) eps_abs + eps_rel * max(||s||, ||z||),
     eps_dual = sqrt(n) eps_abs + eps_rel * ||rho u||.
     Hitting max_iter is reported through `converged`, not raised.
+
+    A stack is solved as (n, count) right-hand sides at once, each column
+    stopping where its lone solve would; its result fields are per-row arrays.
     """
     cfg = SolverConfig() if cfg is None else cfg
-    phi, y, lam = problem.phi, problem.y, problem.lam
+    phi = problem.phi
     if cache is None:
         cache = prepare(phi, cfg.rho)
     elif cache.rho != cfg.rho or not (cache.phi is phi
                                       or cache.fingerprint == _fingerprint(phi, cfg.rho)):
         raise ParamError("cached factorization does not match (phi, rho)")
 
-    n = phi.shape[1]
+    y = np.atleast_2d(problem.y)
+    lam = np.atleast_1d(problem.lam)
+    count, n = y.shape[0], phi.shape[1]
     rho = cfg.rho
-    aty = cache.phi_t @ y
     sqrt_n = math.sqrt(n)
-    s = np.zeros(n)
-    z = np.zeros(n)
-    u = np.zeros(n)
-    iterations = cfg.max_iter
-    converged = False
-    r_norm = d_norm = 0.0
+    iterations = np.full(count, cfg.max_iter)
+    converged = np.zeros(count, dtype=bool)
+    r_norm, d_norm, z_out = np.zeros(count), np.zeros(count), np.zeros((count, n))
+    # rows still iterating; y and the iterates are finite by construction,
+    # so the solves skip scipy's finiteness scan
+    live, aty, kappa = np.arange(count), y @ phi, (lam / rho)[:, None]
+    z, u = np.zeros((count, n)), np.zeros((count, n))
     for it in range(1, cfg.max_iter + 1):
-        s = cho_solve(cache.chol, aty + rho * (z - u))
+        s = cho_solve(cache.chol, (aty + rho * (z - u)).T, check_finite=False).T
         z_prev = z
-        z = soft_threshold(s + u, lam / rho)
+        z = soft_threshold(s + u, kappa)
         u = u + s - z
-        r_norm = float(np.linalg.norm(s - z))
-        d_norm = rho * float(np.linalg.norm(z - z_prev))
-        eps_pri = sqrt_n * cfg.eps_abs + cfg.eps_rel * max(
-            float(np.linalg.norm(s)), float(np.linalg.norm(z)))
-        eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * rho * float(np.linalg.norm(u))
-        if r_norm <= eps_pri and d_norm <= eps_dual:
-            iterations = it
-            converged = True
+        r = np.linalg.norm(s - z, axis=1)
+        d = rho * np.linalg.norm(z - z_prev, axis=1)
+        eps_pri = sqrt_n * cfg.eps_abs + cfg.eps_rel * np.maximum(
+            np.linalg.norm(s, axis=1), np.linalg.norm(z, axis=1))
+        eps_dual = sqrt_n * cfg.eps_abs + cfg.eps_rel * rho * np.linalg.norm(u, axis=1)
+        r_norm[live], d_norm[live] = r, d
+        done = (r <= eps_pri) & (d <= eps_dual)
+        iterations[live[done]], converged[live[done]], z_out[live[done]] = it, True, z[done]
+        live, aty, kappa, z, u = (a[~done] for a in (live, aty, kappa, z, u))
+        if not live.size:
             break
-    fit = phi @ z - y
-    objective = 0.5 * float(fit @ fit) + lam * float(np.abs(z).sum())
-    return SolverResult(z, iterations, r_norm, d_norm, objective, converged)
+    z_out[live] = z
+    fit = z_out @ phi.T - y
+    objective = 0.5 * (fit * fit).sum(axis=1) + lam * np.abs(z_out).sum(axis=1)
+    fields = (iterations, r_norm, d_norm, objective, converged)
+    if problem.y.ndim == 1:
+        return SolverResult(z_out[0], *(a[0].item() for a in fields))
+    return SolverResult(z_out, *fields)

@@ -73,17 +73,17 @@ def make_zigzag(side: int) -> ZigZagOrder:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Zig-zag-ordered coefficient vector; `split` marks the u/v boundary when set."""
+    """Zig-zag-ordered coefficients, a vector or (count, n) stack; `split` marks u/v."""
 
     coeffs: np.ndarray
     split: int | None = None
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.float64, copy=True)
-        if c.ndim != 1 or c.size == 0:
-            raise DimensionError("spectrum coefficients must form a non-empty vector")
-        if self.split is not None and not 0 < self.split < c.size:
-            raise DimensionError(f"split {self.split} out of range for {c.size} coefficients")
+        if c.ndim not in (1, 2) or c.size == 0:
+            raise DimensionError("spectrum coefficients must form a non-empty vector or stack")
+        if self.split is not None and not 0 < self.split < c.shape[-1]:
+            raise DimensionError(f"split {self.split} out of range for {c.shape[-1]} coefficients")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -91,38 +91,36 @@ class Spectrum:
     def u(self) -> np.ndarray:
         if self.split is None:
             raise DimensionError("spectrum has no u/v split")
-        return self.coeffs[: self.split]
+        return self.coeffs[..., : self.split]
 
     @property
     def v(self) -> np.ndarray:
         if self.split is None:
             raise DimensionError("spectrum has no u/v split")
-        return self.coeffs[self.split :]
+        return self.coeffs[..., self.split :]
 
 
 def sparsify(block: np.ndarray, basis: DctBasis, zz: ZigZagOrder,
              split: int | None = None) -> Spectrum:
-    """Transform a pixel block into its zig-zag-ordered DCT coefficient vector."""
+    """Transform a pixel block, or a (count, b, b) stack of blocks, into its
+    zig-zag-ordered DCT coefficients: shape (b*b,) or (count, b*b)."""
     b = basis.side
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (b, b):
+    if block.ndim not in (2, 3) or block.shape[-2:] != (b, b):
         raise DimensionError(f"block shape {block.shape} does not match basis side {b}")
     if zz.side != b:
         raise DimensionError(f"zig-zag side {zz.side} does not match basis side {b}")
-    grid = basis.matrix.T @ block.ravel()
-    return Spectrum(grid[zz.perm], split)
+    return Spectrum(block.reshape(*block.shape[:-2], b * b) @ basis.matrix[:, zz.perm], split)
 
 
 def desparsify(s: Spectrum, basis: DctBasis, zz: ZigZagOrder) -> np.ndarray:
-    """Exact inverse of sparsify: coefficient vector back to a pixel block."""
+    """Exact inverse of sparsify: coefficients back to a pixel block or stack of blocks."""
     b = basis.side
-    if s.coeffs.size != b * b:
-        raise DimensionError(f"{s.coeffs.size} coefficients do not fill a {b}x{b} block")
+    if s.coeffs.shape[-1] != b * b:
+        raise DimensionError(f"{s.coeffs.shape[-1]} coefficients do not fill a {b}x{b} block")
     if zz.side != b:
         raise DimensionError(f"zig-zag side {zz.side} does not match basis side {b}")
-    grid = np.empty(b * b)
-    grid[zz.perm] = s.coeffs
-    return (basis.matrix @ grid).reshape(b, b)
+    return (s.coeffs @ basis.matrix[:, zz.perm].T).reshape(*s.coeffs.shape[:-1], b, b)
 
 
 def partition_blocks(r: Raster, side: int) -> np.ndarray:

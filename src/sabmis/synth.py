@@ -85,11 +85,8 @@ def block_sparse_raster(r: Raster, keep: int = 32, side: int = 8) -> Raster:
     basis, zz = make_dct_basis(side), make_zigzag(side)
     subs = []
     for sub in subsample(r).sub:
-        blocks = partition_blocks(sub, side)
-        out = np.empty_like(blocks)
-        for i, block in enumerate(blocks):
-            coeffs = sparsify(block, basis, zz).coeffs.copy()
-            coeffs[keep:] = 0.0
-            out[i] = desparsify(Spectrum(coeffs), basis, zz)
-        subs.append(assemble_blocks(out, sub.height, sub.width))
+        coeffs = sparsify(partition_blocks(sub, side), basis, zz).coeffs.copy()
+        coeffs[:, keep:] = 0.0
+        subs.append(assemble_blocks(desparsify(Spectrum(coeffs), basis, zz),
+                                    sub.height, sub.width))
     return inverse_subsample(QuadSample(tuple(subs)))

@@ -210,6 +210,53 @@ def test_bench_curves_and_restart(tmp_path, capsys):
     assert report["covers"]["alpha"]["wall_clock_s"] == stamp
 
 
+def _one_secret_corpus(tmp_path):
+    key_path = tmp_path / "k.skey"
+    write_key(make_key(3, SMALL), key_path)
+    covers, secrets = tmp_path / "covers", tmp_path / "secrets"
+    covers.mkdir()
+    secrets.mkdir()
+    write_pgm(secret_raster(SMALL.M, 52), secrets / "s0.pgm", depth=8)
+    return key_path, covers, secrets
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00",
+                                     b'{"version": 2, "covers": {}, "completed": []}',
+                                     b'{"version": 1, "covers": []}'],
+                         ids=["not-json", "not-utf8", "version-2", "covers-not-a-dict"])
+def test_bench_refuses_a_report_it_cannot_resume(tmp_path, capsys, content):
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(content)
+    rc = run("bench", "--covers", str(covers), "--secrets", str(secrets),
+             "--key", str(key_path), "--report", str(report_path))
+    assert rc == 3
+    assert "report" in capsys.readouterr().err
+    assert report_path.read_bytes() == content
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "covers", "k.skey", "report.json", "secrets"]
+
+
+def test_bench_retries_a_cover_that_errored(tmp_path, capsys):
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(cover_raster(SMALL.N // 2, 51), covers / "c0.pgm", depth=8)  # wrong size
+    report_path = tmp_path / "report.json"
+    argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
+            "--key", str(key_path), "--report", str(report_path))
+    assert run(*argv) == 0
+    report = json.loads(report_path.read_text())
+    assert "error" in report["covers"]["c0"]
+    assert report["completed"] == []
+
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
+    assert run(*argv) == 0
+    report = json.loads(report_path.read_text())
+    assert report["completed"] == ["c0"]
+    assert "error" not in report["covers"]["c0"]
+    assert set(report["covers"]["c0"]["psnr_curve"]) == {"1"}
+
+
 def test_non_finite_cover_is_numerical_failure(small_setup, capsys):
     import numpy as np
 

@@ -208,13 +208,50 @@ def test_wrong_seed_extracts_garbage():
     assert ncc(quantize_u8(secret), quantize_u8(garbled)) < 0.5
 
 
-def test_embed_workers_do_not_change_output():
-    key = make_key(15, SMALL)
-    cover = cover_raster(SMALL.N, 32)
-    secret = secret_raster(SMALL.M, 33)
-    a, _ = embed_images(cover, [secret], key, workers=1)
-    b, _ = embed_images(cover, [secret], key, workers=3)
-    assert np.array_equal(a.pixels, b.pixels)
+def test_embed_matches_per_block_reference(monkeypatch):
+    # the count-1 calls, one block at a time, against the slab path; a slab
+    # of 24 blocks also splits the 64 payload blocks into 24 + 24 + 16
+    from sabmis import codec, partition_blocks
+    p = SMALL
+    key = make_key(15, p)
+    cover = cover_raster(p.N, 32)
+    secret = secret_raster(p.M, 33)
+    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
+    phi, cfg = gen_matrix(key), pipeline_config(p)
+    payload = secret_to_coeffs(secret, p, basis, zz).blocks
+    k = key.assignment[0]
+    cover_blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)
+    ref_blocks, ref_iters = [], []
+    for block, t in zip(cover_blocks, payload):
+        carrier = embed_rule(measure(sparsify(block, basis, zz, split=p.p1), phi), t, p)
+        rebuilt, result = reconstruct_block(carrier, phi, basis, zz, cfg)
+        ref_blocks.append(rebuilt)
+        ref_iters.append(result.iterations)
+    for slab in (codec.SLAB, 24):
+        monkeypatch.setattr(codec, "SLAB", slab)
+        stego, report = embed_images(cover, [secret], key)
+        got = partition_blocks(subsample(stego).sub[k - 1], p.b)
+        assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
+        stats = report.sub_images[0]
+        assert stats.iterations_mean == np.mean(ref_iters)
+        assert stats.iterations_max == max(ref_iters)
+        assert stats.unconverged == 0
+
+
+def test_rules_on_a_stack_match_row_by_row_calls():
+    rng = np.random.default_rng(4)
+    p = StegoParams()
+    y = MeasurementVector(rng.standard_normal((7, p.p1 + p.m)), split=p.p1)
+    t = rng.standard_normal((7, p.l * p.l))
+    stacked = embed_rule(y, t, p)
+    recovered = extract_rule(stacked, p)
+    assert stacked.y.shape == y.y.shape and recovered.shape == t.shape
+    for i in range(7):
+        row = embed_rule(MeasurementVector(y.y[i], split=p.p1), t[i], p)
+        assert np.array_equal(stacked.y[i], row.y)
+        assert np.array_equal(recovered[i], extract_rule(row, p))
+    with pytest.raises(DimensionError, match="shape"):
+        embed_rule(y, t[:6], p)
 
 
 def test_secret_coeffs_round_trip():

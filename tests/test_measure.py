@@ -134,6 +134,17 @@ def test_measure_is_linear():
     assert np.allclose(y2.y, 2.5 * y1.y, rtol=1e-13, atol=1e-13)
 
 
+def test_measure_stack_matches_row_by_row_calls():
+    phi = gen_matrix(make_key(4))
+    coeffs = np.random.default_rng(1).standard_normal((6, 64))
+    stacked = measure(Spectrum(coeffs, split=32), phi)
+    assert stacked.y.shape == (6, 352)
+    assert stacked.u.shape == (6, 32) and stacked.v.shape == (6, 320)
+    for i in range(6):
+        row = measure(Spectrum(coeffs[i], split=32), phi)
+        np.testing.assert_allclose(stacked.y[i], row.y, rtol=1e-13, atol=1e-13)
+
+
 def test_measure_rejects_missing_split():
     phi = gen_matrix(make_key(3))
     with pytest.raises(DimensionError, match="split"):

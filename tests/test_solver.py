@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sabmis import (LassoProblem, ParamError, SolverConfig, default_lambda,
-                    prepare, soft_threshold, solve_lasso)
+from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig,
+                    default_lambda, prepare, soft_threshold, solve_lasso)
 
 from reference import lasso_fista, lasso_objective
 
@@ -149,9 +149,31 @@ def test_unconverged_result_is_flagged_not_fatal():
     assert result.primal_residual > 0
 
 
+def test_stacked_solve_matches_lone_solves():
+    rng = np.random.default_rng(11)
+    phi = rng.standard_normal((30, 10))
+    ys = rng.standard_normal((6, 30))
+    ys[2] = 0.0  # stops at the first iteration
+    lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
+    assert lam.shape == (6,)
+    free = [solve_lasso(LassoProblem(phi, y, w), SolverConfig()) for y, w in zip(ys, lam)]
+    # cap the iterations so the slowest row runs out while the others converge
+    cfg = SolverConfig(max_iter=max(r.iterations for r in free) - 1)
+    lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
+    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi, cfg.rho))
+    assert stacked.s.shape == (6, 10)
+    assert 0 < sum(r.converged for r in lone) < len(lone)
+    for i, r in enumerate(lone):
+        assert isinstance(r.iterations, int) and isinstance(r.converged, bool)
+        assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
+        assert stacked.iterations[i] == r.iterations
+        assert stacked.converged[i] == r.converged
+    with pytest.raises(DimensionError, match="lam"):
+        LassoProblem(phi, ys, 0.1)
+
+
 def test_problem_validation():
     with pytest.raises(ParamError):
         LassoProblem(np.eye(2), np.zeros(2), -1.0)
-    from sabmis import DimensionError
     with pytest.raises(DimensionError):
         LassoProblem(np.eye(2), np.zeros(3), 1.0)

@@ -124,3 +124,22 @@ def test_sparsify_rejects_wrong_shape():
     basis, zz = make_dct_basis(8), make_zigzag(8)
     with pytest.raises(DimensionError):
         sparsify(np.zeros((4, 4)), basis, zz)
+
+
+def test_stacked_blocks_match_row_by_row_calls():
+    basis, zz = make_dct_basis(8), make_zigzag(8)
+    blocks = np.random.default_rng(7).uniform(0, 255, size=(5, 8, 8))
+    stacked = sparsify(blocks, basis, zz, split=32)
+    assert stacked.coeffs.shape == (5, 64)
+    assert stacked.u.shape == (5, 32) and stacked.v.shape == (5, 32)
+    rebuilt = desparsify(stacked, basis, zz)
+    assert rebuilt.shape == (5, 8, 8)
+    for i, block in enumerate(blocks):
+        row = sparsify(block, basis, zz, split=32)
+        np.testing.assert_allclose(stacked.coeffs[i], row.coeffs, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(rebuilt[i], desparsify(row, basis, zz),
+                                   rtol=1e-13, atol=1e-12)
+    with pytest.raises(DimensionError):
+        sparsify(blocks[None], basis, zz)
+    with pytest.raises(DimensionError):
+        sparsify(np.zeros((5, 4, 4)), basis, zz)
