@@ -122,9 +122,10 @@ def _save_report(report: dict, path) -> None:
 
 def _cmd_bench(args) -> int:
     """Sweep 1..S embedded secrets per cover, averaging PSNR over all
-    secret-subset choices, and collect full stego/extraction metrics at the
-    maximum secret count. Restart-safe: covers the report lists as completed
-    are skipped; a cover that errored is recorded but retried on the next run."""
+    secret-subset choices and timing each subset's embed, and collect full
+    stego/extraction metrics at the maximum secret count. Restart-safe:
+    covers the report lists as completed are skipped; a cover that errored
+    is recorded but retried on the next run."""
     key = read_key(args.key)
     base = key.params
     cover_files = _list_corpus(args.covers)
@@ -150,12 +151,14 @@ def _cmd_bench(args) -> int:
         try:
             cover = read_image(cover_file)
             cover_q = quantize_u8(cover)
-            curve = {}
+            curve, walls = {}, {}
             for k in range(1, nsec + 1):
-                values = []
+                values, times = [], []
                 for combo in itertools.combinations(range(nsec), k):
                     chosen = [secrets[i] for i in combo]
+                    t_embed = time.perf_counter()
                     stego, rpt = embed_images(cover, chosen, keys[k])
+                    times.append(time.perf_counter() - t_embed)
                     values.append(psnr(cover_q, quantize_u8(stego)))
                     if k == nsec:
                         entry["stego_metrics"] = compare(cover, stego).to_dict()
@@ -165,7 +168,9 @@ def _cmd_bench(args) -> int:
                             compare(orig, ext).to_dict()
                             for orig, ext in zip(chosen, extracted)]
                 curve[str(k)] = sum(values) / len(values)
+                walls[str(k)] = times
             entry["psnr_curve"] = curve
+            entry["subset_wall_s"] = walls
         except (ParamError, DimensionError, FormatError, SolverError, OSError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_clock_s"] = time.perf_counter() - t_start

@@ -8,6 +8,7 @@ obtain bitwise-identical matrices without exchanging them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,20 +19,33 @@ from .errors import DimensionError, FormatError, ParamError
 from .spectral import Spectrum
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_CHUNK = 16  # words per draw in derive_assignment; four distinct indices take about 8
 
 
-def _words(seed: int):
-    # SplitMix64: one well-mixed 64-bit word per step, pure integer arithmetic
-    state = seed & _MASK64
-    while True:
-        state = (state + _GOLDEN) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        yield z ^ (z >> 31)
+def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Words start .. start+count-1 of the seed's SplitMix64 stream, as uint64.
+
+    The generator state after i+1 steps is seed + (i+1)*GOLDEN mod 2^64, so
+    word i is mixed from that state directly; uint64 array arithmetic wraps.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    # numpy's SIMD log/cos/sin can differ from libm in the last bit; the
+    # matrix must be bitwise identical on every machine that reads the key
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
 
 def keyed_normals(seed: int, count: int) -> np.ndarray:
@@ -41,18 +55,14 @@ def keyed_normals(seed: int, count: int) -> np.ndarray:
     inside (0, 1); consecutive uniform pairs feed the Box-Muller transform and
     both outputs are consumed in order.
     """
+    pairs, odd = divmod(count, 2)
+    words = _splitmix64(seed, 0, 2 * (pairs + odd))
+    u = ((words >> np.uint64(11)) + 0.5) / 9007199254740992.0   # 2^53
+    radius = np.sqrt(-2.0 * _libm(math.log, u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
     out = np.empty(count)
-    words = _words(seed)
-    i = 0
-    while i < count:
-        u1 = ((next(words) >> 11) + 0.5) / 9007199254740992.0   # 2^53
-        u2 = ((next(words) >> 11) + 0.5) / 9007199254740992.0
-        radius = math.sqrt(-2.0 * math.log(u1))
-        out[i] = radius * math.cos(2.0 * math.pi * u2)
-        i += 1
-        if i < count:
-            out[i] = radius * math.sin(2.0 * math.pi * u2)
-            i += 1
+    out[0::2] = radius * _libm(math.cos, angle)
+    out[1::2] = radius[:pairs] * _libm(math.sin, angle[:pairs])  # an odd count drops the last sine
     return out
 
 
@@ -61,12 +71,13 @@ def derive_assignment(seed: int, count: int) -> tuple[int, ...]:
     if not 1 <= count <= 4:
         raise ParamError(f"num_secrets must be 1..4, got {count}")
     picked: list[int] = []
-    for w in _words(seed):
-        k = int(w % 4) + 1
-        if k not in picked:
-            picked.append(k)
-            if len(picked) == count:
-                return tuple(picked)
+    for start in itertools.count(0, _CHUNK):
+        for w in _splitmix64(seed, start, _CHUNK).tolist():
+            k = w % 4 + 1
+            if k not in picked:
+                picked.append(k)
+                if len(picked) == count:
+                    return tuple(picked)
     raise AssertionError("unreachable")
 
 

@@ -1,11 +1,44 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's own solver path: the accelerated
+These deliberately avoid the library's own code paths: the accelerated
 proximal-gradient iteration below shares no code with the ADMM solver it is
-used to check.
+used to check, and the scalar SplitMix64/Box-Muller loop shares none with the
+array generator behind `keyed_normals`.
 """
 
+import math
+
 import numpy as np
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_words(seed):
+    """The SplitMix64 stream one step at a time, in Python integer arithmetic."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def keyed_normals_loop(seed, count):
+    """Box-Muller normals from consecutive word pairs, both outputs in order."""
+    out = np.empty(count)
+    words = splitmix64_words(seed)
+    i = 0
+    while i < count:
+        u1 = ((next(words) >> 11) + 0.5) / 9007199254740992.0   # 2^53
+        u2 = ((next(words) >> 11) + 0.5) / 9007199254740992.0
+        radius = math.sqrt(-2.0 * math.log(u1))
+        out[i] = radius * math.cos(2.0 * math.pi * u2)
+        i += 1
+        if i < count:
+            out[i] = radius * math.sin(2.0 * math.pi * u2)
+            i += 1
+    return out
 
 
 def lasso_objective(phi, y, lam, x):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,11 @@ def test_bench_curves_and_restart(tmp_path, capsys):
     assert all(a >= b for a, b in zip(curve, curve[1:]))
     assert len(entry["extracted_metrics"]) == 4
     assert "stego_metrics" in entry and "solver" in entry
+    # one embed wall time per secret subset: C(4, k) of them for k secrets
+    walls = entry["subset_wall_s"]
+    assert {k: len(v) for k, v in walls.items()} == {
+        str(k): math.comb(4, k) for k in (1, 2, 3, 4)}
+    assert all(t >= 0.0 for v in walls.values() for t in v)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "cover,secrets,psnr_db"
     assert len(lines) == 5

@@ -1,5 +1,9 @@
+import hashlib
+from itertools import islice
+
 import numpy as np
 import pytest
+from reference import keyed_normals_loop, splitmix64_words
 
 from sabmis import (DimensionError, FormatError, MeasurementMatrix, ParamError,
                     Spectrum, StegoKey, StegoParams, default_params,
@@ -78,13 +82,33 @@ def test_generator_moments():
 
 def test_word_stream_matches_published_vectors():
     # reference outputs of the standard SplitMix64 stream
-    from itertools import islice
-
-    from sabmis.measure import _words
-    assert list(islice(_words(0), 3)) == [
+    from sabmis.measure import _splitmix64
+    assert _splitmix64(0, 0, 3).tolist() == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    assert list(islice(_words(1234567), 2)) == [
+    assert _splitmix64(1234567, 0, 2).tolist() == [
         0x599ED017FB08FC85, 0x2C73F08458540FA5]
+
+
+_RANDOM_SEEDS = [int(s) for s in np.random.default_rng(20140101).integers(
+    0, 2 ** 64, size=20, dtype=np.uint64)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2 ** 64 - 1, -12345] + _RANDOM_SEEDS)
+def test_keyed_normals_equal_the_scalar_loop_bitwise(seed):
+    for count in (0, 1, 2, 3, 2049, 10240):  # odd counts drop the last sine
+        assert np.array_equal(keyed_normals(seed, count), keyed_normals_loop(seed, count))
+
+
+@pytest.mark.parametrize("key, digest", [
+    (make_key(0xC0FFEE),
+     "e73f98ac4c02d459cde584d2f30c1d84e72dd859650c351f358b3676ea455518"),
+    (make_key(3, StegoParams(N=256, M=128)),
+     "35ae36da05b3384088fe91657ee2b36a7b4d247f2d135470d833ba0a33c2c477"),
+], ids=["0xC0FFEE-default", "3-N256"])
+def test_gen_matrix_fingerprints_are_frozen(key, digest):
+    # existing key files must keep regenerating the same matrices, bit for bit
+    entries = gen_matrix(key).entries.astype("<f8").tobytes()
+    assert hashlib.sha256(entries).hexdigest() == digest
 
 
 def test_normals_follow_the_documented_pipeline():
@@ -103,6 +127,9 @@ def test_derive_assignment_properties():
     for seed in range(40):
         full = derive_assignment(seed, 4)
         assert sorted(full) == [1, 2, 3, 4]
+        # first appearances of w % 4 + 1 in the scalar word stream
+        order = dict.fromkeys(w % 4 + 1 for w in islice(splitmix64_words(seed), 64))
+        assert full == tuple(order)
         for count in (1, 2, 3):
             assert derive_assignment(seed, count) == full[:count]
     assert derive_assignment(11, 2) == derive_assignment(11, 2)
