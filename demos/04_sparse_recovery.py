@@ -1,8 +1,9 @@
 """The l1 solver that rebuilds stego pixels from modified measurements.
 
 Reconstruction solves min 0.5||phi s - y||^2 + lam ||s||_1 with ADMM. The
-iteration is three cheap steps (a cached linear solve, a soft threshold, a
-dual update), and one factorization serves every block of an image.
+iteration is three cheap steps (a product with a cached inverse, a soft
+threshold, a dual update), and one factorization serves every block of an
+image.
 """
 
 import numpy as np
@@ -27,7 +28,8 @@ result = solve_lasso(LassoProblem(phi, y, lam), cfg, cache)
 print(f"lam = {lam:.4f}, converged in {result.iterations} iterations")
 print(f"support recovered exactly: {np.array_equal(result.s != 0, truth != 0)}")
 print(f"max coefficient error: {np.abs(result.s - truth).max():.2e}")
-print(f"objective {result.objective:.6f}, primal residual {result.primal_residual:.2e}")
+print(f"objective {result.objective:.6f}, fit residual ||phi s - y|| "
+      f"{result.fit_residual:.2e}, primal residual {result.primal_residual:.2e}")
 
 # the stationarity conditions at the solution
 grad = phi.T @ (phi @ result.s - y)

@@ -212,8 +212,7 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
             spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
             carrier = embed_rule(measure(spec, phi), payload[part], p)
             blocks[part], res = reconstruct_block(carrier, phi, basis_b, zz_b, cfg, cache)
-            iters[part], ok[part] = res.iterations, res.converged
-            fit[part] = np.linalg.norm(res.s @ phi.entries.T - carrier.v, axis=-1)
+            iters[part], ok[part], fit[part] = res.iterations, res.converged, res.fit_residual
         stats.append(SubImageStats(
             sub_index=k, blocks=n_payload,
             iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),

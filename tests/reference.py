@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the accelerated
 proximal-gradient iteration below shares no code with the ADMM solver it is
 used to check, and the scalar SplitMix64/Box-Muller loop shares none with the
-array generator behind `keyed_normals`.
+array generator behind `keyed_normals`, and the window-by-window SSIM loop
+shares none with the separable filtering behind `mssim`.
 """
 
 import math
@@ -66,3 +67,28 @@ def lasso_fista(phi, y, lam, tol=1e-10, max_iter=200000):
             return x_new
         x, t = x_new, t_new
     return x
+
+
+def mssim_windows(x, y, side=11, sigma=1.5, k1=0.01, k2=0.03, peak=255.0):
+    """Mean SSIM over every full side x side window, one window at a time.
+
+    Each window weights its pixels by a normalized 2-D Gaussian and takes
+    means, variances and the covariance about the window's own means.
+    """
+    half = side // 2
+    offsets = np.arange(side) - half
+    w = np.exp(-(offsets[:, None] ** 2 + offsets[None, :] ** 2) / (2.0 * sigma * sigma))
+    w /= w.sum()
+    c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
+    rows, cols = x.shape[0] - side + 1, x.shape[1] - side + 1
+    total = 0.0
+    for i in range(rows):
+        for j in range(cols):
+            a, b = x[i:i + side, j:j + side], y[i:i + side, j:j + side]
+            mu_a, mu_b = (w * a).sum(), (w * b).sum()
+            var_a = (w * (a - mu_a) ** 2).sum()
+            var_b = (w * (b - mu_b) ** 2).sum()
+            cov = (w * (a - mu_a) * (b - mu_b)).sum()
+            total += ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                      / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
+    return total / (rows * cols)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,28 @@ def test_embed_matches_per_block_reference(monkeypatch):
         assert stats.iterations_mean == np.mean(ref_iters)
         assert stats.iterations_max == max(ref_iters)
         assert stats.unconverged == 0
+
+
+def test_solver_path_is_frozen():
+    # frozen per-sub-image iteration statistics and 8-bit stego digest of one
+    # N=256 embed: a solver change that alters any block's iteration path,
+    # even by one iteration, fails here
+    p = StegoParams(N=256, M=128)
+    key = make_key(3, p)
+    cover = cover_raster(p.N, 41)
+    secrets = [secret_raster(p.M, 50 + i) for i in range(p.num_secrets)]
+    stego, report = embed_images(cover, secrets, key)
+    frozen = [(2, 14.1953125, 32, 0, 5.232854236295955),
+              (4, 14.5390625, 32, 0, 4.946299726531953),
+              (3, 14.546875, 32, 0, 5.338138155802967),
+              (1, 15.21484375, 33, 0, 5.116340256699326)]
+    for stats, (k, mean, top, unconverged, residual) in zip(report.sub_images, frozen):
+        assert (stats.sub_index, stats.iterations_mean, stats.iterations_max,
+                stats.unconverged) == (k, mean, top, unconverged)
+        assert stats.residual_mean == pytest.approx(residual, rel=1e-9)
+    u8 = quantize_u8(stego).pixels.astype(np.uint8).tobytes()
+    assert hashlib.sha256(u8).hexdigest() == \
+        "93f6c88a1baadb714469ab1f4b84eb474f5022d10260c141eadd49cf55e11866"
 
 
 def test_rules_on_a_stack_match_row_by_row_calls():

@@ -7,6 +7,8 @@ import pytest
 from sabmis import (DimensionError, ParamError, Raster, compare, edge_map,
                     entropy, mssim, nae, ncc, psnr, textured_raster)
 
+from reference import mssim_windows
+
 
 def test_psnr_identical_is_infinite():
     r = textured_raster(32, 0)
@@ -41,6 +43,16 @@ def test_mssim_inverted_image_scores_low():
     r = textured_raster(64, 4)
     inverted = Raster(255.0 - r.pixels)
     assert mssim(r, inverted) < 0.5
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (23, 31), (40, 17)])
+def test_mssim_matches_the_window_by_window_loop(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    x = rng.integers(0, 256, shape).astype(np.float64)
+    # a correlated partner keeps the windowed covariance away from zero
+    y = np.clip(x + rng.integers(-40, 41, shape), 0, 255).astype(np.float64)
+    for a, b in ((x, y), (x, rng.integers(0, 256, shape).astype(np.float64))):
+        assert abs(mssim(Raster(a), Raster(b)) - mssim_windows(a, b)) <= 1e-12
 
 
 def test_mssim_rejects_tiny_images():

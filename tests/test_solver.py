@@ -38,6 +38,19 @@ def test_prepare_identity_system():
     from scipy.linalg import cho_solve
     q = np.array([4.0, -6.0])
     assert np.allclose(cho_solve(cache.chol, q), q / 2.0, atol=1e-14)
+    # one ulp below 0.5: the factor holds sqrt(2) on its diagonal
+    assert np.allclose(cache.inverse, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
+
+
+def test_prepare_inverse_inverts_the_system():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        m, n = rng.integers(4, 41), rng.integers(2, 33)
+        phi = rng.standard_normal((m, n))
+        rho = rng.uniform(0.5, 40.0)
+        cache = prepare(phi, rho)
+        system = phi.T @ phi + rho * np.eye(n)
+        assert np.abs(cache.inverse @ system - np.eye(n)).max() <= 1e-12
 
 
 def test_cached_factorization_reuse_matches_fresh():
@@ -147,6 +160,48 @@ def test_unconverged_result_is_flagged_not_fatal():
     assert not result.converged
     assert result.iterations == 3
     assert result.primal_residual > 0
+
+
+def test_fit_residual_is_the_measurement_misfit():
+    rng = np.random.default_rng(13)
+    phi = rng.standard_normal((30, 10))
+    y = rng.standard_normal(30)
+    lone = solve_lasso(LassoProblem(phi, y, 0.2))
+    assert isinstance(lone.fit_residual, float)
+    assert lone.fit_residual == pytest.approx(np.linalg.norm(phi @ lone.s - y), rel=1e-12)
+    ys = rng.standard_normal((5, 30))
+    stacked = solve_lasso(LassoProblem(phi, ys, default_lambda(phi, ys, 0.1)))
+    assert stacked.fit_residual.shape == (5,)
+    for i in range(5):
+        misfit = np.linalg.norm(phi @ stacked.s[i] - ys[i])
+        assert stacked.fit_residual[i] == pytest.approx(misfit, rel=1e-12)
+
+
+def test_embed_residual_mean_matches_a_recomputation():
+    # rebuild each block's carrier and solved v-part from the pipeline's own
+    # steps and measure ||phi s - y_v|| outside the solver
+    from sabmis import (StegoParams, cover_raster, embed_images, embed_rule, gen_matrix,
+                        make_dct_basis, make_key, make_zigzag, measure,
+                        partition_blocks, secret_raster, secret_to_coeffs, sparsify,
+                        subsample)
+    p = StegoParams(N=128, M=64, num_secrets=2)
+    key = make_key(16, p)
+    cover = cover_raster(p.N, 35)
+    secrets = [secret_raster(p.M, 36 + i) for i in range(2)]
+    stego, report = embed_images(cover, secrets, key)
+    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
+    phi = gen_matrix(key)
+    for secret, k, stats in zip(secrets, key.assignment, report.sub_images):
+        assert stats.sub_index == k
+        payload = secret_to_coeffs(secret, p, basis, zz).blocks
+        n = len(payload)
+        before = partition_blocks(subsample(cover).sub[k - 1], p.b)[:n]
+        after = partition_blocks(subsample(stego).sub[k - 1], p.b)[:n]
+        carrier = embed_rule(measure(sparsify(before, basis, zz, split=p.p1),
+                                     phi), payload, p)
+        s = sparsify(after, basis, zz, split=p.p1).v
+        misfit = np.linalg.norm(s @ phi.entries.T - carrier.v, axis=1)
+        assert stats.residual_mean == pytest.approx(misfit.mean(), rel=1e-9)
 
 
 def test_stacked_solve_matches_lone_solves():
