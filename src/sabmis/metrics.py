@@ -1,9 +1,11 @@
 """Image fidelity measures: PSNR, mean SSIM, normalized cross-correlation,
 normalized absolute error, histogram entropy, and Sobel edge maps.
 
-`compare` quantizes both rasters to 8 bits first so reported numbers always
-correspond to viewable images; the individual metric functions evaluate
-whatever they are given.
+`compare` quantizes both rasters to 8 bits once, first, so reported numbers
+always correspond to viewable images; the individual metric functions evaluate
+whatever they are given. `mssim` applies its window as banded-matrix products
+over strips of rows and builds no full-size windowed map: its working set grows
+with the image width, not its area (about 5 MB for a 1024x1024 pair).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+_SSIM_STRIP = 32      # output rows per strip and output columns per tile in mssim
 
 
 def _paired(a: Raster, b: Raster) -> tuple[np.ndarray, np.ndarray]:
@@ -46,30 +49,40 @@ def _gauss_kernel() -> np.ndarray:
     return g / g.sum()
 
 
-def _windowed(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # separable Gaussian windowing restricted to full 11x11 windows
-    tmp = ndimage.correlate1d(x, g, axis=0, mode="constant")
-    out = ndimage.correlate1d(tmp, g, axis=1, mode="constant")
-    half = g.size // 2
-    return out[half:-half, half:-half]
-
-
 def mssim(a: Raster, b: Raster) -> float:
-    """Mean local SSIM over all full 11x11 windows (Gaussian weights, sigma 1.5)."""
+    """Mean local SSIM over all full 11x11 windows (Gaussian weights, sigma 1.5).
+
+    Walks strips of `_SSIM_STRIP` output rows. Each strip stacks x, y,
+    x^2 + y^2 and xy (only var_x + var_y enters the formula), windows the stack
+    down the columns with one banded-matrix product, then along the rows tile by
+    tile with the same band, and adds its SSIM values to a running sum. Memory
+    stays at a few strip-high slices of the image width, never a full-size map.
+    """
     x, y = _paired(a, b)
     if min(x.shape) < _SSIM_WINDOW:
         raise DimensionError(f"images must be at least {_SSIM_WINDOW} pixels per side")
-    g = _gauss_kernel()
+    n, reach = _SSIM_STRIP, _SSIM_WINDOW - 1
+    # band[i, i:i + 11] holds the weights, so band[:t, :t + 10] windows t rows
+    band, i = np.zeros((n, n + reach)), np.arange(n)[:, None]
+    band[i, i + np.arange(_SSIM_WINDOW)] = _gauss_kernel()
     c1 = (_SSIM_K1 * _PEAK) ** 2
     c2 = (_SSIM_K2 * _PEAK) ** 2
-    mu_x = _windowed(x, g)
-    mu_y = _windowed(y, g)
-    var_x = _windowed(x * x, g) - mu_x * mu_x
-    var_y = _windowed(y * y, g) - mu_y * mu_y
-    cov = _windowed(x * y, g) - mu_x * mu_y
-    num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    rows, cols = x.shape[0] - reach, x.shape[1] - reach
+    total = 0.0
+    for r in range(0, rows, n):
+        t = min(n, rows - r)
+        xs, ys = x[r:r + t + reach], y[r:r + t + reach]
+        stack = np.stack((xs, ys, xs * xs + ys * ys, xs * ys))
+        down = (band[:t, :t + reach] @ stack).reshape(4 * t, -1)
+        win = np.empty((4 * t, cols))
+        for c in range(0, cols, n):
+            u = min(n, cols - c)
+            win[:, c:c + u] = down[:, c:c + u + reach] @ band[:u, :u + reach].T
+        mu_x, mu_y, sq, xy = win.reshape(4, t, cols)
+        mu_xy, mu_sq = mu_x * mu_y, mu_x * mu_x + mu_y * mu_y
+        ssim = (2 * mu_xy + c1) * (2 * (xy - mu_xy) + c2) / ((mu_sq + c1) * (sq - mu_sq + c2))
+        total += float(ssim.sum())
+    return total / (rows * cols)
 
 
 def ncc(a: Raster, b: Raster) -> float:
@@ -90,12 +103,16 @@ def nae(a: Raster, b: Raster) -> float:
     return float(np.abs(x - y).sum() / denom)
 
 
-def entropy(a: Raster) -> float:
-    """Shannon entropy in bits of the 256-bin histogram of the quantized pixels."""
-    q = quantize_u8(a).pixels.astype(np.int64)
-    counts = np.bincount(q.ravel(), minlength=256)
+def _histogram_entropy(q: np.ndarray) -> float:
+    # q holds already-quantized pixels, integers in [0, 255]
+    counts = np.bincount(q.astype(np.int64).ravel(), minlength=256)
     prob = counts[counts > 0] / q.size
     return float(-(prob * np.log2(prob)).sum())
+
+
+def entropy(a: Raster) -> float:
+    """Shannon entropy in bits of the 256-bin histogram of the quantized pixels."""
+    return _histogram_entropy(quantize_u8(a).pixels)
 
 
 def edge_map(a: Raster, threshold: float = 0.2) -> Raster:
@@ -135,4 +152,4 @@ def compare(ref: Raster, test: Raster) -> MetricsReport:
     """Full report on the 8-bit-quantized pair, matching what a viewer would see."""
     qr, qt = quantize_u8(ref), quantize_u8(test)
     return MetricsReport(psnr(qr, qt), mssim(qr, qt), ncc(qr, qt), nae(qr, qt),
-                         entropy(qr), entropy(qt))
+                         _histogram_entropy(qr.pixels), _histogram_entropy(qt.pixels))

@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's own code paths: the accelerated
 proximal-gradient iteration below shares no code with the ADMM solver it is
-used to check, and the scalar SplitMix64/Box-Muller loop shares none with the
+used to check, the scalar SplitMix64/Box-Muller loop shares none with the
 array generator behind `keyed_normals`, and the window-by-window SSIM loop
-shares none with the separable filtering behind `mssim`.
+shares none with `mssim`, which applies the window as banded-matrix products
+over strips of rows and tiles of columns. The loop takes each window's
+variances about its own means and never splits the image, so it cannot
+share a strip- or tile-boundary error with `mssim`.
 """
 
 import math

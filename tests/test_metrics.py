@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,11 @@ def test_mssim_inverted_image_scores_low():
     assert mssim(r, inverted) < 0.5
 
 
-@pytest.mark.parametrize("shape", [(11, 11), (23, 31), (40, 17)])
+# (43, 43): one full 32-row strip plus one row; (75, 140): several strips
+# with a ragged last strip and tile; (11, 200) and (200, 11): a single output
+# row across several column tiles, and a single output column
+@pytest.mark.parametrize("shape", [(11, 11), (23, 31), (40, 17), (43, 43), (75, 140),
+                                   (11, 200), (200, 11)])
 def test_mssim_matches_the_window_by_window_loop(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     x = rng.integers(0, 256, shape).astype(np.float64)
@@ -53,6 +58,29 @@ def test_mssim_matches_the_window_by_window_loop(shape):
     y = np.clip(x + rng.integers(-40, 41, shape), 0, 255).astype(np.float64)
     for a, b in ((x, y), (x, rng.integers(0, 256, shape).astype(np.float64))):
         assert abs(mssim(Raster(a), Raster(b)) - mssim_windows(a, b)) <= 1e-12
+
+
+def test_mssim_is_exactly_symmetric():
+    rng = np.random.default_rng(11)
+    for shape in ((11, 11), (43, 43), (75, 140), (11, 200), (200, 11)):
+        a = Raster(rng.integers(0, 256, shape).astype(np.float64))
+        b = Raster(rng.uniform(0.0, 255.0, shape))
+        assert mssim(a, b) == mssim(b, a)
+
+
+def test_mssim_working_set_stays_bounded():
+    # full-size windowed maps of a 1024x1024 pair take about 63 MiB
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 256, (1024, 1024)).astype(np.float64)
+    y = np.clip(x + rng.integers(-20, 21, x.shape), 0, 255).astype(np.float64)
+    a, b = Raster(x), Raster(y)
+    tracemalloc.start()
+    try:
+        mssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_mssim_rejects_tiny_images():
@@ -138,6 +166,20 @@ def test_compare_quantizes_before_measuring():
     report = compare(a, b)
     assert math.isinf(report.psnr_db)
     assert report.nae == 0.0
+
+
+def test_compare_is_deterministic():
+    ref = textured_raster(64, 13)
+    test = Raster(ref.pixels + np.random.default_rng(13).normal(0.0, 3.0, ref.pixels.shape))
+    assert compare(ref, test).to_dict() == compare(ref, test).to_dict()
+
+
+def test_compare_entropies_match_entropy():
+    ref = textured_raster(32, 14)
+    test = Raster(ref.pixels * 0.7 + 20.3)
+    report = compare(ref, test)
+    assert report.entropy_ref == entropy(ref)
+    assert report.entropy_test == entropy(test)
 
 
 def _edged_cover(side, seed):
