@@ -8,6 +8,7 @@ obtain bitwise-identical matrices without exchanging them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -134,8 +135,8 @@ class StegoParams:
             raise ParamError(f"c >= 2 violated (c={self.c})")
         if self.p1 - 2 * self.c < 1:
             raise ParamError(f"p1-2c >= 1 violated (p1={self.p1}, c={self.c})")
-        if self.p3 < self.c + 1:
-            raise ParamError(f"p3 >= c+1 violated (p3={self.p3}, c={self.c})")
+        if self.p3 < self.c:
+            raise ParamError(f"p3 >= c violated (p3={self.p3}, c={self.c})")
         if self.p1 + 2 * self.p3 - self.c > self.p1 + self.m:
             raise ParamError(
                 f"p1+2p3-c <= p1+m violated (p3={self.p3}, c={self.c}, m={self.m})")
@@ -202,12 +203,21 @@ class MeasurementMatrix:
     entries: np.ndarray
 
 
-def gen_matrix(key: StegoKey) -> MeasurementMatrix:
-    """Regenerate the m x p2 matrix from the key; same key, bitwise-identical matrix."""
-    p = key.params
-    entries = keyed_normals(key.seed, p.m * p.p2).reshape(p.m, p.p2)
+@functools.lru_cache(maxsize=8)
+def _keyed_matrix(seed: int, m: int, p2: int) -> MeasurementMatrix:
+    entries = keyed_normals(seed, m * p2).reshape(m, p2)
     entries.setflags(write=False)
-    return MeasurementMatrix(p.m, p.p2, entries)
+    return MeasurementMatrix(m, p2, entries)
+
+
+def gen_matrix(key: StegoKey) -> MeasurementMatrix:
+    """Regenerate the m x p2 matrix from the key; same key, bitwise-identical matrix.
+
+    The matrix depends only on (seed, m, p2), and its entries are read-only,
+    so the last few are kept and a repeated key returns the same object.
+    """
+    p = key.params
+    return _keyed_matrix(key.seed, p.m, p.p2)
 
 
 @dataclass(frozen=True, eq=False)

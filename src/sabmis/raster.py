@@ -62,13 +62,21 @@ class QuadSample:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with ties away from zero (platform independent)."""
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    """Round to nearest integer with ties away from zero (platform independent).
+
+    copysign(floor(|x| + 0.5), x), computed in one new buffer.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=np.empty_like(x))
+    out += 0.5
+    np.floor(out, out=out)
+    return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
 
 
 def quantize_u8(r: Raster) -> Raster:
     """Round and clamp samples to integers in [0, 255]; idempotent."""
-    return Raster(np.clip(round_half_away(r.pixels), 0.0, 255.0), "u8")
+    q = round_half_away(r.pixels)
+    return Raster(np.clip(q, 0.0, 255.0, out=q), "u8")
 
 
 def subsample(r: Raster) -> QuadSample:

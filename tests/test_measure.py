@@ -68,6 +68,30 @@ def test_gen_matrix_is_deterministic():
     assert a.entries.shape == (320, 32)
 
 
+def test_gen_matrix_returns_the_same_matrix_for_a_repeated_key():
+    key = make_key(7)
+    first = gen_matrix(key)
+    assert gen_matrix(key) is first
+    # the matrix depends on (seed, m, p2) only, not on the rest of the key
+    assert gen_matrix(make_key(7, StegoParams(N=256, M=128, num_secrets=2))) is first
+    assert not first.entries.flags.writeable
+
+
+@pytest.mark.parametrize("seed, params", [
+    (8, StegoParams()),
+    (7, StegoParams(m=160)),
+    (7, StegoParams(p1=40, p2=24)),
+])
+def test_gen_matrix_keys_differing_in_seed_or_shape_do_not_share(seed, params):
+    base = gen_matrix(make_key(7))
+    other = gen_matrix(make_key(seed, params))
+    assert other is not base
+    assert other.entries.shape == (params.m, params.p2)
+    expected = keyed_normals(seed, params.m * params.p2).reshape(params.m, params.p2)
+    assert np.array_equal(other.entries, expected)
+    assert gen_matrix(make_key(7)) is base
+
+
 def test_neighboring_seeds_give_unrelated_matrices():
     a = gen_matrix(make_key(7))
     b = gen_matrix(make_key(8))

@@ -3,7 +3,7 @@ import pytest
 
 from sabmis import (DimensionError, FormatError, QuadSample, Raster,
                     inverse_subsample, quantize_u8, read_pgm, read_srf,
-                    subsample, write_pgm, write_srf)
+                    round_half_away, subsample, write_pgm, write_srf)
 
 
 def test_read_pgm_maps_bytes_directly(tmp_path):
@@ -154,3 +154,20 @@ def test_quantize_u8_idempotent():
     once = quantize_u8(r)
     twice = quantize_u8(once)
     assert np.array_equal(once.pixels, twice.pixels)
+
+
+def test_in_place_rounding_is_bitwise_the_plain_formula():
+    def plain(x):
+        return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+    rng = np.random.default_rng(10)
+    ties = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 254.5, 255.5]
+    edges = [0.0, -0.0, -0.4, -0.49999999999999994, 0.49999999999999994,
+             -7.3, -1e6, 255.49, 256.0, 300.7, 1e6]
+    x = np.concatenate([ties, edges, rng.uniform(-40, 300, 211)]).reshape(10, 23)
+    bits = np.dtype(np.uint64)
+    assert np.array_equal(round_half_away(x).view(bits), plain(x).view(bits))
+    assert np.signbit(round_half_away(np.array([-0.0, -0.4]))).all()
+    assert np.array_equal(quantize_u8(Raster(x)).pixels.view(bits),
+                          np.clip(plain(x), 0.0, 255.0).view(bits))
+    assert round_half_away(-2.5) == -3.0 and np.ndim(round_half_away(2.5)) == 0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig,
-                    default_lambda, prepare, soft_threshold, solve_lasso)
+from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig, StegoParams,
+                    default_lambda, pipeline_config, prepare, soft_threshold, solve_lasso)
+from sabmis.solver import _ROUNDS
 
 from reference import lasso_fista, lasso_objective
 
@@ -152,14 +153,29 @@ def test_solver_is_bitwise_deterministic():
 
 
 def test_unconverged_result_is_flagged_not_fatal():
+    # m < n: no certificate applies, so ADMM alone meets the cap
     rng = np.random.default_rng(10)
-    phi = rng.standard_normal((30, 10))
-    y = rng.standard_normal(30)
+    phi = rng.standard_normal((20, 30))
+    y = rng.standard_normal(20)
     result = solve_lasso(LassoProblem(phi, y, 0.1),
                          SolverConfig(eps_abs=1e-14, eps_rel=1e-14, max_iter=3))
     assert not result.converged
     assert result.iterations == 3
     assert result.primal_residual > 0
+
+
+def test_full_rank_rows_are_certified_whatever_max_iter():
+    rng = np.random.default_rng(10)
+    phi = rng.standard_normal((30, 10))
+    y = rng.standard_normal(30)
+    results = [solve_lasso(LassoProblem(phi, y, 0.1),
+                           SolverConfig(eps_abs=1e-14, eps_rel=1e-14, max_iter=cap))
+               for cap in (1, 3, 500)]
+    for result in results:
+        assert result.converged
+        assert 1 <= result.iterations <= _ROUNDS
+        assert result.primal_residual == 0.0 and result.dual_residual == 0.0
+        assert np.array_equal(result.s, results[0].s)
 
 
 def test_fit_residual_is_the_measurement_misfit():
@@ -205,9 +221,10 @@ def test_embed_residual_mean_matches_a_recomputation():
 
 
 def test_stacked_solve_matches_lone_solves():
+    # m < n: every row runs ADMM, so a cap can stop some rows and not others
     rng = np.random.default_rng(11)
-    phi = rng.standard_normal((30, 10))
-    ys = rng.standard_normal((6, 30))
+    phi = rng.standard_normal((8, 10))
+    ys = rng.standard_normal((6, 8))
     ys[2] = 0.0  # stops at the first iteration
     lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
     assert lam.shape == (6,)
@@ -225,6 +242,113 @@ def test_stacked_solve_matches_lone_solves():
         assert stacked.converged[i] == r.converged
     with pytest.raises(DimensionError, match="lam"):
         LassoProblem(phi, ys, 0.1)
+
+
+def test_stacked_full_rank_solve_matches_lone_solves():
+    rng = np.random.default_rng(11)
+    phi = rng.standard_normal((30, 10))
+    ys = rng.standard_normal((6, 30))
+    ys[2] = 0.0
+    lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
+    for cap in (1, 500):
+        cfg = SolverConfig(max_iter=cap)
+        lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
+        stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi, cfg.rho))
+        assert stacked.converged.all() and stacked.iterations.max() <= _ROUNDS
+        assert np.all(stacked.s[2] == 0) and stacked.iterations[2] == 1
+        for i, r in enumerate(lone):
+            assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
+            assert stacked.iterations[i] == r.iterations
+            assert stacked.converged[i] == r.converged
+
+
+def _paper_slab():
+    """The first 512 carriers of a real embed at the paper's m = 320, p2 = 32."""
+    from sabmis import (cover_raster, embed_rule, gen_matrix, make_dct_basis, make_key,
+                        make_zigzag, measure, partition_blocks, secret_raster,
+                        secret_to_coeffs, sparsify, subsample)
+    p = StegoParams(N=512, M=256, num_secrets=1)
+    key = make_key(0xC0FFEE, p)
+    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
+    phi = gen_matrix(key)
+    blocks = partition_blocks(subsample(cover_raster(p.N, 1101)).sub[key.assignment[0] - 1],
+                              p.b)[:512]
+    payload = secret_to_coeffs(secret_raster(p.M, 2201), p, basis, zz).blocks[:512]
+    carrier = embed_rule(measure(sparsify(blocks, basis, zz, split=p.p1), phi), payload, p)
+    return phi.entries, carrier.v, pipeline_config(p)
+
+
+def test_certified_rows_meet_the_kkt_conditions():
+    phi, ys, cfg = _paper_slab()
+    lam = default_lambda(phi, ys, cfg.lambda_scale)
+    result = solve_lasso(LassoProblem(phi, ys, lam), cfg)
+    certified = result.iterations <= _ROUNDS
+    assert certified.all()
+    assert (result.iterations > 1).any()  # some rows needed a sign update
+    assert np.all(result.primal_residual == 0.0) and np.all(result.dual_residual == 0.0)
+    corr = ys @ phi - result.s @ (phi.T @ phi)  # phi^T (y - phi s)
+    tol = 1e-9 * np.abs(ys @ phi).max(axis=1, keepdims=True)
+    on = result.s != 0
+    slack = np.where(on, np.abs(corr - lam[:, None] * np.sign(result.s)),
+                     np.abs(corr) - lam[:, None])
+    assert np.all(slack <= tol)
+    assert (~on).any()
+
+
+def test_stack_mixing_certified_and_fallback_rows_matches_lone_solves():
+    phi = _paper_slab()[0]
+    cfg = SolverConfig(rho=32.0)
+    rng = np.random.default_rng(20)
+    ys = rng.standard_normal((16, 320))[[0, 9, 1, 2, 13, 3]]
+    # lam near ||phi^T y||_inf leaves one or two nonzeros, which the least-squares
+    # signs cannot reach in three rounds on rows 1 and 4
+    fallback = np.array([False, True, False, False, True, False])
+    lam = default_lambda(phi, ys, 1.0) * np.where(fallback, 0.95, 1e-3)
+    lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
+    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi, cfg.rho))
+    assert np.array_equal(stacked.iterations > _ROUNDS, fallback)
+    assert stacked.converged.all()
+    for i, r in enumerate(lone):
+        assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
+        assert stacked.iterations[i] == r.iterations
+        assert stacked.converged[i] == r.converged
+    for i in np.flatnonzero(fallback):
+        assert 1 <= np.count_nonzero(stacked.s[i]) <= 2
+        ref = lasso_fista(phi, ys[i], lam[i], tol=1e-10)
+        obj_ref = lasso_objective(phi, ys[i], lam[i], ref)
+        assert abs(stacked.objective[i] - obj_ref) <= 1e-4 * abs(obj_ref)
+
+
+def test_a_support_solve_is_never_certified_on_signs_alone():
+    # a slightly wrong inverse keeps the signs and the zero bounds but breaks
+    # stationarity, so no row may be certified and ADMM must solve them all
+    from dataclasses import replace
+    phi, ys, cfg = _paper_slab()
+    ys = ys[:64]
+    lam = default_lambda(phi, ys, cfg.lambda_scale)
+    good = prepare(phi, cfg.rho)
+    skewed = replace(good, gram_inverse=good.gram_inverse * (1 + 1e-6))
+    exact = solve_lasso(LassoProblem(phi, ys, lam), cfg, good)
+    result = solve_lasso(LassoProblem(phi, ys, lam), cfg, skewed)
+    assert np.all(exact.iterations <= _ROUNDS)
+    assert np.all(result.iterations > _ROUNDS) and result.converged.all()
+    assert np.abs(result.objective - exact.objective).max() <= 1e-4 * exact.objective.min()
+
+
+def test_nearly_collinear_columns_fall_back_to_admm():
+    # m >= n but phi^T phi is singular to working precision: no certificate
+    rng = np.random.default_rng(14)
+    phi = rng.standard_normal((20, 8))
+    phi[:, 6] = phi[:, 0]
+    phi[:, 7] = 2.0 * phi[:, 1] - phi[:, 2] + 1e-9 * rng.standard_normal(20)
+    ys = rng.standard_normal((5, 20))
+    lam = default_lambda(phi, ys, 0.1)
+    cfg = SolverConfig(eps_abs=1e-10, eps_rel=1e-10, max_iter=5000)
+    assert prepare(phi, cfg.rho).gram_inverse is None
+    result = solve_lasso(LassoProblem(phi, ys, lam), cfg)
+    for i in range(5):
+        obj_ref = lasso_objective(phi, ys[i], lam[i], lasso_fista(phi, ys[i], lam[i], tol=1e-8))
+        assert abs(result.objective[i] - obj_ref) <= 1e-4 * abs(obj_ref)
 
 
 def test_problem_validation():
