@@ -3,7 +3,8 @@
 The only shared secret is a small key file: seed plus parameters. Sender and
 receiver both regenerate the same Gaussian measurement matrix from the seed,
 so the matrix itself never travels. Measurements keep the large coefficients
-verbatim and project the small ones through the matrix.
+verbatim and project the small ones through the matrix; the transplant rule
+reads and writes only a few of those projections.
 """
 
 import tempfile
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from sabmis import (Spectrum, default_params, gen_matrix, make_key, measure,
-                    read_key, write_key)
+                    read_key, rule_index_sets, write_key)
 
 params = default_params()
 print(f"reference parameters: N={params.N} M={params.M} b={params.b} "
@@ -43,3 +44,10 @@ y = measure(Spectrum(coeffs, split=params.p1), phi)
 print(f"one block's measurements: {y.y.size} values "
       f"({params.p1} copied + {params.m} projections)")
 print("u-part matches the spectrum exactly:", np.array_equal(y.u, coeffs[:32]))
+
+written, donors = rule_index_sets(params)
+rows = {i - params.p1 - 1 for i in written | donors if i > params.p1}  # 0-based rows of phi
+n_written = sum(i > params.p1 for i in written)
+print(f"the transplant touches {len(rows)} of {params.m} measurement rows "
+      f"(phi rows {min(rows)}..{max(rows)}: {len(rows) - n_written} donors, then "
+      f"{n_written} written); the pipelines compute only those")

@@ -20,7 +20,8 @@ from .metrics import (MetricsReport, compare, edge_map, entropy, mssim, nae, ncc
 from .raster import (QuadSample, Raster, inverse_subsample, quantize_u8, read_pgm,
                      read_srf, round_half_away, subsample, write_pgm, write_srf)
 from .solver import (CachedFactorization, LassoProblem, SolverConfig, SolverResult,
-                     default_lambda, prepare, soft_threshold, solve_lasso)
+                     default_lambda, prepare, soft_threshold, solve_lasso,
+                     solve_normal)
 from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
                        make_dct_basis, make_zigzag, partition_blocks, sparsify)
 from .synth import (block_sparse_raster, cover_raster, secret_raster,

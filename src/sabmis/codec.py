@@ -1,30 +1,38 @@
-"""Embedding and extraction: the coefficient transplant rules and the
+"""Embedding and extraction: the coefficient transplant rule and the
 end-to-end hide/recover pipelines.
 
 Secret block i always pairs with cover block i in row-major block order.
-The per-block functions also take stacks of blocks along a leading axis.
-The stego raster is never quantized inside the pipeline; 8-bit export is an
-explicit step in the raster module.
+The per-block functions also take stacks of blocks along a leading axis; they
+are the full-vector definitions. The pipelines compute the same thing with
+fewer products: the rule reads and writes only the u-part and the
+2*(p3 - c) measurements phi[c : 2*p3 - c] @ s_v, and the l1 solve sees the
+carrier only through phi^T y, so the full (p1 + m)-long measurement vector is
+never formed. The stego raster is never quantized inside the pipeline; 8-bit
+export is an explicit step in the raster module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ParamError
-from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,
+# the pipelines reproduce `measure` without calling it; it stays bound here,
+# where perfbench's tracer tests look it up
+from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,  # noqa: F401
                       gen_matrix, measure)
 from .raster import QuadSample, Raster, inverse_subsample, subsample
 from .solver import (CachedFactorization, LassoProblem, SolverConfig, SolverResult,
-                     default_lambda, prepare, solve_lasso)
+                     default_lambda, prepare, solve_lasso, solve_normal)
 from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
                        make_dct_basis, make_zigzag, partition_blocks, sparsify)
 
-# Blocks per batched call. Whole 4096-block sub-images would hold several
-# (4096, p1+m) measurement stacks at once; 512 keeps them near 1.4 MB each.
+# Blocks per batched call. It bounds the working set: a paper-scale embed
+# peaks at 33 MB under tracemalloc with 512 and 46 MB with 4096, and the
+# larger slab runs no faster.
 SLAB = 512
 
 
@@ -80,6 +88,43 @@ def _check_rule_vector(y: MeasurementVector, p: StegoParams) -> None:
             f"params (p1={p.p1}, m={p.m})")
 
 
+def _rule(p: StegoParams, v0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transplant, coefficient by coefficient: for each k < p3, the
+    0-based position t[k] is written to, the donor position whose value it is
+    added to, and its strength, in a vector that holds the u-part first and
+    measurement row c of the v-part at index v0 (p1 + c in the full vector).
+
+    Coefficient 0 goes to u-position p1-1 (alpha), 1..c-1 to p1-c .. p1-2
+    (beta), c..p3-1 to measurement rows p3 .. 2*p3-c-1 (gamma); the donors are
+    u-positions p1-2c-1 .. p1-c-1 and measurement rows c .. p3-1.
+    """
+    p1, p3, c = p.p1, p.p3, p.c
+    k = np.arange(p3)
+    low = k < c
+    written = np.where(low, np.where(k == 0, p1 - 1, p1 - c - 1 + k), v0 + p3 - 2 * c + k)
+    donor = np.where(low, p1 - 2 * c - 1 + k, v0 - c + k)
+    strength = np.where(k == 0, p.alpha, np.where(low, p.beta, p.gamma))
+    return written, donor, strength
+
+
+def _transplant(x: np.ndarray, t: np.ndarray, p: StegoParams, v0: int) -> np.ndarray:
+    """A copy of x with the first p3 entries of t written by `_rule`."""
+    written, donor, strength = _rule(p, v0)
+    out = x.copy()
+    out[..., written] = x[..., donor] + strength * t[..., : p.p3]
+    return out
+
+
+def _recover(x: np.ndarray, p: StegoParams, v0: int) -> np.ndarray:
+    """The coefficients `_transplant` wrote into x; the tail beyond p3 is zero."""
+    if p.alpha == 0 or p.beta == 0 or p.gamma == 0:
+        raise ParamError("alpha, beta and gamma must be nonzero to extract")
+    written, donor, strength = _rule(p, v0)
+    t = np.zeros(x.shape[:-1] + (p.l * p.l,))
+    t[..., : p.p3] = (x[..., written] - x[..., donor]) / strength
+    return t
+
+
 def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> MeasurementVector:
     """Transplant the first p3 entries of t into a copy of y (row by row for stacks).
 
@@ -93,36 +138,19 @@ def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> Measureme
     if t.shape != y.y.shape[:-1] + (p.l * p.l,):
         raise DimensionError(f"secret coefficients must have shape {y.y.shape[:-1]} + "
                              f"(l^2={p.l * p.l},), got {t.shape}")
-    p1, p3, c = p.p1, p.p3, p.c
-    src = y.y
-    out = src.copy()
-    out[..., p1 - 1] = src[..., p1 - 2 * c - 1] + p.alpha * t[..., 0]
-    out[..., p1 - c : p1 - 1] = src[..., p1 - 2 * c : p1 - c - 1] + p.beta * t[..., 1:c]
-    out[..., p1 + p3 : p1 + 2 * p3 - c] = src[..., p1 + c : p1 + p3] + p.gamma * t[..., c:p3]
-    return MeasurementVector(out, p1)
+    return MeasurementVector(_transplant(y.y, t, p, p.p1 + p.c), p.p1)
 
 
 def extract_rule(y2: MeasurementVector, p: StegoParams) -> np.ndarray:
     """Recover the p3 embedded coefficients from measurements; the tail stays zero."""
-    if p.alpha == 0 or p.beta == 0 or p.gamma == 0:
-        raise ParamError("alpha, beta and gamma must be nonzero to extract")
     _check_rule_vector(y2, p)
-    p1, p3, c = p.p1, p.p3, p.c
-    src = y2.y
-    t = np.zeros(src.shape[:-1] + (p.l * p.l,))
-    t[..., 0] = (src[..., p1 - 1] - src[..., p1 - 2 * c - 1]) / p.alpha
-    t[..., 1:c] = (src[..., p1 - c : p1 - 1] - src[..., p1 - 2 * c : p1 - c - 1]) / p.beta
-    t[..., c:p3] = (src[..., p1 + p3 : p1 + 2 * p3 - c] - src[..., p1 + c : p1 + p3]) / p.gamma
-    return t
+    return _recover(y2.y, p, p.p1 + p.c)
 
 
 def rule_index_sets(p: StegoParams) -> tuple[set[int], set[int]]:
     """(written, donor) 1-based position sets touched by the transplant rule."""
-    written = ({p.p1} | set(range(p.p1 - p.c + 1, p.p1))
-               | set(range(p.p1 + p.p3 + 1, p.p1 + 2 * p.p3 - p.c + 1)))
-    donors = ({p.p1 - 2 * p.c} | set(range(p.p1 - 2 * p.c + 1, p.p1 - p.c))
-              | set(range(p.p1 + p.c + 1, p.p1 + p.p3 + 1)))
-    return written, donors
+    written, donor, _ = _rule(p, p.p1 + p.c)
+    return set((written + 1).tolist()), set((donor + 1).tolist())
 
 
 def reconstruct_block(y: MeasurementVector, phi: MeasurementMatrix, basis: DctBasis,
@@ -175,14 +203,33 @@ def _slabs(count: int):
     return (slice(lo, min(lo + SLAB, count)) for lo in range(0, count, SLAB))
 
 
+@functools.lru_cache(maxsize=8)
+def _factorization(phi: MeasurementMatrix, rho: float) -> CachedFactorization:
+    """`prepare` for a keyed matrix, kept for the last few (matrix, rho) pairs.
+
+    `gen_matrix` returns one read-only matrix object per (seed, m, p2), so
+    this is keyed on (seed, m, p2, rho); `sabmis bench` embeds many times with
+    one key. The factorization's arrays are read-only too.
+    """
+    return prepare(phi.entries, rho)
+
+
+def _touched_rows(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
+    """phi rows c .. 2*p3-c-1 transposed: the donor rows, then the written rows."""
+    return phi.entries[p.c : 2 * p.p3 - p.c].T
+
+
 def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
                  cfg: SolverConfig | None = None) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
 
-    Per assigned sub-image: partition into b x b blocks, sparsify, project to
-    measurements, transplant the paired secret block's coefficients, then
-    rebuild pixels through the l1 solver. Unassigned sub-images pass through
-    bitwise untouched, as do cover blocks beyond the secret's block count.
+    Per assigned sub-image: partition into b x b blocks, sparsify, and per
+    block compute what `reconstruct_block(embed_rule(measure(...)))` computes:
+    the rule is applied to the u-part and the measurement rows it touches,
+    and the l1 solver gets phi^T y = G s_v + phi_W^T delta (G = phi^T phi,
+    delta the change on the written rows W). Unassigned sub-images pass
+    through bitwise untouched, as do cover blocks beyond the secret's block
+    count.
     """
     p = key.params
     cfg = pipeline_config(p) if cfg is None else cfg
@@ -198,7 +245,10 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
 
     basis_b, zz_b, basis_l, zz_l = _bases(p)
     phi = gen_matrix(key)
-    cache = prepare(phi.entries, cfg.rho)
+    cache = _factorization(phi, cfg.rho)
+    rows_t = _touched_rows(phi, p)
+    phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
+    w0 = p.p1 + p.p3 - p.c  # the written rows' offset in [u, touched rows]
     subs = list(subsample(cover).sub)
     stats = []
     for si, k in enumerate(key.assignment):
@@ -210,9 +260,23 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
         fit = np.empty(n_payload)  # ||phi s - y_v|| per block
         for part in _slabs(n_payload):
             spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
-            carrier = embed_rule(measure(spec, phi), payload[part], p)
-            blocks[part], res = reconstruct_block(carrier, phi, basis_b, zz_b, cfg, cache)
-            iters[part], ok[part], fit[part] = res.iterations, res.converged, res.fit_residual
+            v = spec.v
+            x = np.concatenate([spec.u, v @ rows_t], axis=1)
+            carrier = _transplant(x, payload[part], p, p.p1)
+            delta = carrier[:, w0:] - x[:, w0:]
+            aty = v @ cache.gram + delta @ phi_w
+            lam = cfg.lambda_scale * np.abs(aty).max(axis=1)
+            s, iters[part], ok[part], _, _ = solve_normal(aty, lam, cfg, cache)
+            # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows
+            # on W: ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - delta||^2, each
+            # part >= 0 up to rounding
+            d = s - v
+            dw = d @ phi_w.T
+            fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
+                    + np.einsum("ij,ij->i", dw - delta, dw - delta))
+            fit[part] = np.sqrt(np.maximum(fit2, 0.0))
+            coeffs = np.concatenate([carrier[:, : p.p1], s], axis=1)
+            blocks[part] = desparsify(Spectrum(coeffs), basis_b, zz_b)
         stats.append(SubImageStats(
             sub_index=k, blocks=n_payload,
             iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
@@ -228,16 +292,17 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     """Recover the embedded secrets from a stego raster and the key alone.
 
     Extraction never sees the cover: each assigned sub-image is re-sparsified,
-    re-measured with the regenerated matrix, and run through the inverse
-    transplant rule; coefficients beyond p3 stay zero, so extracted secrets
-    are low-pass approximations.
+    the measurement rows the rule touches are recomputed with the regenerated
+    matrix, and the inverse transplant rule reads the payload off them and
+    the u-part; coefficients beyond p3 stay zero, so extracted secrets are
+    low-pass approximations.
     """
     p = key.params
     if stego.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
     basis_b, zz_b, basis_l, zz_l = _bases(p)
-    phi = gen_matrix(key)
+    rows_t = _touched_rows(gen_matrix(key), p)
     quad = subsample(stego)
     out = []
     for k in key.assignment:
@@ -245,6 +310,6 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
         vecs = np.empty((p.secret_blocks, p.l * p.l))
         for part in _slabs(p.secret_blocks):
             spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
-            vecs[part] = extract_rule(measure(spec, phi), p)
+            vecs[part] = _recover(np.concatenate([spec.u, spec.v @ rows_t], axis=1), p, p.p1)
         out.append(coeffs_to_raster(SecretCoeffs(vecs), p, basis_l, zz_l))
     return out

@@ -2,9 +2,12 @@
 as the fallback.
 
 Solves min 0.5 * ||phi @ s - y||^2 + lam * ||s||_1 for one measurement vector
-or a stack of them. When phi has full column rank the minimizer is unique,
-and once its sign pattern is known it has a closed form: s solves the KKT
-equations phi_S^T (y - phi s) = lam * sign(s_S) on the support S and is zero
+or a stack of them. The objective sees y only through phi^T y (plus a
+constant), so the solve itself, `solve_normal`, takes phi^T y; `solve_lasso`
+forms it once from a `LassoProblem` and adds the objective and the fit.
+When phi has full column rank the minimizer is unique, and once its sign
+pattern is known it has a closed form: s solves the KKT equations
+phi_S^T (y - phi s) = lam * sign(s_S) on the support S and is zero
 elsewhere. Each row starts from the signs of its least-squares solution; a
 round solves the KKT equations on the guessed support with the cached inverse
 of phi^T phi and certifies the rows whose signs agree, whose stationarity
@@ -108,8 +111,8 @@ class SolverResult:
 @dataclass(frozen=True, eq=False)
 class CachedFactorization:
     """What the solver reuses for exactly one (phi, rho): phi^T phi (`gram`)
-    and its inverse for the certificate, and the Cholesky factor of
-    (phi^T phi + rho I) and the inverse it yields for the ADMM iteration.
+    and its inverse for the certificate, and the inverse of
+    (phi^T phi + rho I) for the ADMM iteration, all read-only.
     `gram_inverse` is None when phi lacks full column rank (m < n) or
     phi^T phi is too ill-conditioned (eigenvalue ratio below sqrt(eps)),
     and then ADMM solves every row."""
@@ -118,7 +121,6 @@ class CachedFactorization:
     rho: float
     gram: np.ndarray
     gram_inverse: np.ndarray | None
-    chol: tuple
     inverse: np.ndarray
     fingerprint: str
 
@@ -145,8 +147,8 @@ def _gram_inverse(phi: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
 
 
 def prepare(phi: np.ndarray, rho: float) -> CachedFactorization:
-    """Factor (phi^T phi + rho I) and invert phi^T phi once; reusable across
-    right-hand sides."""
+    """Invert (phi^T phi + rho I) through its Cholesky factor, and phi^T phi,
+    once; reusable across right-hand sides."""
     if rho <= 0:
         raise ParamError(f"rho must be positive, got {rho}")
     phi = np.asarray(phi, dtype=np.float64)
@@ -159,8 +161,12 @@ def prepare(phi: np.ndarray, rho: float) -> CachedFactorization:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"(phi^T phi + rho I) is not positive definite: {exc}") from exc
     inverse = cho_solve(chol, np.eye(n))
-    return CachedFactorization(phi, float(rho), gram, _gram_inverse(phi, gram), chol,
-                               inverse, _fingerprint(phi, rho))
+    gram_inverse = _gram_inverse(phi, gram)
+    for a in (gram, gram_inverse, inverse):
+        if a is not None:
+            a.setflags(write=False)
+    return CachedFactorization(phi, float(rho), gram, gram_inverse, inverse,
+                               _fingerprint(phi, rho))
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -250,15 +256,14 @@ def _admm(aty: np.ndarray, lam: np.ndarray, cfg: SolverConfig, cache: CachedFact
     return z_out, iterations, converged, r_norm, d_norm
 
 
-def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
-                cache: CachedFactorization | None = None) -> SolverResult:
-    """Solve each row exactly by the KKT certificate, and by ADMM where it fails.
+def solve_normal(aty: np.ndarray, lam: np.ndarray, cfg: SolverConfig,
+                 cache: CachedFactorization):
+    """Solve a stack of lasso problems on `cache.phi` given phi^T y per row.
 
-    Certificate: up to three rounds on the whole stack (see `_certify`),
-    starting from the signs of the least-squares solution. A certified row
-    reports the round that certified it as `iterations` and 0.0 primal and
-    dual residuals. It needs a well-conditioned phi^T phi (see `prepare`);
-    otherwise every row goes straight to ADMM.
+    aty is (count, n) and lam (count,). Certificate: up to three rounds on
+    the whole stack (see `_certify`), starting from the signs of the
+    least-squares solution. It needs a well-conditioned phi^T phi (see
+    `prepare`); otherwise every row goes straight to ADMM.
 
     ADMM, on the rows still open, from z = u = 0:
     s = (phi^T phi + rho I)^-1 (phi^T y + rho (z - u)),
@@ -266,24 +271,22 @@ def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
     ||s - z|| <= eps_pri and ||rho (z - z_prev)|| <= eps_dual with
     eps_pri  = sqrt(n) eps_abs + eps_rel * max(||s||, ||z||),
     eps_dual = sqrt(n) eps_abs + eps_rel * ||rho u||.
-    Such a row reports the certificate rounds it went through plus its ADMM
-    iterations. Hitting max_iter is reported through `converged`, not raised.
 
-    A stack's result fields are per-row arrays, each row equal to its lone
-    solve up to floating-point rounding.
+    Returns per-row arrays (s, iterations, converged, primal residual, dual
+    residual), each row equal to its lone solve up to floating-point
+    rounding; `SolverResult` says what they hold. Hitting max_iter is
+    reported through `converged`, not raised.
     """
-    cfg = SolverConfig() if cfg is None else cfg
-    phi = problem.phi
-    if cache is None:
-        cache = prepare(phi, cfg.rho)
-    elif cache.rho != cfg.rho or not (cache.phi is phi
-                                      or cache.fingerprint == _fingerprint(phi, cfg.rho)):
+    if cache.rho != cfg.rho:
         raise ParamError("cached factorization does not match (phi, rho)")
-
-    y = np.atleast_2d(problem.y)
-    lam = np.atleast_1d(problem.lam)
-    count, n = y.shape[0], phi.shape[1]
-    aty = y @ phi
+    count, n = aty.shape[0], cache.phi.shape[1]
+    if aty.shape != (count, n) or np.shape(lam) != (count,):
+        raise DimensionError(f"phi^T y {aty.shape} and lam {np.shape(lam)} do not match "
+                             f"a stack of {n}-column problems")
+    if not np.isfinite(aty).all():
+        raise SolverError("measurements contain non-finite values")
+    if not (np.isfinite(lam).all() and np.all(lam >= 0)):
+        raise ParamError(f"lam must be finite and nonnegative, got {lam}")
     if cache.gram_inverse is None:
         s, iterations, rounds_run = np.zeros((count, n)), np.zeros(count, dtype=int), 0
     else:
@@ -295,6 +298,29 @@ def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
         s[rest], its, converged[rest], r_norm[rest], d_norm[rest] = _admm(
             aty[rest], lam[rest], cfg, cache)
         iterations[rest] = rounds_run + its
+    return s, iterations, converged, r_norm, d_norm
+
+
+def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
+                cache: CachedFactorization | None = None) -> SolverResult:
+    """Solve each row exactly by the KKT certificate, and by ADMM where it fails.
+
+    Forms phi^T y once and runs `solve_normal`, then adds each row's
+    objective and fit ||phi s - y||. A certified row reports the round that
+    certified it as `iterations` and 0.0 primal and dual residuals; an ADMM
+    row reports the certificate rounds it went through plus its ADMM
+    iterations. A stack's result fields are per-row arrays, each row equal
+    to its lone solve up to floating-point rounding.
+    """
+    cfg = SolverConfig() if cfg is None else cfg
+    phi = problem.phi
+    if cache is None:
+        cache = prepare(phi, cfg.rho)
+    elif not (cache.phi is phi or cache.fingerprint == _fingerprint(phi, cfg.rho)):
+        raise ParamError("cached factorization does not match (phi, rho)")
+    y = np.atleast_2d(problem.y)
+    lam = np.atleast_1d(problem.lam)
+    s, iterations, converged, r_norm, d_norm = solve_normal(y @ phi, lam, cfg, cache)
     fit = _row_norms(s @ phi.T - y)
     objective = 0.5 * fit * fit + lam * np.abs(s).sum(axis=1)
     fields = (iterations, r_norm, d_norm, objective, converged, fit)

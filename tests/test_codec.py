@@ -264,11 +264,18 @@ def test_payload_channels_at_default_parameters():
         assert rel["gamma"] > 1.0
 
 
-def test_embed_matches_per_block_reference(monkeypatch):
+# keys for the per-block references: the defaults at N=128, a key whose rule
+# writes no measurement (p3 = c), and one that moves the touched rows
+REFERENCE_PARAMS = [SMALL, StegoParams(N=128, M=64, p3=8, c=8, num_secrets=1),
+                    StegoParams(N=128, M=64, c=4, p3=20, m=64, num_secrets=1)]
+REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64"]
+
+
+@pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
+def test_embed_matches_per_block_reference(monkeypatch, p):
     # the count-1 calls, one block at a time, against the slab path; a slab
     # of 24 blocks also splits the 64 payload blocks into 24 + 24 + 16
     from sabmis import codec, partition_blocks
-    p = SMALL
     key = make_key(15, p)
     cover = cover_raster(p.N, 32)
     secret = secret_raster(p.M, 33)
@@ -292,6 +299,77 @@ def test_embed_matches_per_block_reference(monkeypatch):
         assert stats.iterations_mean == np.mean(ref_iters)
         assert stats.iterations_max == max(ref_iters)
         assert stats.unconverged == 0
+
+
+@pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
+def test_extract_matches_per_block_reference(monkeypatch, p):
+    # extract_rule on the full measurement vector of each block, against the
+    # slab path that forms only the measurement rows the rule reads. A lone
+    # block's DCT, or one in a slab of 24, can differ from a 512-slab's in the
+    # last bit, and the DC channel divides it by alpha = 0.01; that reaches
+    # about 2e-12 px, so the bound is 1e-12 / alpha
+    from sabmis import SecretCoeffs, codec, coeffs_to_raster, partition_blocks
+    key = make_key(16, p)
+    stego, _ = embed_images(cover_raster(p.N, 34), [secret_raster(p.M, 35)], key)
+    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
+    phi = gen_matrix(key)
+    blocks = partition_blocks(subsample(stego).sub[key.assignment[0] - 1], p.b)
+    rows = [extract_rule(measure(sparsify(block, basis, zz, split=p.p1), phi), p)
+            for block in blocks[: p.secret_blocks]]
+    ref = coeffs_to_raster(SecretCoeffs(np.stack(rows)), p, make_dct_basis(p.l),
+                           make_zigzag(p.l))
+    for slab in (codec.SLAB, 24):
+        monkeypatch.setattr(codec, "SLAB", slab)
+        got = extract_images(stego, key)[0]
+        assert np.abs(got.pixels - ref.pixels).max() <= 1e-12 / p.alpha
+
+
+@pytest.mark.parametrize("p", REFERENCE_PARAMS[1:], ids=REFERENCE_IDS[1:])
+def test_embed_residual_mean_on_keys_with_other_written_rows(p):
+    # residual_mean comes from an n-dimensional identity over the written
+    # rows; it must equal ||phi s - y'|| formed on the full carrier, also when
+    # no row is written (p3 = c) or the written rows move
+    from sabmis import partition_blocks
+    key = make_key(17, p)
+    cover, secret = cover_raster(p.N, 36), secret_raster(p.M, 37)
+    stego, report = embed_images(cover, [secret], key)
+    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
+    phi = gen_matrix(key)
+    k = key.assignment[0]
+    payload = secret_to_coeffs(secret, p, basis, zz).blocks
+    before = partition_blocks(subsample(cover).sub[k - 1], p.b)[: len(payload)]
+    after = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
+    carrier = embed_rule(measure(sparsify(before, basis, zz, split=p.p1), phi), payload, p)
+    s = sparsify(after, basis, zz, split=p.p1).v
+    fit = np.linalg.norm(s @ phi.entries.T - carrier.v, axis=1)
+    assert report.sub_images[0].residual_mean == pytest.approx(fit.mean(), rel=1e-9)
+
+
+def test_factorization_is_kept_per_key_and_rho(monkeypatch):
+    from sabmis import codec, solver
+    key = make_key(18, SMALL)
+    rho = pipeline_config(SMALL).rho
+    first = codec._factorization(gen_matrix(key), rho)
+    assert codec._factorization(gen_matrix(make_key(18, SMALL)), rho) is first
+    others = [codec._factorization(gen_matrix(make_key(19, SMALL)), rho),
+              codec._factorization(gen_matrix(make_key(18, StegoParams(
+                  N=128, M=64, m=160, num_secrets=1))), rho),
+              codec._factorization(gen_matrix(make_key(18, StegoParams(
+                  N=128, M=64, p1=40, p2=24, num_secrets=1))), rho),
+              codec._factorization(gen_matrix(key), rho + 1.0)]
+    assert all(other is not first for other in others)
+    assert len({id(o) for o in others}) == len(others)
+    for a in (first.phi, first.gram, first.gram_inverse, first.inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # a second embed with the same key factorizes nothing
+    calls = []
+    monkeypatch.setattr(codec, "prepare", lambda *a: calls.append(a) or solver.prepare(*a))
+    codec._factorization.cache_clear()
+    cover, secret = cover_raster(SMALL.N, 38), secret_raster(SMALL.M, 39)
+    embed_images(cover, [secret], key)
+    embed_images(cover, [secret], key)
+    assert len(calls) == 1
 
 
 def test_solver_path_is_frozen():

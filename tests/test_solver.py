@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig, StegoParams,
-                    default_lambda, pipeline_config, prepare, soft_threshold, solve_lasso)
+from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig, SolverError,
+                    StegoParams, default_lambda, pipeline_config, prepare, soft_threshold,
+                    solve_lasso, solve_normal)
 from sabmis.solver import _ROUNDS
 
 from reference import lasso_fista, lasso_objective
@@ -35,11 +36,8 @@ def test_soft_threshold_rejects_negative_kappa():
 
 def test_prepare_identity_system():
     cache = prepare(np.eye(2), rho=1.0)
-    # (phi^T phi + rho I) = 2 I, so solving against any q halves it
-    from scipy.linalg import cho_solve
-    q = np.array([4.0, -6.0])
-    assert np.allclose(cho_solve(cache.chol, q), q / 2.0, atol=1e-14)
-    # one ulp below 0.5: the factor holds sqrt(2) on its diagonal
+    # (phi^T phi + rho I) = 2 I, so its inverse halves any right-hand side;
+    # one ulp below 0.5: the Cholesky factor holds sqrt(2) on its diagonal
     assert np.allclose(cache.inverse, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
 
 
@@ -317,6 +315,37 @@ def test_stack_mixing_certified_and_fallback_rows_matches_lone_solves():
         ref = lasso_fista(phi, ys[i], lam[i], tol=1e-10)
         obj_ref = lasso_objective(phi, ys[i], lam[i], ref)
         assert abs(stacked.objective[i] - obj_ref) <= 1e-4 * abs(obj_ref)
+
+
+def test_solve_normal_on_aty_matches_solve_lasso():
+    # the core that the pipeline calls with phi^T y, against the LassoProblem
+    # entry on y, on a stack mixing certified and fallback rows
+    phi = _paper_slab()[0]
+    cfg = SolverConfig(rho=32.0)
+    rng = np.random.default_rng(20)
+    ys = rng.standard_normal((16, 320))[[0, 9, 1, 2, 13, 3]]
+    lam = default_lambda(phi, ys, 1.0) * np.array([1e-3, 0.95, 1e-3, 0.5, 0.95, 0.0])
+    cache = prepare(phi, cfg.rho)
+    ref = solve_lasso(LassoProblem(phi, ys, lam), cfg, cache)
+    s, iterations, converged, primal, dual = solve_normal(ys @ phi, lam, cfg, cache)
+    assert (iterations > _ROUNDS).any() and (iterations <= _ROUNDS).any()
+    assert np.abs(s - ref.s).max() <= 1e-12
+    assert np.array_equal(iterations, ref.iterations)
+    assert np.array_equal(converged, ref.converged)
+    assert np.abs(primal - ref.primal_residual).max() <= 1e-12
+    assert np.abs(dual - ref.dual_residual).max() <= 1e-12
+    with pytest.raises(ParamError):
+        solve_normal(ys @ phi, lam, SolverConfig(rho=1.0), cache)
+    with pytest.raises(DimensionError):
+        solve_normal(ys @ phi, lam[:5], cfg, cache)
+    with pytest.raises(DimensionError):
+        solve_normal(ys, lam, cfg, cache)
+    bad = ys @ phi
+    bad[2, 3] = np.nan
+    with pytest.raises(SolverError):
+        solve_normal(bad, lam, cfg, cache)
+    with pytest.raises(ParamError):
+        solve_normal(ys @ phi, -lam, cfg, cache)
 
 
 def test_a_support_solve_is_never_certified_on_signs_alone():
