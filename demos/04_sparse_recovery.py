@@ -23,8 +23,8 @@ truth[rng.choice(n, 5, replace=False)] = rng.uniform(2, 6, 5) * rng.choice([-1, 
 y = phi @ truth
 
 lam = default_lambda(phi, y, scale=1e-3)
-cfg = SolverConfig(rho=32.0)
-cache = prepare(phi, cfg.rho)
+cfg = SolverConfig()
+cache = prepare(phi)  # also derives ADMM's penalty, rho = m/10 = 32
 result = solve_lasso(LassoProblem(phi, y, lam), cfg, cache)
 
 print(f"lam = {lam:.4f}, certified in round {result.iterations} "

@@ -8,8 +8,7 @@ extracting the secrets again from the stego image and the key alone.
 
 from .codec import (EmbedReport, SecretCoeffs, SubImageStats, coeffs_to_raster,
                     embed_images, embed_rule, extract_images, extract_rule,
-                    pipeline_config, reconstruct_block, rule_index_sets,
-                    secret_to_coeffs)
+                    reconstruct_block, rule_index_sets, secret_to_coeffs)
 from .errors import (DimensionError, FormatError, ParamError, SabmisError,
                      SolverError)
 from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .codec import embed_images, extract_images
 from .errors import DimensionError, FormatError, ParamError, SolverError
-from .measure import StegoParams, derive_assignment, make_key, read_key, write_key
+from .measure import StegoParams, make_key, read_key, write_key
 from .metrics import compare, psnr
 from .raster import Raster, quantize_u8, read_pgm, read_srf, write_pgm, write_srf
 
@@ -140,7 +140,7 @@ def _cmd_bench(args) -> int:
     keys = {}
     for k in range(1, nsec + 1):
         params_k = dataclasses.replace(base, num_secrets=k)
-        keys[k] = make_key(key.seed, params_k, derive_assignment(key.seed, k))
+        keys[k] = make_key(key.seed, params_k)
 
     for cover_file in cover_files:
         name = cover_file.stem

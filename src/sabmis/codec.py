@@ -7,7 +7,9 @@ are the full-vector definitions. The pipelines compute the same thing with
 fewer products: the rule reads and writes only the u-part and the
 2*(p3 - c) measurements phi[c : 2*p3 - c] @ s_v, and the l1 solve sees the
 carrier only through phi^T y, so the full (p1 + m)-long measurement vector is
-never formed. The stego raster is never quantized inside the pipeline; 8-bit
+never formed. The solve takes its settings from phi alone: the weight is
+`LAMBDA_SCALE` * ||phi^T y||_inf per block, and ADMM's penalty comes with
+`prepare(phi)`. The stego raster is never quantized inside the pipeline; 8-bit
 export is an explicit step in the raster module.
 """
 
@@ -25,8 +27,8 @@ from .errors import DimensionError, ParamError
 from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,  # noqa: F401
                       gen_matrix, measure)
 from .raster import QuadSample, Raster, inverse_subsample, subsample
-from .solver import (CachedFactorization, LassoProblem, SolverConfig, SolverResult,
-                     default_lambda, prepare, solve_lasso, solve_normal)
+from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConfig,
+                     SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
 from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
                        make_dct_basis, make_zigzag, partition_blocks, sparsify)
 
@@ -154,17 +156,15 @@ def rule_index_sets(p: StegoParams) -> tuple[set[int], set[int]]:
 
 
 def reconstruct_block(y: MeasurementVector, phi: MeasurementMatrix, basis: DctBasis,
-                      zz: ZigZagOrder, cfg: SolverConfig | None = None,
-                      cache: CachedFactorization | None = None) -> tuple[np.ndarray, SolverResult]:
+                      zz: ZigZagOrder) -> tuple[np.ndarray, SolverResult]:
     """Rebuild a pixel block, or a stack of blocks, from measurements.
 
     The u-part is copied verbatim into the spectrum; the v-part is recovered by
-    the l1 solver with a per-block scale-aware weight. Returns the block(s) and
-    the solver result.
+    the l1 solver with a per-block scale-aware weight and the factorization
+    the embed uses. Returns the block(s) and the solver result.
     """
-    cfg = SolverConfig() if cfg is None else cfg
-    lam = default_lambda(phi.entries, y.v, cfg.lambda_scale)
-    result = solve_lasso(LassoProblem(phi.entries, y.v, lam), cfg, cache)
+    lam = default_lambda(phi.entries, y.v)
+    result = solve_lasso(LassoProblem(phi.entries, y.v, lam), cache=_factorization(phi))
     coeffs = np.concatenate([y.u, result.s], axis=-1)
     return desparsify(Spectrum(coeffs), basis, zz), result
 
@@ -188,30 +188,20 @@ def _bases(p: StegoParams) -> tuple[DctBasis, ZigZagOrder, DctBasis, ZigZagOrder
     return basis_b, zz_b, make_dct_basis(p.l), make_zigzag(p.l)
 
 
-def pipeline_config(p: StegoParams) -> SolverConfig:
-    """Solver configuration the pipelines use when the caller passes none.
-
-    The Gram matrix of an m x p2 unit-variance Gaussian matrix has eigenvalues
-    near m, so the penalty is scaled with m; rho = 1 on such problems needs
-    roughly ten times more iterations for the same solution.
-    """
-    return SolverConfig(rho=max(1.0, p.m / 10.0))
-
-
 def _slabs(count: int):
     """Consecutive slices of at most SLAB blocks covering blocks 0..count-1."""
     return (slice(lo, min(lo + SLAB, count)) for lo in range(0, count, SLAB))
 
 
 @functools.lru_cache(maxsize=8)
-def _factorization(phi: MeasurementMatrix, rho: float) -> CachedFactorization:
-    """`prepare` for a keyed matrix, kept for the last few (matrix, rho) pairs.
+def _factorization(phi: MeasurementMatrix) -> CachedFactorization:
+    """`prepare` for a keyed matrix, kept for the last few matrices.
 
     `gen_matrix` returns one read-only matrix object per (seed, m, p2), so
-    this is keyed on (seed, m, p2, rho); `sabmis bench` embeds many times with
-    one key. The factorization's arrays are read-only too.
+    this is keyed on (seed, m, p2); `sabmis bench` embeds many times with one
+    key. The factorization's arrays are read-only too.
     """
-    return prepare(phi.entries, rho)
+    return prepare(phi.entries)
 
 
 def _touched_rows(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
@@ -219,8 +209,8 @@ def _touched_rows(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     return phi.entries[p.c : 2 * p.p3 - p.c].T
 
 
-def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
-                 cfg: SolverConfig | None = None) -> tuple[Raster, EmbedReport]:
+def embed_images(cover: Raster, secrets: Sequence[Raster],
+                 key: StegoKey) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
 
     Per assigned sub-image: partition into b x b blocks, sparsify, and per
@@ -232,7 +222,6 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
     count.
     """
     p = key.params
-    cfg = pipeline_config(p) if cfg is None else cfg
     if cover.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"cover must be {p.N}x{p.N} per key, got {cover.height}x{cover.width}")
@@ -245,7 +234,7 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
 
     basis_b, zz_b, basis_l, zz_l = _bases(p)
     phi = gen_matrix(key)
-    cache = _factorization(phi, cfg.rho)
+    cache = _factorization(phi)
     rows_t = _touched_rows(phi, p)
     phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
     w0 = p.p1 + p.p3 - p.c  # the written rows' offset in [u, touched rows]
@@ -265,8 +254,8 @@ def embed_images(cover: Raster, secrets: Sequence[Raster], key: StegoKey,
             carrier = _transplant(x, payload[part], p, p.p1)
             delta = carrier[:, w0:] - x[:, w0:]
             aty = v @ cache.gram + delta @ phi_w
-            lam = cfg.lambda_scale * np.abs(aty).max(axis=1)
-            s, iters[part], ok[part], _, _ = solve_normal(aty, lam, cfg, cache)
+            lam = LAMBDA_SCALE * np.abs(aty).max(axis=1)
+            s, iters[part], ok[part], _, _ = solve_normal(aty, lam, SolverConfig(), cache)
             # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows
             # on W: ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - delta||^2, each
             # part >= 0 up to rounding

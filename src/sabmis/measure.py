@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +151,6 @@ class StegoParams:
     def secret_blocks(self) -> int:
         return (self.M // self.l) ** 2
 
-    @property
-    def measurement_len(self) -> int:
-        return self.p1 + self.m
-
 
 def default_params() -> StegoParams:
     """The reference configuration: N=1024, M=512, b=l=8, p1=p2=p3=32, m=320."""
@@ -254,31 +250,26 @@ def measure(s: Spectrum, phi: MeasurementMatrix) -> MeasurementVector:
     return MeasurementVector(np.concatenate([s.u, s.v @ phi.entries.T], axis=-1), s.split)
 
 
-_INT_FIELDS = ("version", "seed", "N", "M", "b", "l", "p1", "p2", "p3", "m",
-               "c", "num_secrets")
-_FLOAT_FIELDS = ("alpha", "beta", "gamma")
-_ALL_FIELDS = frozenset(_INT_FIELDS) | frozenset(_FLOAT_FIELDS) | {"assignment"}
+# the StegoParams fields in declaration order, each with the type of its default
+_PARAM_TYPES = {f.name: type(f.default) for f in fields(StegoParams)}
+_ALL_FIELDS = frozenset(_PARAM_TYPES) | {"version", "seed", "assignment"}
 
 
 def write_key(key: StegoKey, path) -> None:
     """Write the canonical line-oriented key file (floats at 17 significant digits)."""
-    p = key.params
     lines = ["# stego key: keep secret, the receiver regenerates everything from it",
              "version = 1",
              f"seed = {key.seed}"]
-    for name in ("N", "M", "b", "l", "p1", "p2", "p3", "m"):
-        lines.append(f"{name} = {getattr(p, name)}")
-    for name in _FLOAT_FIELDS:
-        lines.append(f"{name} = {format(getattr(p, name), '.17g')}")
-    lines.append(f"c = {p.c}")
-    lines.append(f"num_secrets = {p.num_secrets}")
+    for name, kind in _PARAM_TYPES.items():
+        value = getattr(key.params, name)
+        lines.append(f"{name} = {format(value, '.17g') if kind is float else value}")
     lines.append("assignment = " + ",".join(str(k) for k in key.assignment))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_key(path) -> StegoKey:
     """Parse a key file; unknown fields and invariant violations are rejected."""
-    fields: dict[str, object] = {}
+    values: dict[str, object] = {}
     for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -289,25 +280,19 @@ def read_key(path) -> StegoKey:
         name, value = name.strip(), value.strip()
         if name not in _ALL_FIELDS:
             raise FormatError(f"{path}:{ln}: unknown field {name!r}")
-        if name in fields:
+        if name in values:
             raise FormatError(f"{path}:{ln}: duplicate field {name!r}")
         try:
-            if name in _INT_FIELDS:
-                fields[name] = int(value)
-            elif name in _FLOAT_FIELDS:
-                fields[name] = float(value)
+            if name == "assignment":
+                values[name] = tuple(int(tok) for tok in value.split(","))
             else:
-                fields[name] = tuple(int(tok) for tok in value.split(","))
+                values[name] = _PARAM_TYPES.get(name, int)(value)  # version, seed: int
         except ValueError:
             raise FormatError(f"{path}:{ln}: cannot parse value {value!r} for field {name!r}") from None
-    missing = sorted(_ALL_FIELDS - fields.keys())
+    missing = sorted(_ALL_FIELDS - values.keys())
     if missing:
         raise FormatError(f"{path}: missing fields: {', '.join(missing)}")
-    if fields["version"] != 1:
-        raise FormatError(f"{path}: unsupported version {fields['version']}")
-    params = StegoParams(
-        N=fields["N"], M=fields["M"], b=fields["b"], l=fields["l"],
-        p1=fields["p1"], p2=fields["p2"], p3=fields["p3"], m=fields["m"],
-        alpha=fields["alpha"], beta=fields["beta"], gamma=fields["gamma"],
-        c=fields["c"], num_secrets=fields["num_secrets"])
-    return StegoKey(fields["seed"], params, fields["assignment"])
+    if values["version"] != 1:
+        raise FormatError(f"{path}: unsupported version {values['version']}")
+    params = StegoParams(**{name: values[name] for name in _PARAM_TYPES})
+    return StegoKey(values["seed"], params, values["assignment"])

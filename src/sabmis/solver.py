@@ -13,14 +13,13 @@ round solves the KKT equations on the guessed support with the cached inverse
 of phi^T phi and certifies the rows whose signs agree, whose stationarity
 holds on the support and whose correlations on the zeros stay within lam.
 Rows left after three rounds, and every row when phi lacks full column rank
-or is too close to it, go to ADMM, whose (phi^T phi + rho I) is factorized
-and inverted once per (phi, rho) pair, so each iteration's linear step is one
-matrix product.
+or is too close to it, go to ADMM. Its penalty rho = max(1, m/10) follows
+from phi's m rows, and (phi^T phi + rho I) is factorized and inverted once per
+phi, so each iteration's linear step is one matrix product.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .errors import DimensionError, ParamError, SolverError
 _ROUNDS = 3  # certificate rounds before the rows still open go to ADMM
 _KKT_RTOL = 1e-9  # stationarity tolerance on the support, relative to ||phi^T y||_inf
 _GRAM_RCOND = math.sqrt(np.finfo(np.float64).eps)  # least eigenvalue ratio of phi^T phi certified
+LAMBDA_SCALE = 1e-3  # the pipelines' weight, a fraction of ||phi^T y||_inf
 
 
 def soft_threshold(v: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
@@ -42,7 +42,8 @@ def soft_threshold(v: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def default_lambda(phi: np.ndarray, y: np.ndarray, scale: float = 1e-3) -> float | np.ndarray:
+def default_lambda(phi: np.ndarray, y: np.ndarray,
+                   scale: float = LAMBDA_SCALE) -> float | np.ndarray:
     """Scale-aware regularization weight scale * ||phi^T y||_inf, one per row of y."""
     return scale * np.max(np.abs(y @ phi), axis=-1)
 
@@ -73,15 +74,13 @@ class LassoProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    rho: float = 1.0
+    """ADMM's stopping rule; its penalty comes with the factorization."""
+
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iter: int = 500
-    lambda_scale: float = 1e-3  # multiplies ||phi^T y||_inf when the caller derives lam
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ParamError(f"rho must be positive, got {self.rho}")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ParamError("stopping tolerances must be positive")
         if self.max_iter < 1:
@@ -110,9 +109,9 @@ class SolverResult:
 
 @dataclass(frozen=True, eq=False)
 class CachedFactorization:
-    """What the solver reuses for exactly one (phi, rho): phi^T phi (`gram`)
-    and its inverse for the certificate, and the inverse of
-    (phi^T phi + rho I) for the ADMM iteration, all read-only.
+    """What the solver reuses for one phi: phi^T phi (`gram`) and its
+    inverse for the certificate, and ADMM's penalty rho with the inverse of
+    (phi^T phi + rho I) for its iteration, all read-only.
     `gram_inverse` is None when phi lacks full column rank (m < n) or
     phi^T phi is too ill-conditioned (eigenvalue ratio below sqrt(eps)),
     and then ADMM solves every row."""
@@ -122,16 +121,6 @@ class CachedFactorization:
     gram: np.ndarray
     gram_inverse: np.ndarray | None
     inverse: np.ndarray
-    fingerprint: str
-
-
-def _fingerprint(phi: np.ndarray, rho: float) -> str:
-    h = hashlib.sha256()
-    h.update(np.int64(phi.shape[0]).tobytes())
-    h.update(np.int64(phi.shape[1]).tobytes())
-    h.update(np.float64(rho).tobytes())
-    h.update(np.ascontiguousarray(phi).tobytes())
-    return h.hexdigest()
 
 
 def _gram_inverse(phi: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
@@ -146,15 +135,19 @@ def _gram_inverse(phi: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
     return cho_solve(cho_factor(gram, lower=True), np.eye(len(gram)))
 
 
-def prepare(phi: np.ndarray, rho: float) -> CachedFactorization:
+def prepare(phi: np.ndarray) -> CachedFactorization:
     """Invert (phi^T phi + rho I) through its Cholesky factor, and phi^T phi,
-    once; reusable across right-hand sides."""
-    if rho <= 0:
-        raise ParamError(f"rho must be positive, got {rho}")
+    once; reusable across right-hand sides.
+
+    The Gram matrix of an m x n unit-variance Gaussian matrix has eigenvalues
+    near m, so rho = max(1, m/10); rho = 1 on such problems needs roughly ten
+    times more ADMM iterations for the same solution.
+    """
     phi = np.asarray(phi, dtype=np.float64)
     if not np.isfinite(phi).all():
         raise SolverError("matrix contains non-finite values")
-    n = phi.shape[1]
+    m, n = phi.shape
+    rho = max(1.0, m / 10.0)
     gram = phi.T @ phi
     try:
         chol = cho_factor(gram + rho * np.eye(n), lower=True)
@@ -165,8 +158,7 @@ def prepare(phi: np.ndarray, rho: float) -> CachedFactorization:
     for a in (gram, gram_inverse, inverse):
         if a is not None:
             a.setflags(write=False)
-    return CachedFactorization(phi, float(rho), gram, gram_inverse, inverse,
-                               _fingerprint(phi, rho))
+    return CachedFactorization(phi, rho, gram, gram_inverse, inverse)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -228,7 +220,7 @@ def _admm(aty: np.ndarray, lam: np.ndarray, cfg: SolverConfig, cache: CachedFact
     """ADMM on every row from z = u = 0; returns (z, iterations, converged,
     primal residual, dual residual), one entry per row."""
     count, n = aty.shape
-    rho = cfg.rho
+    rho = cache.rho
     sqrt_n = math.sqrt(n)
     iterations = np.full(count, cfg.max_iter)
     converged = np.zeros(count, dtype=bool)
@@ -265,7 +257,7 @@ def solve_normal(aty: np.ndarray, lam: np.ndarray, cfg: SolverConfig,
     least-squares solution. It needs a well-conditioned phi^T phi (see
     `prepare`); otherwise every row goes straight to ADMM.
 
-    ADMM, on the rows still open, from z = u = 0:
+    ADMM, on the rows still open, from z = u = 0 with rho = cache.rho:
     s = (phi^T phi + rho I)^-1 (phi^T y + rho (z - u)),
     z = soft_threshold(s + u, lam / rho), u += s - z. Stops when
     ||s - z|| <= eps_pri and ||rho (z - z_prev)|| <= eps_dual with
@@ -277,8 +269,6 @@ def solve_normal(aty: np.ndarray, lam: np.ndarray, cfg: SolverConfig,
     rounding; `SolverResult` says what they hold. Hitting max_iter is
     reported through `converged`, not raised.
     """
-    if cache.rho != cfg.rho:
-        raise ParamError("cached factorization does not match (phi, rho)")
     count, n = aty.shape[0], cache.phi.shape[1]
     if aty.shape != (count, n) or np.shape(lam) != (count,):
         raise DimensionError(f"phi^T y {aty.shape} and lam {np.shape(lam)} do not match "
@@ -315,9 +305,9 @@ def solve_lasso(problem: LassoProblem, cfg: SolverConfig | None = None,
     cfg = SolverConfig() if cfg is None else cfg
     phi = problem.phi
     if cache is None:
-        cache = prepare(phi, cfg.rho)
-    elif not (cache.phi is phi or cache.fingerprint == _fingerprint(phi, cfg.rho)):
-        raise ParamError("cached factorization does not match (phi, rho)")
+        cache = prepare(phi)
+    elif not (cache.phi is phi or np.array_equal(cache.phi, phi)):
+        raise ParamError("cached factorization does not match phi")
     y = np.atleast_2d(problem.y)
     lam = np.atleast_1d(problem.lam)
     s, iterations, converged, r_norm, d_norm = solve_normal(y @ phi, lam, cfg, cache)

@@ -72,7 +72,7 @@ def test_solver_against_independent_reference():
     """Criterion 2: ADMM matches a tight proximal-gradient oracle on 200
     random problems, and the KKT residual bounds hold."""
     rng = np.random.default_rng(777)
-    tight = SolverConfig(rho=1.0, eps_abs=1e-12, eps_rel=1e-12, max_iter=20000)
+    tight = SolverConfig(eps_abs=1e-12, eps_rel=1e-12, max_iter=20000)
     start = time.perf_counter()
     worst_obj = 0.0
     worst_kkt = 0.0

@@ -6,8 +6,8 @@ import pytest
 from sabmis import (DimensionError, MeasurementVector, ParamError, Raster,
                     StegoParams, cover_raster, embed_images, embed_rule,
                     extract_images, extract_rule, gen_matrix, make_dct_basis,
-                    make_key, make_zigzag, measure, ncc, pipeline_config,
-                    quantize_u8, reconstruct_block, rule_index_sets,
+                    make_key, make_zigzag, measure, ncc, quantize_u8,
+                    reconstruct_block, rule_index_sets,
                     secret_raster, secret_to_coeffs, sparsify, subsample)
 
 # smallest parameter set matching the worked trace: p1=8, p3=4, c=2, m=8
@@ -88,7 +88,6 @@ def test_reconstruct_block_round_trip_on_smooth_blocks():
     key = make_key(5, p)
     phi = gen_matrix(key)
     basis, zz = make_dct_basis(8), make_zigzag(8)
-    cfg = pipeline_config(p)
     rng = np.random.default_rng(2)
     for _ in range(10):
         # low-frequency content plus a vanishing high-frequency tail
@@ -98,7 +97,7 @@ def test_reconstruct_block_round_trip_on_smooth_blocks():
         from sabmis import Spectrum, desparsify
         block = desparsify(Spectrum(coeffs), basis, zz)
         y = measure(sparsify(block, basis, zz, split=p.p1), phi)
-        rebuilt, result = reconstruct_block(y, phi, basis, zz, cfg)
+        rebuilt, result = reconstruct_block(y, phi, basis, zz)
         assert result.converged
         assert np.abs(rebuilt - block).max() <= 1e-6
 
@@ -113,7 +112,7 @@ def test_reconstruct_block_zero_tail_stays_zero():
     from sabmis import Spectrum, desparsify
     block = desparsify(Spectrum(coeffs), basis, zz)
     y = measure(sparsify(block, basis, zz, split=p.p1), phi)
-    rebuilt, _ = reconstruct_block(y, phi, basis, zz, pipeline_config(p))
+    rebuilt, _ = reconstruct_block(y, phi, basis, zz)
     tail = sparsify(rebuilt, basis, zz, split=p.p1).v
     assert np.abs(tail).max() <= 1e-8
 
@@ -125,7 +124,7 @@ def test_reconstruct_block_copies_u_channel_verbatim():
     basis, zz = make_dct_basis(8), make_zigzag(8)
     rng = np.random.default_rng(3)
     y = MeasurementVector(rng.standard_normal(p.p1 + p.m), split=p.p1)
-    rebuilt, result = reconstruct_block(y, phi, basis, zz, pipeline_config(p))
+    rebuilt, result = reconstruct_block(y, phi, basis, zz)
     # the u-part of the rebuilt block's spectrum is y_u up to the exact
     # orthonormal round trip
     coeffs = sparsify(rebuilt, basis, zz, split=p.p1)
@@ -280,14 +279,14 @@ def test_embed_matches_per_block_reference(monkeypatch, p):
     cover = cover_raster(p.N, 32)
     secret = secret_raster(p.M, 33)
     basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
-    phi, cfg = gen_matrix(key), pipeline_config(p)
+    phi = gen_matrix(key)
     payload = secret_to_coeffs(secret, p, basis, zz).blocks
     k = key.assignment[0]
     cover_blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)
     ref_blocks, ref_iters = [], []
     for block, t in zip(cover_blocks, payload):
         carrier = embed_rule(measure(sparsify(block, basis, zz, split=p.p1), phi), t, p)
-        rebuilt, result = reconstruct_block(carrier, phi, basis, zz, cfg)
+        rebuilt, result = reconstruct_block(carrier, phi, basis, zz)
         ref_blocks.append(rebuilt)
         ref_iters.append(result.iterations)
     for slab in (codec.SLAB, 24):
@@ -345,18 +344,16 @@ def test_embed_residual_mean_on_keys_with_other_written_rows(p):
     assert report.sub_images[0].residual_mean == pytest.approx(fit.mean(), rel=1e-9)
 
 
-def test_factorization_is_kept_per_key_and_rho(monkeypatch):
+def test_factorization_is_kept_per_key(monkeypatch):
     from sabmis import codec, solver
     key = make_key(18, SMALL)
-    rho = pipeline_config(SMALL).rho
-    first = codec._factorization(gen_matrix(key), rho)
-    assert codec._factorization(gen_matrix(make_key(18, SMALL)), rho) is first
-    others = [codec._factorization(gen_matrix(make_key(19, SMALL)), rho),
+    first = codec._factorization(gen_matrix(key))
+    assert codec._factorization(gen_matrix(make_key(18, SMALL))) is first
+    others = [codec._factorization(gen_matrix(make_key(19, SMALL))),
               codec._factorization(gen_matrix(make_key(18, StegoParams(
-                  N=128, M=64, m=160, num_secrets=1))), rho),
+                  N=128, M=64, m=160, num_secrets=1)))),
               codec._factorization(gen_matrix(make_key(18, StegoParams(
-                  N=128, M=64, p1=40, p2=24, num_secrets=1))), rho),
-              codec._factorization(gen_matrix(key), rho + 1.0)]
+                  N=128, M=64, p1=40, p2=24, num_secrets=1))))]
     assert all(other is not first for other in others)
     assert len({id(o) for o in others}) == len(others)
     for a in (first.phi, first.gram, first.gram_inverse, first.inverse):
@@ -420,7 +417,3 @@ def test_secret_coeffs_round_trip():
     back = coeffs_to_raster(coeffs, p, basis, zz)
     assert np.abs(back.pixels - secret.pixels).max() <= 1e-9
 
-
-def test_pipeline_config_scales_rho_with_measurements():
-    assert pipeline_config(StegoParams()).rho == 32.0
-    assert pipeline_config(TRACE).rho == 1.0

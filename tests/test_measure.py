@@ -218,6 +218,19 @@ def test_key_file_same_key_same_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_key_file_bytes_are_frozen(tmp_path):
+    # key files already shared must keep reading back the same, so the
+    # layout is pinned byte for byte
+    path = tmp_path / "k.skey"
+    write_key(make_key(0xC0FFEE), path)
+    assert path.read_bytes() == (
+        b"# stego key: keep secret, the receiver regenerates everything from it\n"
+        b"version = 1\nseed = 12648430\nN = 1024\nM = 512\nb = 8\nl = 8\n"
+        b"p1 = 32\np2 = 32\np3 = 32\nm = 320\nalpha = 0.01\n"
+        b"beta = 0.10000000000000001\ngamma = 1\nc = 8\nnum_secrets = 4\n"
+        b"assignment = 3,2,4,1\n")
+
+
 def _write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig, SolverError,
-                    StegoParams, default_lambda, pipeline_config, prepare, soft_threshold,
-                    solve_lasso, solve_normal)
+                    StegoParams, default_lambda, prepare, soft_threshold, solve_lasso,
+                    solve_normal)
 from sabmis.solver import _ROUNDS
 
 from reference import lasso_fista, lasso_objective
 
-TIGHT = SolverConfig(rho=1.0, eps_abs=1e-12, eps_rel=1e-12, max_iter=20000)
+TIGHT = SolverConfig(eps_abs=1e-12, eps_rel=1e-12, max_iter=20000)
 
 
 def test_soft_threshold_definition():
@@ -35,9 +35,10 @@ def test_soft_threshold_rejects_negative_kappa():
 
 
 def test_prepare_identity_system():
-    cache = prepare(np.eye(2), rho=1.0)
-    # (phi^T phi + rho I) = 2 I, so its inverse halves any right-hand side;
-    # one ulp below 0.5: the Cholesky factor holds sqrt(2) on its diagonal
+    cache = prepare(np.eye(2))
+    # rho = 1 for two rows, so (phi^T phi + rho I) = 2 I and its inverse
+    # halves any right-hand side; one ulp below 0.5: the Cholesky factor
+    # holds sqrt(2) on its diagonal
     assert np.allclose(cache.inverse, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
 
 
@@ -46,17 +47,23 @@ def test_prepare_inverse_inverts_the_system():
     for _ in range(20):
         m, n = rng.integers(4, 41), rng.integers(2, 33)
         phi = rng.standard_normal((m, n))
-        rho = rng.uniform(0.5, 40.0)
-        cache = prepare(phi, rho)
-        system = phi.T @ phi + rho * np.eye(n)
+        cache = prepare(phi)
+        system = phi.T @ phi + cache.rho * np.eye(n)
         assert np.abs(cache.inverse @ system - np.eye(n)).max() <= 1e-12
+
+
+def test_prepare_derives_rho_from_the_row_count():
+    # the Gram matrix of m unit-variance rows has eigenvalues near m
+    rng = np.random.default_rng(15)
+    for m, rho in ((320, 32.0), (8, 1.0), (15, 1.5)):
+        assert prepare(rng.standard_normal((m, 4))).rho == rho
 
 
 def test_cached_factorization_reuse_matches_fresh():
     rng = np.random.default_rng(2)
     phi = rng.standard_normal((12, 5))
     cfg = SolverConfig()
-    cache = prepare(phi, cfg.rho)
+    cache = prepare(phi)
     for _ in range(100):
         y = rng.standard_normal(12)
         lam = 0.1 * default_lambda(phi, y, 1.0)
@@ -66,19 +73,19 @@ def test_cached_factorization_reuse_matches_fresh():
         assert with_cache.iterations == fresh.iterations
 
 
-def test_cache_rejected_when_rho_changes():
+def test_cache_accepted_for_an_equal_copy_of_phi():
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((8, 4))
-    cache = prepare(phi, rho=1.0)
-    problem = LassoProblem(phi, rng.standard_normal(8), 0.1)
-    with pytest.raises(ParamError, match="cached factorization"):
-        solve_lasso(problem, SolverConfig(rho=2.0), cache)
+    y = rng.standard_normal(8)
+    copy = phi.copy()
+    got = solve_lasso(LassoProblem(copy, y, 0.1), SolverConfig(), prepare(phi))
+    assert np.array_equal(got.s, solve_lasso(LassoProblem(phi, y, 0.1)).s)
 
 
 def test_cache_rejected_when_phi_changes():
     rng = np.random.default_rng(4)
     phi = rng.standard_normal((8, 4))
-    cache = prepare(phi, rho=1.0)
+    cache = prepare(phi)
     other = LassoProblem(phi + 1e-9, rng.standard_normal(8), 0.1)
     with pytest.raises(ParamError, match="cached factorization"):
         solve_lasso(other, SolverConfig(), cache)
@@ -230,7 +237,7 @@ def test_stacked_solve_matches_lone_solves():
     # cap the iterations so the slowest row runs out while the others converge
     cfg = SolverConfig(max_iter=max(r.iterations for r in free) - 1)
     lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
-    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi, cfg.rho))
+    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi))
     assert stacked.s.shape == (6, 10)
     assert 0 < sum(r.converged for r in lone) < len(lone)
     for i, r in enumerate(lone):
@@ -251,7 +258,7 @@ def test_stacked_full_rank_solve_matches_lone_solves():
     for cap in (1, 500):
         cfg = SolverConfig(max_iter=cap)
         lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
-        stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi, cfg.rho))
+        stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi))
         assert stacked.converged.all() and stacked.iterations.max() <= _ROUNDS
         assert np.all(stacked.s[2] == 0) and stacked.iterations[2] == 1
         for i, r in enumerate(lone):
@@ -273,13 +280,13 @@ def _paper_slab():
                               p.b)[:512]
     payload = secret_to_coeffs(secret_raster(p.M, 2201), p, basis, zz).blocks[:512]
     carrier = embed_rule(measure(sparsify(blocks, basis, zz, split=p.p1), phi), payload, p)
-    return phi.entries, carrier.v, pipeline_config(p)
+    return phi.entries, carrier.v
 
 
 def test_certified_rows_meet_the_kkt_conditions():
-    phi, ys, cfg = _paper_slab()
-    lam = default_lambda(phi, ys, cfg.lambda_scale)
-    result = solve_lasso(LassoProblem(phi, ys, lam), cfg)
+    phi, ys = _paper_slab()
+    lam = default_lambda(phi, ys)
+    result = solve_lasso(LassoProblem(phi, ys, lam))
     certified = result.iterations <= _ROUNDS
     assert certified.all()
     assert (result.iterations > 1).any()  # some rows needed a sign update
@@ -295,15 +302,14 @@ def test_certified_rows_meet_the_kkt_conditions():
 
 def test_stack_mixing_certified_and_fallback_rows_matches_lone_solves():
     phi = _paper_slab()[0]
-    cfg = SolverConfig(rho=32.0)
     rng = np.random.default_rng(20)
     ys = rng.standard_normal((16, 320))[[0, 9, 1, 2, 13, 3]]
     # lam near ||phi^T y||_inf leaves one or two nonzeros, which the least-squares
     # signs cannot reach in three rounds on rows 1 and 4
     fallback = np.array([False, True, False, False, True, False])
     lam = default_lambda(phi, ys, 1.0) * np.where(fallback, 0.95, 1e-3)
-    lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
-    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi, cfg.rho))
+    lone = [solve_lasso(LassoProblem(phi, y, w)) for y, w in zip(ys, lam)]
+    stacked = solve_lasso(LassoProblem(phi, ys, lam), cache=prepare(phi))
     assert np.array_equal(stacked.iterations > _ROUNDS, fallback)
     assert stacked.converged.all()
     for i, r in enumerate(lone):
@@ -321,11 +327,11 @@ def test_solve_normal_on_aty_matches_solve_lasso():
     # the core that the pipeline calls with phi^T y, against the LassoProblem
     # entry on y, on a stack mixing certified and fallback rows
     phi = _paper_slab()[0]
-    cfg = SolverConfig(rho=32.0)
+    cfg = SolverConfig()
     rng = np.random.default_rng(20)
     ys = rng.standard_normal((16, 320))[[0, 9, 1, 2, 13, 3]]
     lam = default_lambda(phi, ys, 1.0) * np.array([1e-3, 0.95, 1e-3, 0.5, 0.95, 0.0])
-    cache = prepare(phi, cfg.rho)
+    cache = prepare(phi)
     ref = solve_lasso(LassoProblem(phi, ys, lam), cfg, cache)
     s, iterations, converged, primal, dual = solve_normal(ys @ phi, lam, cfg, cache)
     assert (iterations > _ROUNDS).any() and (iterations <= _ROUNDS).any()
@@ -334,8 +340,6 @@ def test_solve_normal_on_aty_matches_solve_lasso():
     assert np.array_equal(converged, ref.converged)
     assert np.abs(primal - ref.primal_residual).max() <= 1e-12
     assert np.abs(dual - ref.dual_residual).max() <= 1e-12
-    with pytest.raises(ParamError):
-        solve_normal(ys @ phi, lam, SolverConfig(rho=1.0), cache)
     with pytest.raises(DimensionError):
         solve_normal(ys @ phi, lam[:5], cfg, cache)
     with pytest.raises(DimensionError):
@@ -352,13 +356,13 @@ def test_a_support_solve_is_never_certified_on_signs_alone():
     # a slightly wrong inverse keeps the signs and the zero bounds but breaks
     # stationarity, so no row may be certified and ADMM must solve them all
     from dataclasses import replace
-    phi, ys, cfg = _paper_slab()
+    phi, ys = _paper_slab()
     ys = ys[:64]
-    lam = default_lambda(phi, ys, cfg.lambda_scale)
-    good = prepare(phi, cfg.rho)
+    lam = default_lambda(phi, ys)
+    good = prepare(phi)
     skewed = replace(good, gram_inverse=good.gram_inverse * (1 + 1e-6))
-    exact = solve_lasso(LassoProblem(phi, ys, lam), cfg, good)
-    result = solve_lasso(LassoProblem(phi, ys, lam), cfg, skewed)
+    exact = solve_lasso(LassoProblem(phi, ys, lam), SolverConfig(), good)
+    result = solve_lasso(LassoProblem(phi, ys, lam), SolverConfig(), skewed)
     assert np.all(exact.iterations <= _ROUNDS)
     assert np.all(result.iterations > _ROUNDS) and result.converged.all()
     assert np.abs(result.objective - exact.objective).max() <= 1e-4 * exact.objective.min()
@@ -373,7 +377,7 @@ def test_nearly_collinear_columns_fall_back_to_admm():
     ys = rng.standard_normal((5, 20))
     lam = default_lambda(phi, ys, 0.1)
     cfg = SolverConfig(eps_abs=1e-10, eps_rel=1e-10, max_iter=5000)
-    assert prepare(phi, cfg.rho).gram_inverse is None
+    assert prepare(phi).gram_inverse is None
     result = solve_lasso(LassoProblem(phi, ys, lam), cfg)
     for i in range(5):
         obj_ref = lasso_objective(phi, ys[i], lam[i], lasso_fista(phi, ys[i], lam[i], tol=1e-8))
