@@ -7,7 +7,7 @@ extracting the secrets again from the stego image and the key alone.
 """
 
 from .codec import (EmbedReport, SecretCoeffs, SubImageStats, coeffs_to_raster,
-                    embed_images, embed_rule, extract_images, extract_rule,
+                    embed_images, embed_rule, embed_subsets, extract_images, extract_rule,
                     reconstruct_block, rule_index_sets, secret_to_coeffs)
 from .errors import (DimensionError, FormatError, ParamError, SabmisError,
                      SolverError)

@@ -11,13 +11,19 @@ never formed. The solve takes its settings from phi alone: the weight is
 `LAMBDA_SCALE` * ||phi^T y||_inf per block, and ADMM's penalty comes with
 `prepare(phi)`. The stego raster is never quantized inside the pipeline; 8-bit
 export is an explicit step in the raster module.
+
+An embedded sub-image depends only on the cover sub-image, its secret and the
+key's matrix, and each secret count's assignment is a prefix of the next, so
+`embed_subsets` sweeps every secret subset of a cover reusing the embedded
+sub-images: S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence
+import itertools
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .errors import DimensionError, ParamError
 # the pipelines reproduce `measure` without calling it; it stays bound here,
 # where perfbench's tracer tests look it up
 from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,  # noqa: F401
-                      gen_matrix, measure)
+                      gen_matrix, make_key, measure)
 from .raster import QuadSample, Raster, inverse_subsample, subsample
 from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConfig,
                      SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
@@ -90,6 +96,7 @@ def _check_rule_vector(y: MeasurementVector, p: StegoParams) -> None:
             f"params (p1={p.p1}, m={p.m})")
 
 
+@functools.lru_cache(maxsize=8)
 def _rule(p: StegoParams, v0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The transplant, coefficient by coefficient: for each k < p3, the
     0-based position t[k] is written to, the donor position whose value it is
@@ -98,7 +105,8 @@ def _rule(p: StegoParams, v0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Coefficient 0 goes to u-position p1-1 (alpha), 1..c-1 to p1-c .. p1-2
     (beta), c..p3-1 to measurement rows p3 .. 2*p3-c-1 (gamma); the donors are
-    u-positions p1-2c-1 .. p1-c-1 and measurement rows c .. p3-1.
+    u-positions p1-2c-1 .. p1-c-1 and measurement rows c .. p3-1. Kept for
+    the last few (params, v0); the arrays are read-only.
     """
     p1, p3, c = p.p1, p.p3, p.c
     k = np.arange(p3)
@@ -106,6 +114,8 @@ def _rule(p: StegoParams, v0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     written = np.where(low, np.where(k == 0, p1 - 1, p1 - c - 1 + k), v0 + p3 - 2 * c + k)
     donor = np.where(low, p1 - 2 * c - 1 + k, v0 - c + k)
     strength = np.where(k == 0, p.alpha, np.where(low, p.beta, p.gamma))
+    for a in (written, donor, strength):
+        a.setflags(write=False)
     return written, donor, strength
 
 
@@ -209,6 +219,63 @@ def _touched_rows(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     return phi.entries[p.c : 2 * p.p3 - p.c].T
 
 
+def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
+    if cover.pixels.shape != (p.N, p.N):
+        raise DimensionError(
+            f"cover must be {p.N}x{p.N} per key, got {cover.height}x{cover.width}")
+    if not 1 <= len(secrets) <= 4 or len(secrets) != p.num_secrets:
+        raise ParamError(f"expected {p.num_secrets} secret images per key, got {len(secrets)}")
+    for idx, s in enumerate(secrets, start=1):
+        if s.pixels.shape != (p.M, p.M):
+            raise DimensionError(
+                f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
+
+
+def _embed_sub_image(sub: Raster, k: int, secret: Raster, p: StegoParams,
+                     bases: tuple, phi: MeasurementMatrix,
+                     cache: CachedFactorization) -> tuple[Raster, SubImageStats]:
+    """Embed one secret into cover sub-image k under one key's bases, matrix
+    and factorization; the sub-image's blocks beyond the secret's block count
+    pass through bitwise untouched."""
+    basis_b, zz_b, basis_l, zz_l = bases
+    rows_t = _touched_rows(phi, p)
+    phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
+    w0 = p.p1 + p.p3 - p.c  # the written rows' offset in [u, touched rows]
+    blocks = partition_blocks(sub, p.b)
+    payload = secret_to_coeffs(secret, p, basis_l, zz_l).blocks
+    n_payload = payload.shape[0]
+    iters, ok = np.empty(n_payload, dtype=int), np.empty(n_payload, dtype=bool)
+    fit = np.empty(n_payload)  # ||phi s - y_v|| per block
+    for part in _slabs(n_payload):
+        spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
+        v = spec.v
+        x = np.concatenate([spec.u, v @ rows_t], axis=1)
+        carrier = _transplant(x, payload[part], p, p.p1)
+        delta = carrier[:, w0:] - x[:, w0:]
+        aty = v @ cache.gram + delta @ phi_w
+        lam = LAMBDA_SCALE * np.abs(aty).max(axis=1)
+        s, iters[part], ok[part], _, _ = solve_normal(aty, lam, SolverConfig(), cache)
+        # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows
+        # on W: ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - delta||^2, each
+        # part >= 0 up to rounding
+        d = s - v
+        dw = d @ phi_w.T
+        fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
+                + np.einsum("ij,ij->i", dw - delta, dw - delta))
+        fit[part] = np.sqrt(np.maximum(fit2, 0.0))
+        coeffs = np.concatenate([carrier[:, : p.p1], s], axis=1)
+        blocks[part] = desparsify(Spectrum(coeffs), basis_b, zz_b)
+    stats = SubImageStats(
+        sub_index=k, blocks=n_payload,
+        iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
+        residual_mean=float(fit.mean()), unconverged=int(np.count_nonzero(~ok)))
+    return assemble_blocks(blocks, sub.height, sub.width), stats
+
+
+def _stego(subs: Sequence[Raster]) -> Raster:
+    return Raster(inverse_subsample(QuadSample(tuple(subs))).pixels, "float")
+
+
 def embed_images(cover: Raster, secrets: Sequence[Raster],
                  key: StegoKey) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
@@ -222,59 +289,46 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     count.
     """
     p = key.params
-    if cover.pixels.shape != (p.N, p.N):
-        raise DimensionError(
-            f"cover must be {p.N}x{p.N} per key, got {cover.height}x{cover.width}")
-    if not 1 <= len(secrets) <= 4 or len(secrets) != p.num_secrets:
-        raise ParamError(f"expected {p.num_secrets} secret images per key, got {len(secrets)}")
-    for idx, s in enumerate(secrets, start=1):
-        if s.pixels.shape != (p.M, p.M):
-            raise DimensionError(
-                f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
-
-    basis_b, zz_b, basis_l, zz_l = _bases(p)
+    _check_embed_inputs(cover, secrets, p)
     phi = gen_matrix(key)
-    cache = _factorization(phi)
-    rows_t = _touched_rows(phi, p)
-    phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
-    w0 = p.p1 + p.p3 - p.c  # the written rows' offset in [u, touched rows]
+    bases, cache = _bases(p), _factorization(phi)
     subs = list(subsample(cover).sub)
     stats = []
-    for si, k in enumerate(key.assignment):
-        sub = subs[k - 1]
-        blocks = partition_blocks(sub, p.b)
-        payload = secret_to_coeffs(secrets[si], p, basis_l, zz_l).blocks
-        n_payload = payload.shape[0]
-        iters, ok = np.empty(n_payload, dtype=int), np.empty(n_payload, dtype=bool)
-        fit = np.empty(n_payload)  # ||phi s - y_v|| per block
-        for part in _slabs(n_payload):
-            spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
-            v = spec.v
-            x = np.concatenate([spec.u, v @ rows_t], axis=1)
-            carrier = _transplant(x, payload[part], p, p.p1)
-            delta = carrier[:, w0:] - x[:, w0:]
-            aty = v @ cache.gram + delta @ phi_w
-            lam = LAMBDA_SCALE * np.abs(aty).max(axis=1)
-            s, iters[part], ok[part], _, _ = solve_normal(aty, lam, SolverConfig(), cache)
-            # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows
-            # on W: ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - delta||^2, each
-            # part >= 0 up to rounding
-            d = s - v
-            dw = d @ phi_w.T
-            fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
-                    + np.einsum("ij,ij->i", dw - delta, dw - delta))
-            fit[part] = np.sqrt(np.maximum(fit2, 0.0))
-            coeffs = np.concatenate([carrier[:, : p.p1], s], axis=1)
-            blocks[part] = desparsify(Spectrum(coeffs), basis_b, zz_b)
-        stats.append(SubImageStats(
-            sub_index=k, blocks=n_payload,
-            iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
-            residual_mean=float(fit.mean()), unconverged=int(np.count_nonzero(~ok))))
-        subs[k - 1] = assemble_blocks(blocks, sub.height, sub.width)
+    for secret, k in zip(secrets, key.assignment):
+        subs[k - 1], sub_stats = _embed_sub_image(subs[k - 1], k, secret, p, bases, phi, cache)
+        stats.append(sub_stats)
+    return _stego(subs), EmbedReport(2 * len(secrets), tuple(stats))
 
-    stego = inverse_subsample(QuadSample(tuple(subs)))
-    stego = Raster(stego.pixels, "float")
-    return stego, EmbedReport(2 * len(secrets), tuple(stats))
+
+def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
+                  ) -> Iterator[tuple[tuple[int, ...], StegoKey, Raster, EmbedReport]]:
+    """Embed every nonempty subset of 1..4 secrets into one cover.
+
+    Yields (combo, key_k, stego, report) for k = 1 .. len(secrets), in
+    `itertools.combinations` order per k. key_k is the seed's key with
+    num_secrets = k, and stego and report are bitwise what
+    `embed_images(cover, [secrets[i] for i in combo], key_k)` returns. The
+    key's own num_secrets and assignment are not read. Each (sub-image,
+    secret) pair is embedded once per call and reused by every subset that
+    assigns it, so S secrets take S(S+1)/2 sub-image embeds.
+    """
+    full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
+    _check_embed_inputs(cover, secrets, full)
+    phi = gen_matrix(key)
+    bases, cache = _bases(full), _factorization(phi)
+    subs = subsample(cover).sub
+    done = {}  # (sub-image, secret index) -> (embedded sub-image, stats)
+    for count in range(1, len(secrets) + 1):
+        key_k = make_key(key.seed, replace(full, num_secrets=count))
+        for combo in itertools.combinations(range(len(secrets)), count):
+            out, stats = list(subs), []
+            for i, k in zip(combo, key_k.assignment):
+                if (k, i) not in done:
+                    done[k, i] = _embed_sub_image(subs[k - 1], k, secrets[i], full, bases,
+                                                  phi, cache)
+                out[k - 1], sub_stats = done[k, i]
+                stats.append(sub_stats)
+            yield combo, key_k, _stego(out), EmbedReport(2 * count, tuple(stats))
 
 
 def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:

@@ -196,7 +196,7 @@ def test_bench_curves_and_restart(tmp_path, capsys):
     assert all(a >= b for a, b in zip(curve, curve[1:]))
     assert len(entry["extracted_metrics"]) == 4
     assert "stego_metrics" in entry and "solver" in entry
-    # one embed wall time per secret subset: C(4, k) of them for k secrets
+    # one sweep wall time per secret subset: C(4, k) of them for k secrets
     walls = entry["subset_wall_s"]
     assert {k: len(v) for k, v in walls.items()} == {
         str(k): math.comb(4, k) for k in (1, 2, 3, 4)}
@@ -261,6 +261,57 @@ def test_bench_retries_a_cover_that_errored(tmp_path, capsys):
     assert report["completed"] == ["c0"]
     assert "error" not in report["covers"]["c0"]
     assert set(report["covers"]["c0"]["psnr_curve"]) == {"1"}
+
+
+def test_bench_records_a_wrong_size_secret(tmp_path, capsys):
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(secret_raster(SMALL.M // 2, 53), secrets / "s1.pgm", depth=8)
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
+    report_path = tmp_path / "report.json"
+    assert run("bench", "--covers", str(covers), "--secrets", str(secrets),
+               "--key", str(key_path), "--report", str(report_path)) == 0
+    report = json.loads(report_path.read_text())
+    error = report["covers"]["c0"]["error"]
+    assert error.startswith("DimensionError")
+    assert "secret 2 must be 64x64 per key, got 32x32" in error
+    assert report["completed"] == []
+
+
+def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, monkeypatch):
+    from sabmis import Raster, cli, psnr, write_srf
+    params = StegoParams(N=128, M=64, num_secrets=2)
+    key = make_key(5, params)
+    key_path = tmp_path / "k.skey"
+    write_key(key, key_path)
+    covers, secrets = tmp_path / "covers", tmp_path / "secrets"
+    covers.mkdir()
+    secrets.mkdir()
+    for i in range(2):
+        write_pgm(secret_raster(params.M, 80 + i), secrets / f"s{i}.pgm", depth=8)
+    # a NaN in the sub-image the second secret goes to (sub-image k keeps the
+    # pixels from ((k-1) % 2, (k-1) // 2) on): both one-secret subsets embed,
+    # and the first two-secret subset fails
+    k = key.assignment[1]
+    pixels = np.full((params.N, params.N), 100.0)
+    pixels[(k - 1) % 2, (k - 1) // 2] = np.nan
+    write_srf(Raster(pixels), covers / "c0.srf")
+    report_path = tmp_path / "report.json"
+    argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
+            "--key", str(key_path), "--report", str(report_path))
+    subsets = []
+    monkeypatch.setattr(cli, "psnr", lambda *a: subsets.append(a) or psnr(*a))
+    assert run(*argv) == 0
+    assert len(subsets) == 2
+    entry = json.loads(report_path.read_text())["covers"]["c0"]
+    assert entry["error"].startswith("SolverError")
+    assert "psnr_curve" not in entry and "subset_wall_s" not in entry
+    assert json.loads(report_path.read_text())["completed"] == []
+
+    write_srf(Raster(np.full((params.N, params.N), 100.0)), covers / "c0.srf")
+    assert run(*argv) == 0
+    report = json.loads(report_path.read_text())
+    assert report["completed"] == ["c0"]
+    assert set(report["covers"]["c0"]["psnr_curve"]) == {"1", "2"}
 
 
 def test_non_finite_cover_is_numerical_failure(small_setup, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from sabmis import (DimensionError, MeasurementVector, ParamError, Raster,
                     StegoParams, cover_raster, embed_images, embed_rule,
-                    extract_images, extract_rule, gen_matrix, make_dct_basis,
+                    embed_subsets, extract_images, extract_rule, gen_matrix, make_dct_basis,
                     make_key, make_zigzag, measure, ncc, quantize_u8,
                     reconstruct_block, rule_index_sets,
                     secret_raster, secret_to_coeffs, sparsify, subsample)
@@ -83,6 +83,17 @@ def test_rule_writes_and_donors_are_disjoint(c):
     assert all(1 <= i <= p.p1 + p.m for i in written | donors)
 
 
+def test_rule_index_arrays_are_kept_and_read_only():
+    from sabmis import codec
+    p = StegoParams(c=6)
+    first = codec._rule(p, p.p1 + p.c)
+    again = codec._rule(StegoParams(c=6), p.p1 + p.c)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 def test_reconstruct_block_round_trip_on_smooth_blocks():
     p = SMALL
     key = make_key(5, p)
@@ -154,6 +165,32 @@ def test_embed_capacity_scales_with_secret_count():
     assert report.capacity_bpp == 8
     assert len(report.sub_images) == 4
     assert sorted(s.sub_index for s in report.sub_images) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("count", [4, 3])
+def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatch, count):
+    # every subset equals a standalone embed under its count's key, and each
+    # (sub-image, secret) pair is embedded once: count*(count+1)/2 in all
+    from itertools import combinations
+
+    from sabmis import codec
+    key = make_key(13, StegoParams(N=128, M=64))
+    cover = cover_raster(128, 26)
+    secrets = [secret_raster(64, 40 + i) for i in range(count)]
+    calls = []
+    original = codec._embed_sub_image
+    monkeypatch.setattr(codec, "_embed_sub_image",
+                        lambda *a: calls.append(a[1]) or original(*a))
+    swept = list(embed_subsets(cover, secrets, key))
+    assert len(calls) == count * (count + 1) // 2
+    assert [combo for combo, *_ in swept] == [
+        c for k in range(1, count + 1) for c in combinations(range(count), k)]
+    for combo, key_k, stego, report in swept:
+        ref_key = make_key(13, StegoParams(N=128, M=64, num_secrets=len(combo)))
+        ref_stego, ref_report = embed_images(cover, [secrets[i] for i in combo], ref_key)
+        assert key_k.assignment == ref_key.assignment
+        assert np.array_equal(stego.pixels, ref_stego.pixels)
+        assert report.to_dict() == ref_report.to_dict()
 
 
 def test_embed_validates_sizes_and_counts():
