@@ -12,6 +12,11 @@ never formed. The solve takes its settings from phi alone: the weight is
 `prepare(phi)`. The stego raster is never quantized inside the pipeline; 8-bit
 export is an explicit step in the raster module.
 
+Extraction is linear in the stego pixels end to end, so `extract_images`
+folds the block DCT, the touched measurement rows, the inverse rule and the
+secret's inverse DCT into one (b^2, l^2) matrix per key, and recovers each
+secret with one product of it and the sub-image's blocks.
+
 An embedded sub-image depends only on the cover sub-image, its secret and the
 key's matrix, and each secret count's assignment is a prefix of the next, so
 `embed_subsets` sweeps every secret subset of a cover reusing the embedded
@@ -127,10 +132,14 @@ def _transplant(x: np.ndarray, t: np.ndarray, p: StegoParams, v0: int) -> np.nda
     return out
 
 
-def _recover(x: np.ndarray, p: StegoParams, v0: int) -> np.ndarray:
-    """The coefficients `_transplant` wrote into x; the tail beyond p3 is zero."""
+def _check_strengths(p: StegoParams) -> None:
     if p.alpha == 0 or p.beta == 0 or p.gamma == 0:
         raise ParamError("alpha, beta and gamma must be nonzero to extract")
+
+
+def _recover(x: np.ndarray, p: StegoParams, v0: int) -> np.ndarray:
+    """The coefficients `_transplant` wrote into x; the tail beyond p3 is zero."""
+    _check_strengths(p)
     written, donor, strength = _rule(p, v0)
     t = np.zeros(x.shape[:-1] + (p.l * p.l,))
     t[..., : p.p3] = (x[..., written] - x[..., donor]) / strength
@@ -219,6 +228,36 @@ def _touched_rows(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     return phi.entries[p.c : 2 * p.p3 - p.c].T
 
 
+@functools.lru_cache(maxsize=8)
+def _extractor(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
+    """The whole per-block extraction folded into one (b^2, l^2) matrix.
+
+    A row-major b x b stego block times it is the row-major l x l secret
+    block that sparsify, the measurement rows the rule touches, `_recover`
+    and `coeffs_to_raster` give, since each step is linear. Kept for the last
+    few (matrix, params); the matrix is read-only.
+    """
+    _check_strengths(p)
+    basis_b, zz_b, basis_l, zz_l = _bases(p)
+    fwd = basis_b.matrix[:, zz_b.perm]
+    x = np.concatenate([fwd[:, : p.p1], fwd[:, p.p1 :] @ _touched_rows(phi, p)], axis=1)
+    written, donor, strength = _rule(p, p.p1)
+    inv = basis_l.matrix[:, zz_l.perm][:, : p.p3].T
+    out = ((x[:, written] - x[:, donor]) / strength) @ inv
+    out.setflags(write=False)
+    return out
+
+
+def _gather_blocks(pixels: np.ndarray, b: int, k: int, count: int) -> np.ndarray:
+    """The first `count` b x b blocks of parity sub-image k of an N x N
+    raster, in row-major block order, as (count, b*b) rows: what
+    `partition_blocks(subsample(r).sub[k - 1], b)` holds, in one copy."""
+    g = pixels.shape[0] // (2 * b)
+    grid = pixels.reshape(g, b, 2, g, b, 2)[:, :, (k - 1) % 2, :, :, (k - 1) // 2]
+    rows = -(-count // g)  # block rows holding the first `count` blocks
+    return grid[:rows].transpose(0, 2, 1, 3).reshape(-1, b * b)[:count]
+
+
 def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
     if cover.pixels.shape != (p.N, p.N):
         raise DimensionError(
@@ -273,7 +312,7 @@ def _embed_sub_image(sub: Raster, k: int, secret: Raster, p: StegoParams,
 
 
 def _stego(subs: Sequence[Raster]) -> Raster:
-    return Raster(inverse_subsample(QuadSample(tuple(subs))).pixels, "float")
+    return inverse_subsample(QuadSample(tuple(subs)), "float")
 
 
 def embed_images(cover: Raster, secrets: Sequence[Raster],
@@ -334,25 +373,22 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
 def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     """Recover the embedded secrets from a stego raster and the key alone.
 
-    Extraction never sees the cover: each assigned sub-image is re-sparsified,
-    the measurement rows the rule touches are recomputed with the regenerated
-    matrix, and the inverse transplant rule reads the payload off them and
-    the u-part; coefficients beyond p3 stay zero, so extracted secrets are
-    low-pass approximations.
+    Extraction never sees the cover. Every step of it is linear in the stego
+    pixels: re-sparsifying an assigned sub-image's blocks, recomputing the
+    measurement rows the rule touches with the regenerated matrix, the
+    inverse transplant rule and the secret's inverse DCT. So each secret is
+    one product of the sub-image's first secret_blocks blocks, gathered
+    straight from the stego, with a per-key (b^2, l^2) matrix. Coefficients
+    beyond p3 stay zero, so extracted secrets are low-pass approximations.
     """
     p = key.params
     if stego.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
-    basis_b, zz_b, basis_l, zz_l = _bases(p)
-    rows_t = _touched_rows(gen_matrix(key), p)
-    quad = subsample(stego)
+    fold = _extractor(gen_matrix(key), p)
+    n = p.M // p.l
     out = []
     for k in key.assignment:
-        blocks = partition_blocks(quad.sub[k - 1], p.b)
-        vecs = np.empty((p.secret_blocks, p.l * p.l))
-        for part in _slabs(p.secret_blocks):
-            spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
-            vecs[part] = _recover(np.concatenate([spec.u, spec.v @ rows_t], axis=1), p, p.p1)
-        out.append(coeffs_to_raster(SecretCoeffs(vecs), p, basis_l, zz_l))
+        secret = _gather_blocks(stego.pixels, p.b, k, p.secret_blocks) @ fold
+        out.append(Raster(secret.reshape(n, n, p.l, p.l).swapaxes(1, 2).reshape(p.M, p.M)))
     return out

@@ -132,7 +132,8 @@ def partition_blocks(r: Raster, side: int) -> np.ndarray:
     if side < 1 or h % side or w % side:
         raise DimensionError(f"block side {side} must divide raster dimensions {h}x{w}")
     grid = r.pixels.reshape(h // side, side, w // side, side)
-    return grid.swapaxes(1, 2).reshape(-1, side, side).copy()
+    # one copy, writable also where the swapped view needs none (one block wide)
+    return grid.swapaxes(1, 2).copy().reshape(-1, side, side)
 
 
 def assemble_blocks(blocks: np.ndarray, height: int, width: int) -> Raster:

@@ -193,6 +193,14 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
         assert report.to_dict() == ref_report.to_dict()
 
 
+def test_stego_of_an_8bit_cover_is_tagged_float():
+    key = make_key(13, StegoParams(N=128, M=64, num_secrets=2))
+    cover = quantize_u8(cover_raster(128, 26))
+    secrets = [secret_raster(64, 40 + i) for i in range(2)]
+    assert embed_images(cover, secrets, key)[0].depth_tag == "float"
+    assert all(stego.depth_tag == "float" for _, _, stego, _ in embed_subsets(cover, secrets, key))
+
+
 def test_embed_validates_sizes_and_counts():
     key = make_key(11, SMALL)
     cover = cover_raster(SMALL.N, 24)
@@ -209,6 +217,56 @@ def test_extract_validates_size():
     key = make_key(12, SMALL)
     with pytest.raises(DimensionError, match="128"):
         extract_images(cover_raster(64, 2), key)
+
+
+@pytest.mark.parametrize("strength", ["alpha", "beta", "gamma"])
+def test_extract_rejects_zero_strengths(strength):
+    # the check comes before the per-key matrix divides by the strengths;
+    # a divide-by-zero warning would fail this test first
+    from dataclasses import replace
+    key = make_key(12, replace(SMALL, **{strength: 0.0}))
+    with pytest.raises(ParamError, match="nonzero"):
+        extract_images(cover_raster(SMALL.N, 2), key)
+
+
+@pytest.mark.parametrize("p", [TRACE, SMALL], ids=["trace", "small"])
+def test_block_gather_matches_partition_blocks(p):
+    import tracemalloc
+
+    from sabmis import codec, partition_blocks
+    r = cover_raster(p.N, 3)
+    for k in range(1, 5):
+        ref = partition_blocks(subsample(r).sub[k - 1], p.b).reshape(-1, p.b * p.b)
+        for count in (1, len(ref) - 1, p.secret_blocks, len(ref)):
+            tracemalloc.start()
+            try:
+                got = codec._gather_blocks(r.pixels, p.b, k, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, ref[:count])
+            assert not np.shares_memory(got, r.pixels)
+            # one copy; the slack is the array objects' own few hundred bytes
+            assert peak < 1.5 * ref.nbytes + 1024
+
+
+def test_extractor_is_kept_per_key_and_read_only():
+    from sabmis import codec
+    key = make_key(18, SMALL)
+    first = codec._extractor(gen_matrix(key), SMALL)
+    assert first.shape == (SMALL.b ** 2, SMALL.l ** 2)
+    equal_params = StegoParams(N=128, M=64, num_secrets=1)
+    assert codec._extractor(gen_matrix(make_key(18, SMALL)), equal_params) is first
+    assert codec._extractor(gen_matrix(make_key(19, SMALL)), SMALL) is not first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    # a second extract with the same key folds nothing
+    codec._extractor.cache_clear()
+    stego = cover_raster(SMALL.N, 40)
+    extract_images(stego, key)
+    extract_images(stego, key)
+    info = codec._extractor.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_round_trip_recovers_secret():
@@ -337,14 +395,14 @@ def test_embed_matches_per_block_reference(monkeypatch, p):
         assert stats.unconverged == 0
 
 
-@pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
-def test_extract_matches_per_block_reference(monkeypatch, p):
+@pytest.mark.parametrize("p", REFERENCE_PARAMS + [TRACE], ids=REFERENCE_IDS + ["trace"])
+def test_extract_matches_per_block_reference(p):
     # extract_rule on the full measurement vector of each block, against the
-    # slab path that forms only the measurement rows the rule reads. A lone
-    # block's DCT, or one in a slab of 24, can differ from a 512-slab's in the
-    # last bit, and the DC channel divides it by alpha = 0.01; that reaches
-    # about 2e-12 px, so the bound is 1e-12 / alpha
-    from sabmis import SecretCoeffs, codec, coeffs_to_raster, partition_blocks
+    # pipeline's one product per block with the folded per-key matrix; the
+    # trace key has l != b. The two sum in different orders, and the DC
+    # channel divides the last-bit difference by alpha = 0.01; that reaches
+    # about 4e-12 px, so the bound is 1e-12 / alpha
+    from sabmis import SecretCoeffs, coeffs_to_raster, partition_blocks
     key = make_key(16, p)
     stego, _ = embed_images(cover_raster(p.N, 34), [secret_raster(p.M, 35)], key)
     basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
@@ -354,10 +412,8 @@ def test_extract_matches_per_block_reference(monkeypatch, p):
             for block in blocks[: p.secret_blocks]]
     ref = coeffs_to_raster(SecretCoeffs(np.stack(rows)), p, make_dct_basis(p.l),
                            make_zigzag(p.l))
-    for slab in (codec.SLAB, 24):
-        monkeypatch.setattr(codec, "SLAB", slab)
-        got = extract_images(stego, key)[0]
-        assert np.abs(got.pixels - ref.pixels).max() <= 1e-12 / p.alpha
+    got = extract_images(stego, key)[0]
+    assert np.abs(got.pixels - ref.pixels).max() <= 1e-12 / p.alpha
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS[1:], ids=REFERENCE_IDS[1:])

@@ -122,6 +122,14 @@ def test_subsample_round_trip_bitwise():
     assert np.array_equal(inverse_subsample(subsample(r)).pixels, r.pixels)
 
 
+def test_inverse_subsample_takes_a_depth_tag():
+    r = quantize_u8(Raster(np.arange(16.0).reshape(4, 4)))
+    assert inverse_subsample(subsample(r)).depth_tag == "u8"
+    tagged = inverse_subsample(subsample(r), "float")
+    assert tagged.depth_tag == "float"
+    assert np.array_equal(tagged.pixels, r.pixels)
+
+
 def test_subsample_conserves_pixels():
     rng = np.random.default_rng(8)
     r = Raster(rng.uniform(0, 255, size=(6, 10)))

@@ -88,6 +88,27 @@ def test_partition_assemble_round_trip():
     assert np.array_equal(back.pixels, r.pixels)
 
 
+def test_partition_blocks_copies_once_and_stays_writable():
+    # one copy of the pixels, bitwise the swapped grid, writable also for a
+    # raster one block wide, where the swapped view reshapes without a copy
+    import tracemalloc
+    r = Raster(np.arange(256.0 * 256).reshape(256, 256))
+    tracemalloc.start()
+    try:
+        blocks = partition_blocks(r, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * r.pixels.nbytes
+    grid = r.pixels.reshape(32, 8, 32, 8).swapaxes(1, 2)
+    assert np.array_equal(blocks, grid.reshape(-1, 8, 8))
+    narrow = Raster(np.arange(16.0).reshape(8, 2))
+    for got in (blocks, partition_blocks(narrow, 2)):
+        assert got.flags.writeable
+        got[0, 0, 0] = -1.0
+    assert narrow.pixels[0, 0] == 0.0
+
+
 def test_partition_rejects_non_divisible():
     with pytest.raises(DimensionError):
         partition_blocks(Raster(np.zeros((10, 10))), 4)
