@@ -12,15 +12,24 @@ never formed. The solve takes its settings from phi alone: the weight is
 `prepare(phi)`. The stego raster is never quantized inside the pipeline; 8-bit
 export is an explicit step in the raster module.
 
+Both pipelines address an assigned parity sub-image's b x b blocks through
+one strided view of the full raster: `_gather_blocks` copies its first
+secret_blocks blocks out as (count, b^2) rows, and `_scatter_blocks` writes
+such rows back. Neither pipeline splits the raster into sub-image rasters;
+`subsample`, `partition_blocks` and the spectral round trip remain the
+definitions the gather and the per-block functions are checked against.
+The embed rebuilds the gathered blocks and scatters them into one copy of
+the cover, so everything else passes through bitwise.
+
 Extraction is linear in the stego pixels end to end, so `extract_images`
 folds the block DCT, the touched measurement rows, the inverse rule and the
 secret's inverse DCT into one (b^2, l^2) matrix per key, and recovers each
-secret with one product of it and the sub-image's blocks.
+secret with one product of it and the gathered blocks.
 
-An embedded sub-image depends only on the cover sub-image, its secret and the
-key's matrix, and each secret count's assignment is a prefix of the next, so
-`embed_subsets` sweeps every secret subset of a cover reusing the embedded
-sub-images: S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1).
+The rebuilt blocks of a sub-image depend only on the cover, its secret and
+the key's matrix, and each secret count's assignment is a prefix of the
+next, so `embed_subsets` sweeps every secret subset of a cover reusing them:
+S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1).
 """
 
 from __future__ import annotations
@@ -37,14 +46,14 @@ from .errors import DimensionError, ParamError
 # where perfbench's tracer tests look it up
 from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,  # noqa: F401
                       gen_matrix, make_key, measure)
-from .raster import QuadSample, Raster, inverse_subsample, subsample
+from .raster import Raster
 from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConfig,
                      SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
 from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
                        make_dct_basis, make_zigzag, partition_blocks, sparsify)
 
 # Blocks per batched call. It bounds the working set: a paper-scale embed
-# peaks at 33 MB under tracemalloc with 512 and 46 MB with 4096, and the
+# peaks at 25 MB under tracemalloc with 512 and 28 MB with 4096, and the
 # larger slab runs no faster.
 SLAB = 512
 
@@ -248,14 +257,33 @@ def _extractor(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     return out
 
 
+def _block_grid(pixels: np.ndarray, b: int, k: int) -> np.ndarray:
+    """Parity sub-image k of an N x N raster as a strided (g, g, b, b) view of
+    its b x b blocks: block row, block column, pixel row, pixel column."""
+    g = pixels.shape[0] // (2 * b)
+    grid = pixels.reshape(g, b, 2, g, b, 2)[:, :, (k - 1) % 2, :, :, (k - 1) // 2]
+    return grid.transpose(0, 2, 1, 3)
+
+
 def _gather_blocks(pixels: np.ndarray, b: int, k: int, count: int) -> np.ndarray:
     """The first `count` b x b blocks of parity sub-image k of an N x N
     raster, in row-major block order, as (count, b*b) rows: what
     `partition_blocks(subsample(r).sub[k - 1], b)` holds, in one copy."""
-    g = pixels.shape[0] // (2 * b)
-    grid = pixels.reshape(g, b, 2, g, b, 2)[:, :, (k - 1) % 2, :, :, (k - 1) // 2]
-    rows = -(-count // g)  # block rows holding the first `count` blocks
-    return grid[:rows].transpose(0, 2, 1, 3).reshape(-1, b * b)[:count]
+    grid = _block_grid(pixels, b, k)
+    rows = -(-count // grid.shape[0])  # block rows holding the first `count` blocks
+    return grid[:rows].reshape(-1, b * b)[:count]
+
+
+def _scatter_blocks(pixels: np.ndarray, b: int, k: int, blocks: np.ndarray) -> None:
+    """Write (count, b*b) rows over the first `count` blocks of parity
+    sub-image k of `pixels`, in place: the inverse of `_gather_blocks`."""
+    grid = _block_grid(pixels, b, k)
+    g = grid.shape[0]
+    full, rest = divmod(blocks.shape[0], g)  # whole block rows, then a partial one
+    tiles = blocks.reshape(-1, b, b)
+    grid[:full] = tiles[: full * g].reshape(full, g, b, b)
+    if rest:
+        grid[full, :rest] = tiles[full * g :]
 
 
 def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
@@ -270,25 +298,26 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
                 f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
 
 
-def _embed_sub_image(sub: Raster, k: int, secret: Raster, p: StegoParams,
+def _embed_sub_image(pixels: np.ndarray, k: int, secret: Raster, p: StegoParams,
                      bases: tuple, phi: MeasurementMatrix,
-                     cache: CachedFactorization) -> tuple[Raster, SubImageStats]:
-    """Embed one secret into cover sub-image k under one key's bases, matrix
-    and factorization; the sub-image's blocks beyond the secret's block count
-    pass through bitwise untouched."""
+                     cache: CachedFactorization) -> tuple[np.ndarray, SubImageStats]:
+    """Embed one secret into parity sub-image k of the cover pixels under one
+    key's bases, matrix and factorization. Returns the sub-image's first
+    secret_blocks blocks rebuilt, as (count, b*b) rows, and their stats."""
     basis_b, zz_b, basis_l, zz_l = bases
+    fwd = basis_b.matrix[:, zz_b.perm]
     rows_t = _touched_rows(phi, p)
     phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
     w0 = p.p1 + p.p3 - p.c  # the written rows' offset in [u, touched rows]
-    blocks = partition_blocks(sub, p.b)
     payload = secret_to_coeffs(secret, p, basis_l, zz_l).blocks
     n_payload = payload.shape[0]
+    blocks = _gather_blocks(pixels, p.b, k, n_payload)
     iters, ok = np.empty(n_payload, dtype=int), np.empty(n_payload, dtype=bool)
     fit = np.empty(n_payload)  # ||phi s - y_v|| per block
     for part in _slabs(n_payload):
-        spec = sparsify(blocks[part], basis_b, zz_b, split=p.p1)
-        v = spec.v
-        x = np.concatenate([spec.u, v @ rows_t], axis=1)
+        coeffs = blocks[part] @ fwd
+        v = coeffs[:, p.p1 :]
+        x = np.concatenate([coeffs[:, : p.p1], v @ rows_t], axis=1)
         carrier = _transplant(x, payload[part], p, p.p1)
         delta = carrier[:, w0:] - x[:, w0:]
         aty = v @ cache.gram + delta @ phi_w
@@ -302,41 +331,50 @@ def _embed_sub_image(sub: Raster, k: int, secret: Raster, p: StegoParams,
         fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
                 + np.einsum("ij,ij->i", dw - delta, dw - delta))
         fit[part] = np.sqrt(np.maximum(fit2, 0.0))
-        coeffs = np.concatenate([carrier[:, : p.p1], s], axis=1)
-        blocks[part] = desparsify(Spectrum(coeffs), basis_b, zz_b)
+        blocks[part] = np.concatenate([carrier[:, : p.p1], s], axis=1) @ fwd.T
     stats = SubImageStats(
         sub_index=k, blocks=n_payload,
         iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
         residual_mean=float(fit.mean()), unconverged=int(np.count_nonzero(~ok)))
-    return assemble_blocks(blocks, sub.height, sub.width), stats
+    return blocks, stats
 
 
-def _stego(subs: Sequence[Raster]) -> Raster:
-    return inverse_subsample(QuadSample(tuple(subs)), "float")
+def _stego(cover: Raster, b: int,
+           embedded: dict[int, tuple[np.ndarray, SubImageStats]]) -> tuple[Raster, EmbedReport]:
+    """Stego and report of one secret subset: one copy of the cover with each
+    sub-image k's rebuilt blocks, `embedded[k]`, scattered in.
+
+    The working copy is freed before the caller sees the stego: in the
+    subset sweep a second full-size array kept alive while the caller
+    quantizes and compares each stego cost sweep-256 about 14% (perfbench,
+    one BLAS thread).
+    """
+    out = cover.pixels.copy()
+    for k, (blocks, _) in embedded.items():
+        _scatter_blocks(out, b, k, blocks)
+    stats = tuple(sub_stats for _, sub_stats in embedded.values())
+    return Raster(out, "float"), EmbedReport(2 * len(stats), stats)
 
 
 def embed_images(cover: Raster, secrets: Sequence[Raster],
                  key: StegoKey) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
 
-    Per assigned sub-image: partition into b x b blocks, sparsify, and per
-    block compute what `reconstruct_block(embed_rule(measure(...)))` computes:
-    the rule is applied to the u-part and the measurement rows it touches,
-    and the l1 solver gets phi^T y = G s_v + phi_W^T delta (G = phi^T phi,
-    delta the change on the written rows W). Unassigned sub-images pass
-    through bitwise untouched, as do cover blocks beyond the secret's block
-    count.
+    Per assigned sub-image: gather its first secret_blocks b x b blocks
+    straight from the cover, sparsify them, and per block compute what
+    `reconstruct_block(embed_rule(measure(...)))` computes: the rule is
+    applied to the u-part and the measurement rows it touches, and the l1
+    solver gets phi^T y = G s_v + phi_W^T delta (G = phi^T phi, delta the
+    change on the written rows W). The rebuilt blocks are scattered into one
+    copy of the cover, so unassigned sub-images and cover blocks beyond the
+    secret's block count pass through bitwise untouched.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)
     phi = gen_matrix(key)
     bases, cache = _bases(p), _factorization(phi)
-    subs = list(subsample(cover).sub)
-    stats = []
-    for secret, k in zip(secrets, key.assignment):
-        subs[k - 1], sub_stats = _embed_sub_image(subs[k - 1], k, secret, p, bases, phi, cache)
-        stats.append(sub_stats)
-    return _stego(subs), EmbedReport(2 * len(secrets), tuple(stats))
+    return _stego(cover, p.b, {k: _embed_sub_image(cover.pixels, k, secret, p, bases, phi, cache)
+                               for secret, k in zip(secrets, key.assignment)})
 
 
 def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
@@ -348,26 +386,25 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     num_secrets = k, and stego and report are bitwise what
     `embed_images(cover, [secrets[i] for i in combo], key_k)` returns. The
     key's own num_secrets and assignment are not read. Each (sub-image,
-    secret) pair is embedded once per call and reused by every subset that
-    assigns it, so S secrets take S(S+1)/2 sub-image embeds.
+    secret) pair is embedded once per call and its rebuilt blocks are
+    scattered into every subset's stego that assigns it, so S secrets take
+    S(S+1)/2 sub-image embeds.
     """
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
     phi = gen_matrix(key)
     bases, cache = _bases(full), _factorization(phi)
-    subs = subsample(cover).sub
-    done = {}  # (sub-image, secret index) -> (embedded sub-image, stats)
+    done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
         for combo in itertools.combinations(range(len(secrets)), count):
-            out, stats = list(subs), []
             for i, k in zip(combo, key_k.assignment):
                 if (k, i) not in done:
-                    done[k, i] = _embed_sub_image(subs[k - 1], k, secrets[i], full, bases,
+                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, bases,
                                                   phi, cache)
-                out[k - 1], sub_stats = done[k, i]
-                stats.append(sub_stats)
-            yield combo, key_k, _stego(out), EmbedReport(2 * count, tuple(stats))
+            stego, report = _stego(cover, full.b, {k: done[k, i] for i, k in
+                                                   zip(combo, key_k.assignment)})
+            yield combo, key_k, stego, report
 
 
 def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:

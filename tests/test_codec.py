@@ -154,6 +154,27 @@ def test_embed_leaves_unassigned_sub_images_untouched():
     for k in range(1, 5):
         same = np.array_equal(after.sub[k - 1].pixels, before.sub[k - 1].pixels)
         assert same == (k not in assigned)
+    # 25 secret blocks fill three block rows and one block of an 8-block-wide
+    # sub-image: every pixel outside them passes through bitwise
+    from sabmis import QuadSample, inverse_subsample
+    p = StegoParams(N=128, M=40, num_secrets=2)
+    key = make_key(9, p)
+    cover = cover_raster(p.N, 21)
+    secrets = [secret_raster(p.M, 22 + i) for i in range(2)]
+    g = p.N // 2 // p.b
+    carried = np.zeros((p.N // 2, p.N // 2))
+    for i in range(p.secret_blocks):
+        row, col = divmod(i, g)
+        carried[row * p.b : (row + 1) * p.b, col * p.b : (col + 1) * p.b] = 1.0
+    empty = np.zeros_like(carried)
+    stegos = [(key, embed_images(cover, secrets, key)[0])]
+    stegos += [(key_k, stego) for _, key_k, stego, _ in embed_subsets(cover, secrets, key)]
+    assert len(stegos) == 4
+    for key_k, stego in stegos:
+        subs = [carried if k in key_k.assignment else empty for k in range(1, 5)]
+        touched = inverse_subsample(QuadSample(tuple(Raster(m) for m in subs))).pixels == 1.0
+        assert np.array_equal(stego.pixels[~touched], cover.pixels[~touched])
+        assert not np.array_equal(stego.pixels[touched], cover.pixels[touched])
 
 
 def test_embed_capacity_scales_with_secret_count():
@@ -233,7 +254,8 @@ def test_extract_rejects_zero_strengths(strength):
 def test_block_gather_matches_partition_blocks(p):
     import tracemalloc
 
-    from sabmis import codec, partition_blocks
+    from sabmis import (QuadSample, assemble_blocks, codec, inverse_subsample,
+                        partition_blocks)
     r = cover_raster(p.N, 3)
     for k in range(1, 5):
         ref = partition_blocks(subsample(r).sub[k - 1], p.b).reshape(-1, p.b * p.b)
@@ -248,6 +270,19 @@ def test_block_gather_matches_partition_blocks(p):
             assert not np.shares_memory(got, r.pixels)
             # one copy; the slack is the array objects' own few hundred bytes
             assert peak < 1.5 * ref.nbytes + 1024
+            # the scatter is the gather's exact inverse, and writes exactly
+            # the pixels the sub-image round trip writes
+            out = r.pixels.copy()
+            codec._scatter_blocks(out, p.b, k, got)
+            assert np.array_equal(out, r.pixels)
+            codec._scatter_blocks(out, p.b, k, got + 1)
+            subs = list(subsample(r).sub)
+            blocks = partition_blocks(subs[k - 1], p.b)
+            blocks[:count] += 1
+            subs[k - 1] = assemble_blocks(blocks, subs[k - 1].height, subs[k - 1].width)
+            expected = inverse_subsample(QuadSample(tuple(subs))).pixels
+            assert np.array_equal(out != r.pixels, expected != r.pixels)
+            assert np.array_equal(out, expected)
 
 
 def test_extractor_is_kept_per_key_and_read_only():
@@ -359,16 +394,19 @@ def test_payload_channels_at_default_parameters():
 
 
 # keys for the per-block references: the defaults at N=128, a key whose rule
-# writes no measurement (p3 = c), and one that moves the touched rows
+# writes no measurement (p3 = c), one that moves the touched rows, and one
+# whose 25 secret blocks end one block into the fourth row of an 8-block grid
 REFERENCE_PARAMS = [SMALL, StegoParams(N=128, M=64, p3=8, c=8, num_secrets=1),
-                    StegoParams(N=128, M=64, c=4, p3=20, m=64, num_secrets=1)]
-REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64"]
+                    StegoParams(N=128, M=64, c=4, p3=20, m=64, num_secrets=1),
+                    StegoParams(N=128, M=40, num_secrets=1)]
+REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64", "m40-partial-row"]
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
 def test_embed_matches_per_block_reference(monkeypatch, p):
     # the count-1 calls, one block at a time, against the slab path; a slab
-    # of 24 blocks also splits the 64 payload blocks into 24 + 24 + 16
+    # of 24 blocks also splits the 64 payload blocks into 24 + 24 + 16, and
+    # 25 into 24 + 1
     from sabmis import codec, partition_blocks
     key = make_key(15, p)
     cover = cover_raster(p.N, 32)
@@ -387,7 +425,7 @@ def test_embed_matches_per_block_reference(monkeypatch, p):
     for slab in (codec.SLAB, 24):
         monkeypatch.setattr(codec, "SLAB", slab)
         stego, report = embed_images(cover, [secret], key)
-        got = partition_blocks(subsample(stego).sub[k - 1], p.b)
+        got = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(ref_blocks)]
         assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
         stats = report.sub_images[0]
         assert stats.iterations_mean == np.mean(ref_iters)
