@@ -97,11 +97,13 @@ def _list_corpus(directory) -> list[Path]:
     return files
 
 
-def _load_report(path) -> dict:
-    """A fresh report, or the one to resume; any other file is refused, not overwritten."""
+def _load_report(path, params: dict) -> dict:
+    """A fresh report under `params`, or the one to resume under them; any
+    other file, a report made under another key included, is refused, not
+    overwritten."""
     path = Path(path)
     if not path.exists():
-        return {"version": 1, "covers": {}, "completed": []}
+        return {"version": 1, "covers": {}, "completed": [], "params": params}
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -110,6 +112,9 @@ def _load_report(path) -> dict:
             and isinstance(data.get("covers"), dict)
             and isinstance(data.get("completed"), list)):
         raise FormatError(f"{path}: not a version 1 bench report")
+    if data.setdefault("params", params) != params:
+        raise FormatError(f"{path}: cannot resume a bench report made under another key "
+                          f"(report has {data['params']})")
     return data
 
 
@@ -126,13 +131,14 @@ def _cmd_bench(args) -> int:
     per cover and reuses it across subsets, so a subset's wall time is what
     the sweep took to produce its stego, not a standalone embed. Restart-safe:
     covers the report lists as completed are skipped; a cover that errored
-    is recorded but retried on the next run."""
+    is recorded but retried on the next run. A report made under another
+    key's seed or parameters is refused, not mixed with this key's covers."""
     key = read_key(args.key)
     cover_files = _list_corpus(args.covers)
     secret_files = _list_corpus(args.secrets)[:4]
-    report = _load_report(args.report)
-    report["params"] = {"seed": key.seed, **dataclasses.asdict(key.params)}
-    del report["params"]["num_secrets"]  # the sweep runs every count up to it
+    params = {"seed": key.seed, **dataclasses.asdict(key.params)}
+    del params["num_secrets"]  # the sweep runs every count up to it
+    report = _load_report(args.report, params)
     secrets = [read_image(f) for f in secret_files]
     nsec = len(secrets)
 

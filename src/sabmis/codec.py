@@ -21,10 +21,10 @@ definitions the gather and the per-block functions are checked against.
 The embed rebuilds the gathered blocks and scatters them into one copy of
 the cover, so everything else passes through bitwise.
 
-Extraction is linear in the stego pixels end to end, so `extract_images`
-folds the block DCT, the touched measurement rows, the inverse rule and the
-secret's inverse DCT into one (b^2, l^2) matrix per key, and recovers each
-secret with one product of it and the gathered blocks.
+Every step of both pipelines but the l1 solve is linear, so each folds its
+linear steps into per-key matrices built on one reader of the rule,
+`_rule_reads`: `_extractor` for the whole receiver, `_embedder` for the
+products before and after the solve.
 
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
@@ -51,11 +51,6 @@ from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConf
                      SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
 from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
                        make_dct_basis, make_zigzag, partition_blocks, sparsify)
-
-# Blocks per batched call. It bounds the working set: a paper-scale embed
-# peaks at 25 MB under tracemalloc with 512 and 28 MB with 4096, and the
-# larger slab runs no faster.
-SLAB = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,26 +128,9 @@ def _rule(p: StegoParams, v0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return written, donor, strength
 
 
-def _transplant(x: np.ndarray, t: np.ndarray, p: StegoParams, v0: int) -> np.ndarray:
-    """A copy of x with the first p3 entries of t written by `_rule`."""
-    written, donor, strength = _rule(p, v0)
-    out = x.copy()
-    out[..., written] = x[..., donor] + strength * t[..., : p.p3]
-    return out
-
-
 def _check_strengths(p: StegoParams) -> None:
     if p.alpha == 0 or p.beta == 0 or p.gamma == 0:
         raise ParamError("alpha, beta and gamma must be nonzero to extract")
-
-
-def _recover(x: np.ndarray, p: StegoParams, v0: int) -> np.ndarray:
-    """The coefficients `_transplant` wrote into x; the tail beyond p3 is zero."""
-    _check_strengths(p)
-    written, donor, strength = _rule(p, v0)
-    t = np.zeros(x.shape[:-1] + (p.l * p.l,))
-    t[..., : p.p3] = (x[..., written] - x[..., donor]) / strength
-    return t
 
 
 def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> MeasurementVector:
@@ -168,13 +146,20 @@ def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> Measureme
     if t.shape != y.y.shape[:-1] + (p.l * p.l,):
         raise DimensionError(f"secret coefficients must have shape {y.y.shape[:-1]} + "
                              f"(l^2={p.l * p.l},), got {t.shape}")
-    return MeasurementVector(_transplant(y.y, t, p, p.p1 + p.c), p.p1)
+    written, donor, strength = _rule(p, p.p1 + p.c)
+    out = y.y.copy()
+    out[..., written] = y.y[..., donor] + strength * t[..., : p.p3]
+    return MeasurementVector(out, p.p1)
 
 
 def extract_rule(y2: MeasurementVector, p: StegoParams) -> np.ndarray:
     """Recover the p3 embedded coefficients from measurements; the tail stays zero."""
     _check_rule_vector(y2, p)
-    return _recover(y2.y, p, p.p1 + p.c)
+    _check_strengths(p)
+    written, donor, strength = _rule(p, p.p1 + p.c)
+    t = np.zeros(y2.y.shape[:-1] + (p.l * p.l,))
+    t[..., : p.p3] = (y2.y[..., written] - y2.y[..., donor]) / strength
+    return t
 
 
 def rule_index_sets(p: StegoParams) -> tuple[set[int], set[int]]:
@@ -209,16 +194,10 @@ def coeffs_to_raster(t: SecretCoeffs, p: StegoParams, basis: DctBasis,
     return assemble_blocks(desparsify(Spectrum(t.blocks), basis, zz), p.M, p.M)
 
 
-def _bases(p: StegoParams) -> tuple[DctBasis, ZigZagOrder, DctBasis, ZigZagOrder]:
-    basis_b, zz_b = make_dct_basis(p.b), make_zigzag(p.b)
-    if p.l == p.b:
-        return basis_b, zz_b, basis_b, zz_b
-    return basis_b, zz_b, make_dct_basis(p.l), make_zigzag(p.l)
-
-
-def _slabs(count: int):
-    """Consecutive slices of at most SLAB blocks covering blocks 0..count-1."""
-    return (slice(lo, min(lo + SLAB, count)) for lo in range(0, count, SLAB))
+def _forward(side: int) -> np.ndarray:
+    """The (side^2, side^2) matrix `sparsify` applies: a row-major block
+    times it is the block's zig-zag DCT coefficients; its transpose inverts it."""
+    return make_dct_basis(side).matrix[:, make_zigzag(side).perm]
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,9 +211,16 @@ def _factorization(phi: MeasurementMatrix) -> CachedFactorization:
     return prepare(phi.entries)
 
 
-def _touched_rows(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
-    """phi rows c .. 2*p3-c-1 transposed: the donor rows, then the written rows."""
-    return phi.entries[p.c : 2 * p.p3 - p.c].T
+def _rule_reads(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
+    """(b^2, p3): a row-major b x b block times it gives, for each k < p3,
+    the value at the position `_rule` writes k to minus the value at its
+    donor, read from the block's u-part and measurements: what
+    `extract_rule` divides by the strengths."""
+    fwd = _forward(p.b)
+    x = np.concatenate([fwd[:, : p.p1], fwd[:, p.p1 :] @ phi.entries[p.c : 2 * p.p3 - p.c].T],
+                       axis=1)
+    written, donor, _ = _rule(p, p.p1)
+    return x[:, written] - x[:, donor]
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,19 +228,40 @@ def _extractor(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     """The whole per-block extraction folded into one (b^2, l^2) matrix.
 
     A row-major b x b stego block times it is the row-major l x l secret
-    block that sparsify, the measurement rows the rule touches, `_recover`
-    and `coeffs_to_raster` give, since each step is linear. Kept for the last
-    few (matrix, params); the matrix is read-only.
+    block that sparsify, the measurement rows the rule touches,
+    `extract_rule` and `coeffs_to_raster` give, since each step is linear.
+    Kept for the last few (matrix, params); the matrix is read-only.
     """
     _check_strengths(p)
-    basis_b, zz_b, basis_l, zz_l = _bases(p)
-    fwd = basis_b.matrix[:, zz_b.perm]
-    x = np.concatenate([fwd[:, : p.p1], fwd[:, p.p1 :] @ _touched_rows(phi, p)], axis=1)
-    written, donor, strength = _rule(p, p.p1)
-    inv = basis_l.matrix[:, zz_l.perm][:, : p.p3].T
-    out = ((x[:, written] - x[:, donor]) / strength) @ inv
+    _, _, strength = _rule(p, p.p1)
+    out = (_rule_reads(phi, p) / strength) @ _forward(p.l)[:, : p.p3].T
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _embedder(phi: MeasurementMatrix, p: StegoParams
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The embed's linear steps as per-key (cover_in, secret_in, back, phi_w).
+
+    For row-major cover and secret block rows x and z, x @ cover_in is the
+    v-part s_v, then each written position's donor minus its value (minus
+    `_rule_reads`). Adding z @ secret_in, the secret's first p3 coefficients
+    times their strengths, gives delta: the rule's change on its c written
+    u-positions, then on the p3 - c written measurement rows W, phi_w's rows.
+    Once the solve has replaced s_v by s, [delta[:c], s - s_v] @ back is the
+    block's change. Kept for the last few (matrix, params); read-only.
+    """
+    fwd = _forward(p.b)
+    fwd_v = fwd[:, p.p1 :]
+    written, _, strength = _rule(p, p.p1)
+    cover_in = np.concatenate([fwd_v, -_rule_reads(phi, p)], axis=1)
+    secret_in = _forward(p.l)[:, : p.p3] * strength
+    back = np.concatenate([fwd[:, written[: p.c]].T, fwd_v.T])
+    phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
+    for a in (cover_in, secret_in, back, phi_w):
+        a.setflags(write=False)
+    return cover_in, secret_in, back, phi_w
 
 
 def _block_grid(pixels: np.ndarray, b: int, k: int) -> np.ndarray:
@@ -299,43 +306,35 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
 
 
 def _embed_sub_image(pixels: np.ndarray, k: int, secret: Raster, p: StegoParams,
-                     bases: tuple, phi: MeasurementMatrix,
-                     cache: CachedFactorization) -> tuple[np.ndarray, SubImageStats]:
+                     phi: MeasurementMatrix) -> tuple[np.ndarray, SubImageStats]:
     """Embed one secret into parity sub-image k of the cover pixels under one
-    key's bases, matrix and factorization. Returns the sub-image's first
-    secret_blocks blocks rebuilt, as (count, b*b) rows, and their stats."""
-    basis_b, zz_b, basis_l, zz_l = bases
-    fwd = basis_b.matrix[:, zz_b.perm]
-    rows_t = _touched_rows(phi, p)
-    phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
-    w0 = p.p1 + p.p3 - p.c  # the written rows' offset in [u, touched rows]
-    payload = secret_to_coeffs(secret, p, basis_l, zz_l).blocks
-    n_payload = payload.shape[0]
-    blocks = _gather_blocks(pixels, p.b, k, n_payload)
-    iters, ok = np.empty(n_payload, dtype=int), np.empty(n_payload, dtype=bool)
-    fit = np.empty(n_payload)  # ||phi s - y_v|| per block
-    for part in _slabs(n_payload):
-        coeffs = blocks[part] @ fwd
-        v = coeffs[:, p.p1 :]
-        x = np.concatenate([coeffs[:, : p.p1], v @ rows_t], axis=1)
-        carrier = _transplant(x, payload[part], p, p.p1)
-        delta = carrier[:, w0:] - x[:, w0:]
-        aty = v @ cache.gram + delta @ phi_w
-        lam = LAMBDA_SCALE * np.abs(aty).max(axis=1)
-        s, iters[part], ok[part], _, _ = solve_normal(aty, lam, SolverConfig(), cache)
-        # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows
-        # on W: ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - delta||^2, each
-        # part >= 0 up to rounding
-        d = s - v
-        dw = d @ phi_w.T
-        fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
-                + np.einsum("ij,ij->i", dw - delta, dw - delta))
-        fit[part] = np.sqrt(np.maximum(fit2, 0.0))
-        blocks[part] = np.concatenate([carrier[:, : p.p1], s], axis=1) @ fwd.T
+    key's params and matrix. Returns the sub-image's first secret_blocks
+    blocks rebuilt, as (count, b*b) rows, and their stats."""
+    cover_in, secret_in, back, phi_w = _embedder(phi, p)
+    cache = _factorization(phi)
+    secret_rows = partition_blocks(secret, p.l).reshape(-1, p.l * p.l)
+    count = secret_rows.shape[0]
+    blocks = _gather_blocks(pixels, p.b, k, count)
+    a = blocks @ cover_in
+    v = a[:, : p.p2]
+    delta = a[:, p.p2 :] + secret_rows @ secret_in
+    dm = delta[:, p.c :]  # the change on the written measurement rows W
+    aty = v @ cache.gram + dm @ phi_w
+    lam = LAMBDA_SCALE * np.abs(aty).max(axis=1)
+    s, iters, ok, _, _ = solve_normal(aty, lam, SolverConfig(), cache)
+    # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows on W:
+    # ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - dm||^2, each part >= 0 up to
+    # rounding
+    d = s - v
+    dw = d @ phi_w.T
+    fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
+            + np.einsum("ij,ij->i", dw - dm, dw - dm))
+    blocks += np.concatenate([delta[:, : p.c], d], axis=1) @ back
     stats = SubImageStats(
-        sub_index=k, blocks=n_payload,
+        sub_index=k, blocks=count,
         iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
-        residual_mean=float(fit.mean()), unconverged=int(np.count_nonzero(~ok)))
+        residual_mean=float(np.sqrt(np.maximum(fit2, 0.0)).mean()),
+        unconverged=int(np.count_nonzero(~ok)))
     return blocks, stats
 
 
@@ -361,19 +360,19 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     """Hide 1..4 secret rasters inside a cover raster.
 
     Per assigned sub-image: gather its first secret_blocks b x b blocks
-    straight from the cover, sparsify them, and per block compute what
-    `reconstruct_block(embed_rule(measure(...)))` computes: the rule is
-    applied to the u-part and the measurement rows it touches, and the l1
-    solver gets phi^T y = G s_v + phi_W^T delta (G = phi^T phi, delta the
-    change on the written rows W). The rebuilt blocks are scattered into one
-    copy of the cover, so unassigned sub-images and cover blocks beyond the
-    secret's block count pass through bitwise untouched.
+    straight from the cover and compute, per block, what
+    `reconstruct_block(embed_rule(measure(...)))` computes with `_embedder`'s
+    matrices: one product each of the blocks and the secret gives the v-part
+    and the rule's change delta, the l1 solver gets phi^T y = G s_v +
+    phi_W^T delta_W (G = phi^T phi, W the written measurement rows), and one
+    product adds the change in u and v to the blocks. They are scattered into
+    one copy of the cover, so unassigned sub-images and cover blocks beyond
+    the secret's block count pass through bitwise untouched.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)
     phi = gen_matrix(key)
-    bases, cache = _bases(p), _factorization(phi)
-    return _stego(cover, p.b, {k: _embed_sub_image(cover.pixels, k, secret, p, bases, phi, cache)
+    return _stego(cover, p.b, {k: _embed_sub_image(cover.pixels, k, secret, p, phi)
                                for secret, k in zip(secrets, key.assignment)})
 
 
@@ -393,15 +392,13 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
     phi = gen_matrix(key)
-    bases, cache = _bases(full), _factorization(phi)
     done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
         for combo in itertools.combinations(range(len(secrets)), count):
             for i, k in zip(combo, key_k.assignment):
                 if (k, i) not in done:
-                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, bases,
-                                                  phi, cache)
+                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, phi)
             stego, report = _stego(cover, full.b, {k: done[k, i] for i, k in
                                                    zip(combo, key_k.assignment)})
             yield combo, key_k, stego, report

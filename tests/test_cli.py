@@ -244,6 +244,32 @@ def test_bench_refuses_a_report_it_cannot_resume(tmp_path, capsys, content):
         "covers", "k.skey", "report.json", "secrets"]
 
 
+@pytest.mark.parametrize("seed, p3", [(18, 8), (18, 32), (17, 8)],
+                         ids=["seed-and-p3", "seed", "p3"])
+def test_bench_refuses_a_report_made_under_another_key(tmp_path, capsys, seed, p3):
+    from dataclasses import replace
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
+    report_path = tmp_path / "report.json"
+    argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
+            "--key", str(key_path), "--report", str(report_path))
+    write_key(make_key(17, SMALL), key_path)
+    assert run(*argv) == 0
+    write_pgm(cover_raster(SMALL.N, 52), covers / "c1.pgm", depth=8)
+    content = report_path.read_bytes()
+    write_key(make_key(seed, replace(SMALL, p3=p3)), key_path)
+    capsys.readouterr()
+    assert run(*argv) == 3
+    assert "another key" in capsys.readouterr().err
+    assert report_path.read_bytes() == content
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "covers", "k.skey", "report.json", "secrets"]
+    # the key it was made under resumes it; the secret count is not part of it
+    write_key(make_key(17, replace(SMALL, num_secrets=2)), key_path)
+    assert run(*argv) == 0
+    assert json.loads(report_path.read_text())["completed"] == ["c0", "c1"]
+
+
 def test_bench_retries_a_cover_that_errored(tmp_path, capsys):
     key_path, covers, secrets = _one_secret_corpus(tmp_path)
     write_pgm(cover_raster(SMALL.N // 2, 51), covers / "c0.pgm", depth=8)  # wrong size

@@ -286,22 +286,30 @@ def test_block_gather_matches_partition_blocks(p):
 
 
 def test_extractor_is_kept_per_key_and_read_only():
+    # the extract's fold and the embed's folds alike
     from sabmis import codec
     key = make_key(18, SMALL)
-    first = codec._extractor(gen_matrix(key), SMALL)
-    assert first.shape == (SMALL.b ** 2, SMALL.l ** 2)
     equal_params = StegoParams(N=128, M=64, num_secrets=1)
-    assert codec._extractor(gen_matrix(make_key(18, SMALL)), equal_params) is first
-    assert codec._extractor(gen_matrix(make_key(19, SMALL)), SMALL) is not first
-    with pytest.raises(ValueError, match="read-only"):
-        first[0, 0] = 1.0
-    # a second extract with the same key folds nothing
-    codec._extractor.cache_clear()
-    stego = cover_raster(SMALL.N, 40)
-    extract_images(stego, key)
-    extract_images(stego, key)
-    info = codec._extractor.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    b2, l2, p2, p3, c = SMALL.b ** 2, SMALL.l ** 2, SMALL.p2, SMALL.p3, SMALL.c
+    cover, secret = cover_raster(SMALL.N, 40), secret_raster(SMALL.M, 41)
+    cases = [(codec._extractor, [(b2, l2)], lambda: extract_images(cover, key)),
+             (codec._embedder, [(b2, p2 + p3), (l2, p3), (c + p2, b2), (p3 - c, p2)],
+              lambda: embed_images(cover, [secret], key))]
+    for fold, shapes, run_with_key in cases:
+        first = fold(gen_matrix(key), SMALL)
+        arrays = first if isinstance(first, tuple) else (first,)
+        assert [a.shape for a in arrays] == shapes
+        assert fold(gen_matrix(make_key(18, SMALL)), equal_params) is first
+        assert fold(gen_matrix(make_key(19, SMALL)), SMALL) is not first
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        # a second run with the same key builds nothing
+        fold.cache_clear()
+        run_with_key()
+        run_with_key()
+        info = fold.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_round_trip_recovers_secret():
@@ -403,11 +411,10 @@ REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64", "m40-partial-row"]
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
-def test_embed_matches_per_block_reference(monkeypatch, p):
-    # the count-1 calls, one block at a time, against the slab path; a slab
-    # of 24 blocks also splits the 64 payload blocks into 24 + 24 + 16, and
-    # 25 into 24 + 1
-    from sabmis import codec, partition_blocks
+def test_embed_matches_per_block_reference(p):
+    # the count-1 calls, one block at a time, against the pipeline's folded
+    # products over the whole sub-image
+    from sabmis import partition_blocks
     key = make_key(15, p)
     cover = cover_raster(p.N, 32)
     secret = secret_raster(p.M, 33)
@@ -422,15 +429,13 @@ def test_embed_matches_per_block_reference(monkeypatch, p):
         rebuilt, result = reconstruct_block(carrier, phi, basis, zz)
         ref_blocks.append(rebuilt)
         ref_iters.append(result.iterations)
-    for slab in (codec.SLAB, 24):
-        monkeypatch.setattr(codec, "SLAB", slab)
-        stego, report = embed_images(cover, [secret], key)
-        got = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(ref_blocks)]
-        assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
-        stats = report.sub_images[0]
-        assert stats.iterations_mean == np.mean(ref_iters)
-        assert stats.iterations_max == max(ref_iters)
-        assert stats.unconverged == 0
+    stego, report = embed_images(cover, [secret], key)
+    got = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(ref_blocks)]
+    assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
+    stats = report.sub_images[0]
+    assert stats.iterations_mean == np.mean(ref_iters)
+    assert stats.iterations_max == max(ref_iters)
+    assert stats.unconverged == 0
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS + [TRACE], ids=REFERENCE_IDS + ["trace"])
