@@ -2,9 +2,11 @@
 
 The only shared secret is a small key file: seed plus parameters. Sender and
 receiver both regenerate the same Gaussian measurement matrix from the seed,
-so the matrix itself never travels. Measurements keep the large coefficients
-verbatim and project the small ones through the matrix; the transplant rule
-reads and writes only a few of those projections.
+so the matrix itself never travels. A block's measurement vector is a plain
+array: the spectrum's first p1 coefficients (the u-part) verbatim, then the
+last p2 (the v-part) projected through the m x p2 matrix, so `measure` takes
+the split from the matrix's shape. The transplant rule reads and writes only
+a few of those projections.
 """
 
 import tempfile
@@ -12,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sabmis import (Spectrum, default_params, gen_matrix, make_key, measure,
-                    read_key, rule_index_sets, write_key)
+from sabmis import (default_params, gen_matrix, make_key, measure, read_key,
+                    rule_index_sets, write_key)
 
 params = default_params()
 print(f"reference parameters: N={params.N} M={params.M} b={params.b} "
@@ -40,10 +42,11 @@ print("regeneration is bitwise identical:",
 rng = np.random.default_rng(0)
 coeffs = np.concatenate([rng.uniform(-50, 50, params.p1),
                          rng.normal(0, 0.5, params.p2)])
-y = measure(Spectrum(coeffs, split=params.p1), phi)
-print(f"one block's measurements: {y.y.size} values "
+y = measure(coeffs, phi)
+print(f"one block's measurements: {y.size} values "
       f"({params.p1} copied + {params.m} projections)")
-print("u-part matches the spectrum exactly:", np.array_equal(y.u, coeffs[:32]))
+print("u-part matches the spectrum exactly:",
+      np.array_equal(y[: params.p1], coeffs[: params.p1]))
 
 written, donors = rule_index_sets(params)
 rows = {i - params.p1 - 1 for i in written | donors if i > params.p1}  # 0-based rows of phi

@@ -2,15 +2,18 @@
 end-to-end hide/recover pipelines.
 
 Secret block i always pairs with cover block i in row-major block order.
-The per-block functions also take stacks of blocks along a leading axis; they
-are the full-vector definitions. The pipelines compute the same thing with
-fewer products: the rule reads and writes only the u-part and the
-2*(p3 - c) measurements phi[c : 2*p3 - c] @ s_v, and the l1 solve sees the
-carrier only through phi^T y, so the full (p1 + m)-long measurement vector is
-never formed. The solve takes its settings from phi alone: the weight is
-`LAMBDA_SCALE` * ||phi^T y||_inf per block, and ADMM's penalty comes with
-`prepare(phi)`. The stego raster is never quantized inside the pipeline; 8-bit
-export is an explicit step in the raster module.
+The per-block functions are the definitions. They take and return plain
+float arrays: a spectrum of b^2 zig-zag DCT coefficients, or a measurement
+vector of p1 + m values, both with the u-part as their first p1 entries;
+stacks of them run row by row along leading axes. `_rule` gives the
+transplant's positions in the measurement vector, and both pipelines read it
+there. They compute the same thing as the definitions with fewer products:
+the rule reads and writes only the u-part and 2*(p3 - c) of the
+measurements, and the l1 solve sees the carrier only through phi^T y, so no
+block's measurement vector is formed. The solve takes its settings from phi
+alone: the weight is `LAMBDA_SCALE` * ||phi^T y||_inf per block, and ADMM's
+penalty comes with `prepare(phi)`. The stego raster is never quantized inside
+the pipeline; 8-bit export is an explicit step in the raster module.
 
 Both pipelines address an assigned parity sub-image's b x b blocks through
 one strided view of the full raster: `_gather_blocks` copies its first
@@ -42,29 +45,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParamError
-# the pipelines reproduce `measure` without calling it; it stays bound here,
-# where perfbench's tracer tests look it up
-from .measure import (MeasurementMatrix, MeasurementVector, StegoKey, StegoParams,  # noqa: F401
-                      gen_matrix, make_key, measure)
+from .measure import MeasurementMatrix, StegoKey, StegoParams, gen_matrix, make_key, measure
 from .raster import Raster
 from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConfig,
                      SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
-from .spectral import (DctBasis, Spectrum, ZigZagOrder, assemble_blocks, desparsify,
-                       make_dct_basis, make_zigzag, partition_blocks, sparsify)
-
-
-@dataclass(frozen=True, eq=False)
-class SecretCoeffs:
-    """Zig-zag DCT coefficient vectors of a secret image, one row per l x l block."""
-
-    blocks: np.ndarray  # (count, l*l)
-
-    def __post_init__(self):
-        b = np.array(self.blocks, dtype=np.float64, copy=True)
-        if b.ndim != 2 or b.size == 0:
-            raise DimensionError("secret coefficients must form a (count, l^2) array")
-        b.setflags(write=False)
-        object.__setattr__(self, "blocks", b)
+from .spectral import (DctBasis, ZigZagOrder, assemble_blocks, desparsify, make_dct_basis,
+                       make_zigzag, partition_blocks, sparsify)
 
 
 @dataclass(frozen=True)
@@ -98,30 +84,31 @@ class EmbedReport:
                 "sub_images": [s.to_dict() for s in self.sub_images]}
 
 
-def _check_rule_vector(y: MeasurementVector, p: StegoParams) -> None:
-    if y.y.shape[-1] != p.p1 + p.m or y.split != p.p1:
-        raise DimensionError(
-            f"measurement vector (length {y.y.shape[-1]}, split {y.split}) does not match "
-            f"params (p1={p.p1}, m={p.m})")
+def _check_rule_vector(y: np.ndarray, p: StegoParams) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[-1:] != (p.p1 + p.m,):
+        raise DimensionError(f"measurement vectors of shape {y.shape} are not "
+                             f"p1 + m = {p.p1 + p.m} long")
+    return y
 
 
 @functools.lru_cache(maxsize=8)
-def _rule(p: StegoParams, v0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rule(p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The transplant, coefficient by coefficient: for each k < p3, the
-    0-based position t[k] is written to, the donor position whose value it is
-    added to, and its strength, in a vector that holds the u-part first and
-    measurement row c of the v-part at index v0 (p1 + c in the full vector).
+    0-based position in the (p1 + m)-long measurement vector that t[k] is
+    written to, the donor position whose value it is added to, and its
+    strength.
 
     Coefficient 0 goes to u-position p1-1 (alpha), 1..c-1 to p1-c .. p1-2
-    (beta), c..p3-1 to measurement rows p3 .. 2*p3-c-1 (gamma); the donors are
-    u-positions p1-2c-1 .. p1-c-1 and measurement rows c .. p3-1. Kept for
-    the last few (params, v0); the arrays are read-only.
+    (beta), c..p3-1 to measurement rows p3 .. 2*p3-c-1, at p1 + row (gamma);
+    the donors are u-positions p1-2c-1 .. p1-c-1 and measurement rows
+    c .. p3-1. Kept for the last few params; the arrays are read-only.
     """
     p1, p3, c = p.p1, p.p3, p.c
     k = np.arange(p3)
     low = k < c
-    written = np.where(low, np.where(k == 0, p1 - 1, p1 - c - 1 + k), v0 + p3 - 2 * c + k)
-    donor = np.where(low, p1 - 2 * c - 1 + k, v0 - c + k)
+    written = np.where(low, np.where(k == 0, p1 - 1, p1 - c - 1 + k), p1 + p3 - c + k)
+    donor = np.where(low, p1 - 2 * c - 1 + k, p1 + k)
     strength = np.where(k == 0, p.alpha, np.where(low, p.beta, p.gamma))
     for a in (written, donor, strength):
         a.setflags(write=False)
@@ -133,7 +120,7 @@ def _check_strengths(p: StegoParams) -> None:
         raise ParamError("alpha, beta and gamma must be nonzero to extract")
 
 
-def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> MeasurementVector:
+def embed_rule(y: np.ndarray, t: np.ndarray, p: StegoParams) -> np.ndarray:
     """Transplant the first p3 entries of t into a copy of y (row by row for stacks).
 
     In 1-based positions: the first coefficient lands at p1 scaled by alpha,
@@ -141,57 +128,65 @@ def embed_rule(y: MeasurementVector, t: np.ndarray, p: StegoParams) -> Measureme
     p1+p3+1 .. p1+2*p3-c scaled by gamma. Each written position takes the value
     of a donor position the rule never writes, plus the scaled coefficient.
     """
-    _check_rule_vector(y, p)
+    y = _check_rule_vector(y, p)
     t = np.asarray(t, dtype=np.float64)
-    if t.shape != y.y.shape[:-1] + (p.l * p.l,):
-        raise DimensionError(f"secret coefficients must have shape {y.y.shape[:-1]} + "
+    if t.shape != y.shape[:-1] + (p.l * p.l,):
+        raise DimensionError(f"secret coefficients must have shape {y.shape[:-1]} + "
                              f"(l^2={p.l * p.l},), got {t.shape}")
-    written, donor, strength = _rule(p, p.p1 + p.c)
-    out = y.y.copy()
-    out[..., written] = y.y[..., donor] + strength * t[..., : p.p3]
-    return MeasurementVector(out, p.p1)
+    written, donor, strength = _rule(p)
+    out = y.copy()
+    out[..., written] = y[..., donor] + strength * t[..., : p.p3]
+    return out
 
 
-def extract_rule(y2: MeasurementVector, p: StegoParams) -> np.ndarray:
+def extract_rule(y2: np.ndarray, p: StegoParams) -> np.ndarray:
     """Recover the p3 embedded coefficients from measurements; the tail stays zero."""
-    _check_rule_vector(y2, p)
+    y2 = _check_rule_vector(y2, p)
     _check_strengths(p)
-    written, donor, strength = _rule(p, p.p1 + p.c)
-    t = np.zeros(y2.y.shape[:-1] + (p.l * p.l,))
-    t[..., : p.p3] = (y2.y[..., written] - y2.y[..., donor]) / strength
+    written, donor, strength = _rule(p)
+    t = np.zeros(y2.shape[:-1] + (p.l * p.l,))
+    t[..., : p.p3] = (y2[..., written] - y2[..., donor]) / strength
     return t
 
 
 def rule_index_sets(p: StegoParams) -> tuple[set[int], set[int]]:
     """(written, donor) 1-based position sets touched by the transplant rule."""
-    written, donor, _ = _rule(p, p.p1 + p.c)
+    written, donor, _ = _rule(p)
     return set((written + 1).tolist()), set((donor + 1).tolist())
 
 
-def reconstruct_block(y: MeasurementVector, phi: MeasurementMatrix, basis: DctBasis,
+def reconstruct_block(y: np.ndarray, phi: MeasurementMatrix, basis: DctBasis,
                       zz: ZigZagOrder) -> tuple[np.ndarray, SolverResult]:
     """Rebuild a pixel block, or a stack of blocks, from measurements.
 
-    The u-part is copied verbatim into the spectrum; the v-part is recovered by
-    the l1 solver with a per-block scale-aware weight and the factorization
-    the embed uses. Returns the block(s) and the solver result.
+    The u-part, all but the last phi.rows entries of y, is copied verbatim
+    into the spectrum; the v-part is recovered from those phi.rows
+    measurements by the l1 solver with a per-block scale-aware weight and the
+    factorization the embed uses. Returns the block(s) and the solver result.
     """
-    lam = default_lambda(phi.entries, y.v)
-    result = solve_lasso(LassoProblem(phi.entries, y.v, lam), cache=_factorization(phi))
-    coeffs = np.concatenate([y.u, result.s], axis=-1)
-    return desparsify(Spectrum(coeffs), basis, zz), result
+    y = np.asarray(y, dtype=np.float64)
+    split = y.shape[-1] - phi.rows
+    if split < 1 or split + phi.cols != basis.side ** 2:
+        raise DimensionError(f"measurement vector length {y.shape[-1]} is not a u-part of "
+                             f"{basis.side ** 2 - phi.cols} plus {phi.rows} measurements")
+    yv = y[..., split:]
+    result = solve_lasso(LassoProblem(phi.entries, yv, default_lambda(phi.entries, yv)),
+                         cache=_factorization(phi))
+    return desparsify(np.concatenate([y[..., :split], result.s], axis=-1), basis, zz), result
 
 
 def secret_to_coeffs(secret: Raster, p: StegoParams, basis: DctBasis,
-                     zz: ZigZagOrder) -> SecretCoeffs:
-    """Block-wise DCT of a secret raster, each block flattened in zig-zag order."""
-    return SecretCoeffs(sparsify(partition_blocks(secret, p.l), basis, zz).coeffs)
+                     zz: ZigZagOrder) -> np.ndarray:
+    """Block-wise DCT of a secret raster, each block flattened in zig-zag
+    order: a (count, l^2) array, one row per l x l block."""
+    return sparsify(partition_blocks(secret, p.l), basis, zz)
 
 
-def coeffs_to_raster(t: SecretCoeffs, p: StegoParams, basis: DctBasis,
+def coeffs_to_raster(t: np.ndarray, p: StegoParams, basis: DctBasis,
                      zz: ZigZagOrder) -> Raster:
-    """Inverse zig-zag plus block-wise inverse DCT; assembles the M x M raster."""
-    return assemble_blocks(desparsify(Spectrum(t.blocks), basis, zz), p.M, p.M)
+    """Inverse zig-zag plus block-wise inverse DCT of a (count, l^2) array;
+    assembles the M x M raster."""
+    return assemble_blocks(desparsify(t, basis, zz), p.M, p.M)
 
 
 def _forward(side: int) -> np.ndarray:
@@ -214,12 +209,11 @@ def _factorization(phi: MeasurementMatrix) -> CachedFactorization:
 def _rule_reads(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     """(b^2, p3): a row-major b x b block times it gives, for each k < p3,
     the value at the position `_rule` writes k to minus the value at its
-    donor, read from the block's u-part and measurements: what
-    `extract_rule` divides by the strengths."""
-    fwd = _forward(p.b)
-    x = np.concatenate([fwd[:, : p.p1], fwd[:, p.p1 :] @ phi.entries[p.c : 2 * p.p3 - p.c].T],
-                       axis=1)
-    written, donor, _ = _rule(p, p.p1)
+    donor, read from the block's measurement vector: what `extract_rule`
+    divides by the strengths. Row i of `measure(_forward(b), phi)` is the
+    measurement vector of the unit block with pixel i set."""
+    x = measure(_forward(p.b), phi)
+    written, donor, _ = _rule(p)
     return x[:, written] - x[:, donor]
 
 
@@ -233,7 +227,7 @@ def _extractor(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
     Kept for the last few (matrix, params); the matrix is read-only.
     """
     _check_strengths(p)
-    _, _, strength = _rule(p, p.p1)
+    _, _, strength = _rule(p)
     out = (_rule_reads(phi, p) / strength) @ _forward(p.l)[:, : p.p3].T
     out.setflags(write=False)
     return out
@@ -254,11 +248,11 @@ def _embedder(phi: MeasurementMatrix, p: StegoParams
     """
     fwd = _forward(p.b)
     fwd_v = fwd[:, p.p1 :]
-    written, _, strength = _rule(p, p.p1)
+    written, _, strength = _rule(p)
     cover_in = np.concatenate([fwd_v, -_rule_reads(phi, p)], axis=1)
     secret_in = _forward(p.l)[:, : p.p3] * strength
     back = np.concatenate([fwd[:, written[: p.c]].T, fwd_v.T])
-    phi_w = phi.entries[p.p3 : 2 * p.p3 - p.c]
+    phi_w = phi.entries[written[p.c :] - p.p1]
     for a in (cover_in, secret_in, back, phi_w):
         a.setflags(write=False)
     return cover_in, secret_in, back, phi_w
@@ -420,9 +414,8 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
     fold = _extractor(gen_matrix(key), p)
-    n = p.M // p.l
     out = []
     for k in key.assignment:
-        secret = _gather_blocks(stego.pixels, p.b, k, p.secret_blocks) @ fold
-        out.append(Raster(secret.reshape(n, n, p.l, p.l).swapaxes(1, 2).reshape(p.M, p.M)))
+        rows = _gather_blocks(stego.pixels, p.b, k, p.secret_blocks) @ fold
+        out.append(assemble_blocks(rows.reshape(-1, p.l, p.l), p.M, p.M))
     return out

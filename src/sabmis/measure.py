@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParamError
-from .spectral import Spectrum
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -216,38 +215,16 @@ def gen_matrix(key: StegoKey) -> MeasurementMatrix:
     return _keyed_matrix(key.seed, p.m, p.p2)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementVector:
-    """Per-block measurements, a vector or stack: u-part copied coefficients, v-part projections."""
-
-    y: np.ndarray
-    split: int
-
-    def __post_init__(self):
-        y = np.array(self.y, dtype=np.float64, copy=True)
-        if y.ndim not in (1, 2) or y.size == 0:
-            raise DimensionError("measurements must form a non-empty vector or stack")
-        if not 0 < self.split < y.shape[-1]:
-            raise DimensionError(f"split {self.split} out of range for {y.shape[-1]} measurements")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.y[..., : self.split]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.y[..., self.split :]
-
-
-def measure(s: Spectrum, phi: MeasurementMatrix) -> MeasurementVector:
-    """y = [s_u ; phi @ s_v] per block: linear in the spectrum, identity on its u-part."""
-    if s.split is None:
-        raise DimensionError("spectrum needs a u/v split to be measured")
-    if s.v.shape[-1] != phi.cols:
-        raise DimensionError(f"v-part length {s.v.shape[-1]} != matrix columns {phi.cols}")
-    return MeasurementVector(np.concatenate([s.u, s.v @ phi.entries.T], axis=-1), s.split)
+def measure(s: np.ndarray, phi: MeasurementMatrix) -> np.ndarray:
+    """y = [s_u ; phi @ s_v] for a spectrum, or row by row for a stack: linear
+    in the spectrum, identity on its u-part. s_v is the last phi.cols entries
+    and s_u the rest, so y holds s_u then phi.rows measurements."""
+    s = np.asarray(s, dtype=np.float64)
+    split = s.shape[-1] - phi.cols
+    if split < 1:
+        raise DimensionError(f"spectrum of length {s.shape[-1]} has no u-part before "
+                             f"the {phi.cols} entries the matrix measures")
+    return np.concatenate([s[..., :split], s[..., split:] @ phi.entries.T], axis=-1)
 
 
 # the StegoParams fields in declaration order, each with the type of its default

@@ -93,18 +93,15 @@ def subsample(r: Raster) -> QuadSample:
     return QuadSample(tuple(Raster(q, r.depth_tag) for q in quarters))
 
 
-def inverse_subsample(q: QuadSample, depth_tag: str | None = None) -> Raster:
-    """Reassemble the parent raster; exact inverse of subsample.
-
-    The result carries `depth_tag`, by default the sub-rasters' tag.
-    """
+def inverse_subsample(q: QuadSample) -> Raster:
+    """Reassemble the parent raster; exact inverse of subsample, depth tag included."""
     h, w = q.sub[0].pixels.shape
     out = np.empty((2 * h, 2 * w))
     out[0::2, 0::2] = q.sub[0].pixels
     out[1::2, 0::2] = q.sub[1].pixels
     out[0::2, 1::2] = q.sub[2].pixels
     out[1::2, 1::2] = q.sub[3].pixels
-    return Raster(out, q.sub[0].depth_tag if depth_tag is None else depth_tag)
+    return Raster(out, q.sub[0].depth_tag)
 
 
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:

@@ -71,56 +71,28 @@ def make_zigzag(side: int) -> ZigZagOrder:
     return ZigZagOrder(side, perm)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Zig-zag-ordered coefficients, a vector or (count, n) stack; `split` marks u/v."""
-
-    coeffs: np.ndarray
-    split: int | None = None
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.float64, copy=True)
-        if c.ndim not in (1, 2) or c.size == 0:
-            raise DimensionError("spectrum coefficients must form a non-empty vector or stack")
-        if self.split is not None and not 0 < self.split < c.shape[-1]:
-            raise DimensionError(f"split {self.split} out of range for {c.shape[-1]} coefficients")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def u(self) -> np.ndarray:
-        if self.split is None:
-            raise DimensionError("spectrum has no u/v split")
-        return self.coeffs[..., : self.split]
-
-    @property
-    def v(self) -> np.ndarray:
-        if self.split is None:
-            raise DimensionError("spectrum has no u/v split")
-        return self.coeffs[..., self.split :]
-
-
-def sparsify(block: np.ndarray, basis: DctBasis, zz: ZigZagOrder,
-             split: int | None = None) -> Spectrum:
+def sparsify(block: np.ndarray, basis: DctBasis, zz: ZigZagOrder) -> np.ndarray:
     """Transform a pixel block, or a (count, b, b) stack of blocks, into its
-    zig-zag-ordered DCT coefficients: shape (b*b,) or (count, b*b)."""
+    spectrum: the zig-zag-ordered DCT coefficients, shape (b*b,) or
+    (count, b*b). Under a key, the first p1 entries are the u-part."""
     b = basis.side
     block = np.asarray(block, dtype=np.float64)
     if block.ndim not in (2, 3) or block.shape[-2:] != (b, b):
         raise DimensionError(f"block shape {block.shape} does not match basis side {b}")
     if zz.side != b:
         raise DimensionError(f"zig-zag side {zz.side} does not match basis side {b}")
-    return Spectrum(block.reshape(*block.shape[:-2], b * b) @ basis.matrix[:, zz.perm], split)
+    return block.reshape(*block.shape[:-2], b * b) @ basis.matrix[:, zz.perm]
 
 
-def desparsify(s: Spectrum, basis: DctBasis, zz: ZigZagOrder) -> np.ndarray:
+def desparsify(s: np.ndarray, basis: DctBasis, zz: ZigZagOrder) -> np.ndarray:
     """Exact inverse of sparsify: coefficients back to a pixel block or stack of blocks."""
     b = basis.side
-    if s.coeffs.shape[-1] != b * b:
-        raise DimensionError(f"{s.coeffs.shape[-1]} coefficients do not fill a {b}x{b} block")
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape[-1] != b * b:
+        raise DimensionError(f"{s.shape[-1]} coefficients do not fill a {b}x{b} block")
     if zz.side != b:
         raise DimensionError(f"zig-zag side {zz.side} does not match basis side {b}")
-    return (s.coeffs @ basis.matrix[:, zz.perm].T).reshape(*s.coeffs.shape[:-1], b, b)
+    return (s @ basis.matrix[:, zz.perm].T).reshape(*s.shape[:-1], b, b)
 
 
 def partition_blocks(r: Raster, side: int) -> np.ndarray:

@@ -15,8 +15,8 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError
 from .raster import QuadSample, Raster, inverse_subsample, subsample
-from .spectral import (Spectrum, assemble_blocks, desparsify, make_dct_basis,
-                       make_zigzag, partition_blocks, sparsify)
+from .spectral import (assemble_blocks, desparsify, make_dct_basis, make_zigzag,
+                       partition_blocks, sparsify)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -85,8 +85,8 @@ def block_sparse_raster(r: Raster, keep: int = 32, side: int = 8) -> Raster:
     basis, zz = make_dct_basis(side), make_zigzag(side)
     subs = []
     for sub in subsample(r).sub:
-        coeffs = sparsify(partition_blocks(sub, side), basis, zz).coeffs.copy()
+        coeffs = sparsify(partition_blocks(sub, side), basis, zz)
         coeffs[:, keep:] = 0.0
-        subs.append(assemble_blocks(desparsify(Spectrum(coeffs), basis, zz),
+        subs.append(assemble_blocks(desparsify(coeffs, basis, zz),
                                     sub.height, sub.width))
     return inverse_subsample(QuadSample(tuple(subs)))

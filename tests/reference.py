@@ -1,13 +1,15 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's own code paths: the accelerated
-proximal-gradient iteration below shares no code with the ADMM solver it is
-used to check, the scalar SplitMix64/Box-Muller loop shares none with the
-array generator behind `keyed_normals`, and the window-by-window SSIM loop
-shares none with `mssim`, which applies the window as banded-matrix products
-over strips of rows and tiles of columns. The loop takes each window's
-variances about its own means and never splits the image, so it cannot
-share a strip- or tile-boundary error with `mssim`.
+These deliberately avoid the library's own code paths. The accelerated
+proximal-gradient iteration below shares no code with the l1 solver it is
+used to check, which certifies most rows by solving the KKT equations with
+the cached inverse of phi^T phi and runs ADMM only on the rows still open.
+The scalar SplitMix64/Box-Muller loop shares none with the array generator
+behind `keyed_normals`, and the window-by-window SSIM loop shares none with
+`mssim`, which applies the window as banded-matrix products over strips of
+rows and tiles of columns. The loop takes each window's variances about its
+own means and never splits the image, so it cannot share a strip- or
+tile-boundary error with `mssim`.
 """
 
 import math

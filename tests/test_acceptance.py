@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sabmis import (MeasurementVector, SolverConfig, StegoParams, cover_raster,
+from sabmis import (SolverConfig, StegoParams, cover_raster,
                     compare, default_params, embed_images, embed_rule,
                     extract_images, extract_rule, gen_matrix, make_dct_basis,
                     make_key, make_zigzag, measure, partition_blocks,
@@ -56,7 +56,7 @@ def test_unit_inverse_of_embedding_rules():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        y = MeasurementVector(rng.standard_normal(p.p1 + p.m), split=p.p1)
+        y = rng.standard_normal(p.p1 + p.m)
         t = rng.standard_normal(p.l * p.l)
         got = extract_rule(embed_rule(y, t, p), p)
         rel = np.linalg.norm(got[: p.p3] - t[: p.p3]) / np.linalg.norm(t[: p.p3])
@@ -151,12 +151,12 @@ def test_u_channel_end_to_end_exactness(paper_setup):
 
     basis, zz = make_dct_basis(p1.b), make_zigzag(p1.b)
     phi = gen_matrix(key1)
-    t_in = secret_to_coeffs(secrets[0], p1, basis, zz).blocks
+    t_in = secret_to_coeffs(secrets[0], p1, basis, zz)
     sub = subsample(stego).sub[key1.assignment[0] - 1]
     blocks = partition_blocks(sub, p1.b)
     worst = 0.0
     for i in range(p1.secret_blocks):
-        spec = sparsify(blocks[i], basis, zz, split=p1.p1)
+        spec = sparsify(blocks[i], basis, zz)
         t_out = extract_rule(measure(spec, phi), p1)
         num = np.linalg.norm(t_out[: p1.c] - t_in[i, : p1.c])
         den = max(np.linalg.norm(t_in[i, : p1.c]), 1e-9)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, MeasurementVector, ParamError, Raster,
+from sabmis import (DimensionError, ParamError, Raster,
                     StegoParams, cover_raster, embed_images, embed_rule,
                     embed_subsets, extract_images, extract_rule, gen_matrix, make_dct_basis,
                     make_key, make_zigzag, measure, ncc, quantize_u8,
@@ -18,41 +18,39 @@ SMALL = StegoParams(N=128, M=64, num_secrets=1)
 
 
 def test_embed_rule_hand_trace():
-    y = MeasurementVector(np.arange(1.0, 17.0), split=8)
+    y = np.arange(1.0, 17.0)
     t = np.array([100.0, 200.0, 300.0, 400.0])
     out = embed_rule(y, t, TRACE)
     expected = [1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16]
-    assert np.array_equal(out.y, expected)
+    assert np.array_equal(out, expected)
 
 
 def test_embed_rule_zero_payload_copies_donors():
-    y = MeasurementVector(np.arange(1.0, 17.0), split=8)
+    y = np.arange(1.0, 17.0)
     out = embed_rule(y, np.zeros(4), TRACE)
     p1, p3, c = TRACE.p1, TRACE.p3, TRACE.c
-    assert out.y[p1 - 1] == y.y[p1 - 2 * c - 1]
-    assert np.array_equal(out.y[p1 - c: p1 - 1], y.y[p1 - 2 * c: p1 - c - 1])
-    assert np.array_equal(out.y[p1 + p3: p1 + 2 * p3 - c], y.y[p1 + c: p1 + p3])
+    assert out[p1 - 1] == y[p1 - 2 * c - 1]
+    assert np.array_equal(out[p1 - c: p1 - 1], y[p1 - 2 * c: p1 - c - 1])
+    assert np.array_equal(out[p1 + p3: p1 + 2 * p3 - c], y[p1 + c: p1 + p3])
 
 
 def test_embed_rule_leaves_other_positions_unchanged():
     rng = np.random.default_rng(0)
-    y = MeasurementVector(rng.standard_normal(16), split=8)
+    y = rng.standard_normal(16)
     out = embed_rule(y, rng.standard_normal(4), TRACE)
     written, _ = rule_index_sets(TRACE)
     untouched = [i for i in range(16) if i + 1 not in written]
-    assert np.array_equal(out.y[untouched], y.y[untouched])
+    assert np.array_equal(out[untouched], y[untouched])
 
 
 def test_extract_rule_inverts_hand_trace():
-    y2 = MeasurementVector(
-        np.array([1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16.0]),
-        split=8)
+    y2 = np.array([1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16.0])
     t = extract_rule(y2, TRACE)
     assert np.array_equal(t, [100.0, 200.0, 300.0, 400.0])
 
 
 def test_extract_rule_zero_input_gives_zero_output():
-    t = extract_rule(MeasurementVector(np.zeros(16), split=8), TRACE)
+    t = extract_rule(np.zeros(16), TRACE)
     assert np.all(t == 0)
 
 
@@ -60,14 +58,14 @@ def test_extract_rule_rejects_zero_strengths():
     p = StegoParams(N=12, M=4, b=3, l=2, p1=8, p2=1, p3=4, m=8,
                     alpha=0.0, beta=1.0, gamma=1.0, c=2, num_secrets=1)
     with pytest.raises(ParamError, match="nonzero"):
-        extract_rule(MeasurementVector(np.zeros(16), split=8), p)
+        extract_rule(np.zeros(16), p)
 
 
 def test_rules_invert_on_random_pairs():
     rng = np.random.default_rng(1)
     p = StegoParams()  # reference parameters
     for _ in range(50):
-        y = MeasurementVector(rng.standard_normal(p.p1 + p.m), split=p.p1)
+        y = rng.standard_normal(p.p1 + p.m)
         t = rng.standard_normal(p.l * p.l)
         got = extract_rule(embed_rule(y, t, p), p)
         assert np.allclose(got[: p.p3], t[: p.p3], rtol=1e-12, atol=1e-12)
@@ -86,9 +84,11 @@ def test_rule_writes_and_donors_are_disjoint(c):
 def test_rule_index_arrays_are_kept_and_read_only():
     from sabmis import codec
     p = StegoParams(c=6)
-    first = codec._rule(p, p.p1 + p.c)
-    again = codec._rule(StegoParams(c=6), p.p1 + p.c)
+    first = codec._rule(p)
+    again = codec._rule(StegoParams(c=6))
     assert all(a is b for a, b in zip(first, again))
+    written, donor, _ = first
+    assert (set((written + 1).tolist()), set((donor + 1).tolist())) == rule_index_sets(p)
     for a in first:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
@@ -105,9 +105,9 @@ def test_reconstruct_block_round_trip_on_smooth_blocks():
         coeffs = np.zeros(64)
         coeffs[: p.p1] = rng.uniform(-40, 40, p.p1) / (1 + np.arange(p.p1))
         coeffs[p.p1:] = rng.standard_normal(p.p2) * 1e-9
-        from sabmis import Spectrum, desparsify
-        block = desparsify(Spectrum(coeffs), basis, zz)
-        y = measure(sparsify(block, basis, zz, split=p.p1), phi)
+        from sabmis import desparsify
+        block = desparsify(coeffs, basis, zz)
+        y = measure(sparsify(block, basis, zz), phi)
         rebuilt, result = reconstruct_block(y, phi, basis, zz)
         assert result.converged
         assert np.abs(rebuilt - block).max() <= 1e-6
@@ -120,11 +120,11 @@ def test_reconstruct_block_zero_tail_stays_zero():
     basis, zz = make_dct_basis(8), make_zigzag(8)
     coeffs = np.zeros(64)
     coeffs[: p.p1] = np.linspace(50, 1, p.p1)
-    from sabmis import Spectrum, desparsify
-    block = desparsify(Spectrum(coeffs), basis, zz)
-    y = measure(sparsify(block, basis, zz, split=p.p1), phi)
+    from sabmis import desparsify
+    block = desparsify(coeffs, basis, zz)
+    y = measure(sparsify(block, basis, zz), phi)
     rebuilt, _ = reconstruct_block(y, phi, basis, zz)
-    tail = sparsify(rebuilt, basis, zz, split=p.p1).v
+    tail = sparsify(rebuilt, basis, zz)[p.p1:]
     assert np.abs(tail).max() <= 1e-8
 
 
@@ -134,12 +134,16 @@ def test_reconstruct_block_copies_u_channel_verbatim():
     phi = gen_matrix(key)
     basis, zz = make_dct_basis(8), make_zigzag(8)
     rng = np.random.default_rng(3)
-    y = MeasurementVector(rng.standard_normal(p.p1 + p.m), split=p.p1)
+    y = rng.standard_normal(p.p1 + p.m)
     rebuilt, result = reconstruct_block(y, phi, basis, zz)
     # the u-part of the rebuilt block's spectrum is y_u up to the exact
     # orthonormal round trip
-    coeffs = sparsify(rebuilt, basis, zz, split=p.p1)
-    assert np.allclose(coeffs.u, y.u, rtol=0, atol=1e-10)
+    coeffs = sparsify(rebuilt, basis, zz)
+    assert np.allclose(coeffs[: p.p1], y[: p.p1], rtol=0, atol=1e-10)
+    # the split is y's length less phi's m rows; the u-part and p2 must fill b^2
+    for bad in (y[1:], y[p.p1:]):
+        with pytest.raises(DimensionError, match="u-part"):
+            reconstruct_block(bad, phi, basis, zz)
 
 
 def test_embed_leaves_unassigned_sub_images_untouched():
@@ -393,8 +397,8 @@ def test_payload_channels_at_default_parameters():
     basis, zz = make_dct_basis(p.l), make_zigzag(p.l)
     channels = {"alpha": slice(0, 1), "beta": slice(1, p.c), "gamma": slice(p.c, p.p3)}
     for secret, recovered in zip(secrets, extract_images(stego, key)):
-        sent = secret_to_coeffs(secret, p, basis, zz).blocks
-        got = secret_to_coeffs(recovered, p, basis, zz).blocks
+        sent = secret_to_coeffs(secret, p, basis, zz)
+        got = secret_to_coeffs(recovered, p, basis, zz)
         rel = {name: np.linalg.norm(got[:, c] - sent[:, c]) / np.linalg.norm(sent[:, c])
                for name, c in channels.items()}
         assert rel["alpha"] < 1e-9 and rel["beta"] < 1e-9
@@ -420,12 +424,12 @@ def test_embed_matches_per_block_reference(p):
     secret = secret_raster(p.M, 33)
     basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
     phi = gen_matrix(key)
-    payload = secret_to_coeffs(secret, p, basis, zz).blocks
+    payload = secret_to_coeffs(secret, p, basis, zz)
     k = key.assignment[0]
     cover_blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)
     ref_blocks, ref_iters = [], []
     for block, t in zip(cover_blocks, payload):
-        carrier = embed_rule(measure(sparsify(block, basis, zz, split=p.p1), phi), t, p)
+        carrier = embed_rule(measure(sparsify(block, basis, zz), phi), t, p)
         rebuilt, result = reconstruct_block(carrier, phi, basis, zz)
         ref_blocks.append(rebuilt)
         ref_iters.append(result.iterations)
@@ -445,16 +449,15 @@ def test_extract_matches_per_block_reference(p):
     # trace key has l != b. The two sum in different orders, and the DC
     # channel divides the last-bit difference by alpha = 0.01; that reaches
     # about 4e-12 px, so the bound is 1e-12 / alpha
-    from sabmis import SecretCoeffs, coeffs_to_raster, partition_blocks
+    from sabmis import coeffs_to_raster, partition_blocks
     key = make_key(16, p)
     stego, _ = embed_images(cover_raster(p.N, 34), [secret_raster(p.M, 35)], key)
     basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
     phi = gen_matrix(key)
     blocks = partition_blocks(subsample(stego).sub[key.assignment[0] - 1], p.b)
-    rows = [extract_rule(measure(sparsify(block, basis, zz, split=p.p1), phi), p)
+    rows = [extract_rule(measure(sparsify(block, basis, zz), phi), p)
             for block in blocks[: p.secret_blocks]]
-    ref = coeffs_to_raster(SecretCoeffs(np.stack(rows)), p, make_dct_basis(p.l),
-                           make_zigzag(p.l))
+    ref = coeffs_to_raster(np.stack(rows), p, make_dct_basis(p.l), make_zigzag(p.l))
     got = extract_images(stego, key)[0]
     assert np.abs(got.pixels - ref.pixels).max() <= 1e-12 / p.alpha
 
@@ -471,12 +474,12 @@ def test_embed_residual_mean_on_keys_with_other_written_rows(p):
     basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
     phi = gen_matrix(key)
     k = key.assignment[0]
-    payload = secret_to_coeffs(secret, p, basis, zz).blocks
+    payload = secret_to_coeffs(secret, p, basis, zz)
     before = partition_blocks(subsample(cover).sub[k - 1], p.b)[: len(payload)]
     after = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
-    carrier = embed_rule(measure(sparsify(before, basis, zz, split=p.p1), phi), payload, p)
-    s = sparsify(after, basis, zz, split=p.p1).v
-    fit = np.linalg.norm(s @ phi.entries.T - carrier.v, axis=1)
+    carrier = embed_rule(measure(sparsify(before, basis, zz), phi), payload, p)
+    s = sparsify(after, basis, zz)[:, p.p1:]
+    fit = np.linalg.norm(s @ phi.entries.T - carrier[:, p.p1:], axis=1)
     assert report.sub_images[0].residual_mean == pytest.approx(fit.mean(), rel=1e-9)
 
 
@@ -530,17 +533,23 @@ def test_solver_path_is_frozen():
 def test_rules_on_a_stack_match_row_by_row_calls():
     rng = np.random.default_rng(4)
     p = StegoParams()
-    y = MeasurementVector(rng.standard_normal((7, p.p1 + p.m)), split=p.p1)
+    y = rng.standard_normal((7, p.p1 + p.m))
     t = rng.standard_normal((7, p.l * p.l))
     stacked = embed_rule(y, t, p)
     recovered = extract_rule(stacked, p)
-    assert stacked.y.shape == y.y.shape and recovered.shape == t.shape
+    assert stacked.shape == y.shape and recovered.shape == t.shape
     for i in range(7):
-        row = embed_rule(MeasurementVector(y.y[i], split=p.p1), t[i], p)
-        assert np.array_equal(stacked.y[i], row.y)
+        row = embed_rule(y[i], t[i], p)
+        assert np.array_equal(stacked[i], row)
         assert np.array_equal(recovered[i], extract_rule(row, p))
     with pytest.raises(DimensionError, match="shape"):
         embed_rule(y, t[:6], p)
+    # a vector or a stack must be p1 + m long
+    for bad, payload in ((y[0, 1:], t[0]), (y[:, 1:], t), (y[:, : p.p1], t)):
+        with pytest.raises(DimensionError, match=r"p1 \+ m"):
+            embed_rule(bad, payload, p)
+        with pytest.raises(DimensionError, match=r"p1 \+ m"):
+            extract_rule(bad, p)
 
 
 def test_secret_coeffs_round_trip():
@@ -549,7 +558,7 @@ def test_secret_coeffs_round_trip():
     basis, zz = make_dct_basis(p.l), make_zigzag(p.l)
     secret = secret_raster(p.M, 34)
     coeffs = secret_to_coeffs(secret, p, basis, zz)
-    assert coeffs.blocks.shape == (p.secret_blocks, p.l * p.l)
+    assert coeffs.shape == (p.secret_blocks, p.l * p.l)
     back = coeffs_to_raster(coeffs, p, basis, zz)
     assert np.abs(back.pixels - secret.pixels).max() <= 1e-9
 

@@ -6,9 +6,9 @@ import pytest
 from reference import keyed_normals_loop, splitmix64_words
 
 from sabmis import (DimensionError, FormatError, MeasurementMatrix, ParamError,
-                    Spectrum, StegoKey, StegoParams, default_params,
-                    derive_assignment, gen_matrix, keyed_normals, make_key,
-                    measure, read_key, write_key)
+                    StegoKey, StegoParams, default_params, derive_assignment,
+                    gen_matrix, keyed_normals, make_key, measure, read_key,
+                    write_key)
 
 
 def test_default_params_reference_values():
@@ -164,15 +164,15 @@ def test_measure_zero_v_part():
     phi = gen_matrix(key)
     coeffs = np.zeros(64)
     coeffs[:32] = np.arange(32.0)
-    y = measure(Spectrum(coeffs, split=32), phi)
-    assert np.array_equal(y.u, coeffs[:32])
-    assert np.all(y.v == 0)
+    y = measure(coeffs, phi)
+    assert np.array_equal(y[:32], coeffs[:32])
+    assert np.all(y[32:] == 0)
 
 
 def test_measure_hand_product():
     phi = MeasurementMatrix(2, 2, np.ones((2, 2)))
-    y = measure(Spectrum(np.array([5.0, 1.0, 2.0]), split=1), phi)
-    assert np.array_equal(y.y, [5.0, 3.0, 3.0])
+    y = measure(np.array([5.0, 1.0, 2.0]), phi)
+    assert np.array_equal(y, [5.0, 3.0, 3.0])
 
 
 def test_measure_is_linear():
@@ -180,26 +180,28 @@ def test_measure_is_linear():
     phi = gen_matrix(key)
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(64)
-    y1 = measure(Spectrum(coeffs, split=32), phi)
-    y2 = measure(Spectrum(2.5 * coeffs, split=32), phi)
-    assert np.allclose(y2.y, 2.5 * y1.y, rtol=1e-13, atol=1e-13)
+    y1 = measure(coeffs, phi)
+    y2 = measure(2.5 * coeffs, phi)
+    assert np.allclose(y2, 2.5 * y1, rtol=1e-13, atol=1e-13)
 
 
 def test_measure_stack_matches_row_by_row_calls():
     phi = gen_matrix(make_key(4))
     coeffs = np.random.default_rng(1).standard_normal((6, 64))
-    stacked = measure(Spectrum(coeffs, split=32), phi)
-    assert stacked.y.shape == (6, 352)
-    assert stacked.u.shape == (6, 32) and stacked.v.shape == (6, 320)
+    stacked = measure(coeffs, phi)
+    assert stacked.shape == (6, 352)
     for i in range(6):
-        row = measure(Spectrum(coeffs[i], split=32), phi)
-        np.testing.assert_allclose(stacked.y[i], row.y, rtol=1e-13, atol=1e-13)
+        row = measure(coeffs[i], phi)
+        np.testing.assert_allclose(stacked[i], row, rtol=1e-13, atol=1e-13)
 
 
 def test_measure_rejects_missing_split():
+    # the split is the spectrum's length less phi's p2 columns; a spectrum
+    # no longer than p2 leaves no u-part, as a vector or as a stack
     phi = gen_matrix(make_key(3))
-    with pytest.raises(DimensionError, match="split"):
-        measure(Spectrum(np.zeros(64)), phi)
+    for s in (np.zeros(32), np.zeros(20), np.zeros((3, 32))):
+        with pytest.raises(DimensionError, match="u-part"):
+            measure(s, phi)
 
 
 def test_key_file_round_trip(tmp_path):

@@ -214,14 +214,13 @@ def test_embed_residual_mean_matches_a_recomputation():
     phi = gen_matrix(key)
     for secret, k, stats in zip(secrets, key.assignment, report.sub_images):
         assert stats.sub_index == k
-        payload = secret_to_coeffs(secret, p, basis, zz).blocks
+        payload = secret_to_coeffs(secret, p, basis, zz)
         n = len(payload)
         before = partition_blocks(subsample(cover).sub[k - 1], p.b)[:n]
         after = partition_blocks(subsample(stego).sub[k - 1], p.b)[:n]
-        carrier = embed_rule(measure(sparsify(before, basis, zz, split=p.p1),
-                                     phi), payload, p)
-        s = sparsify(after, basis, zz, split=p.p1).v
-        misfit = np.linalg.norm(s @ phi.entries.T - carrier.v, axis=1)
+        carrier = embed_rule(measure(sparsify(before, basis, zz), phi), payload, p)
+        s = sparsify(after, basis, zz)[:, p.p1:]
+        misfit = np.linalg.norm(s @ phi.entries.T - carrier[:, p.p1:], axis=1)
         assert stats.residual_mean == pytest.approx(misfit.mean(), rel=1e-9)
 
 
@@ -278,9 +277,9 @@ def _paper_slab():
     phi = gen_matrix(key)
     blocks = partition_blocks(subsample(cover_raster(p.N, 1101)).sub[key.assignment[0] - 1],
                               p.b)[:512]
-    payload = secret_to_coeffs(secret_raster(p.M, 2201), p, basis, zz).blocks[:512]
-    carrier = embed_rule(measure(sparsify(blocks, basis, zz, split=p.p1), phi), payload, p)
-    return phi.entries, carrier.v
+    payload = secret_to_coeffs(secret_raster(p.M, 2201), p, basis, zz)[:512]
+    carrier = embed_rule(measure(sparsify(blocks, basis, zz), phi), payload, p)
+    return phi.entries, carrier[:, p.p1:]
 
 
 def test_certified_rows_meet_the_kkt_conditions():

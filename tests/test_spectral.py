@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, Raster, Spectrum, assemble_blocks,
-                    desparsify, make_dct_basis, make_zigzag, partition_blocks,
-                    sparsify)
+from sabmis import (DimensionError, Raster, assemble_blocks, desparsify,
+                    make_dct_basis, make_zigzag, partition_blocks, sparsify)
 from sabmis.spectral import dct_matrix
 
 
@@ -30,8 +29,8 @@ def test_basis_orthonormality(side):
 def test_constant_block_is_pure_dc():
     basis, zz = make_dct_basis(8), make_zigzag(8)
     s = sparsify(np.full((8, 8), 100.0), basis, zz)
-    assert s.coeffs[0] == pytest.approx(800.0, abs=1e-10)
-    assert np.abs(s.coeffs[1:]).max() < 1e-10
+    assert s[0] == pytest.approx(800.0, abs=1e-10)
+    assert np.abs(s[1:]).max() < 1e-10
 
 
 def test_zigzag_3_matches_known_scan():
@@ -129,16 +128,8 @@ def test_sparsify_conserves_energy():
     for _ in range(20):
         block = rng.uniform(0, 255, size=(8, 8))
         s = sparsify(block, basis, zz)
-        a, b = float((s.coeffs ** 2).sum()), float((block ** 2).sum())
+        a, b = float((s ** 2).sum()), float((block ** 2).sum())
         assert abs(a - b) <= 1e-8 * b
-
-
-def test_spectrum_split_accessors():
-    s = Spectrum(np.arange(6.0), split=2)
-    assert np.array_equal(s.u, [0, 1])
-    assert np.array_equal(s.v, [2, 3, 4, 5])
-    with pytest.raises(DimensionError):
-        _ = Spectrum(np.arange(6.0)).u
 
 
 def test_sparsify_rejects_wrong_shape():
@@ -150,14 +141,13 @@ def test_sparsify_rejects_wrong_shape():
 def test_stacked_blocks_match_row_by_row_calls():
     basis, zz = make_dct_basis(8), make_zigzag(8)
     blocks = np.random.default_rng(7).uniform(0, 255, size=(5, 8, 8))
-    stacked = sparsify(blocks, basis, zz, split=32)
-    assert stacked.coeffs.shape == (5, 64)
-    assert stacked.u.shape == (5, 32) and stacked.v.shape == (5, 32)
+    stacked = sparsify(blocks, basis, zz)
+    assert stacked.shape == (5, 64)
     rebuilt = desparsify(stacked, basis, zz)
     assert rebuilt.shape == (5, 8, 8)
     for i, block in enumerate(blocks):
-        row = sparsify(block, basis, zz, split=32)
-        np.testing.assert_allclose(stacked.coeffs[i], row.coeffs, rtol=1e-13, atol=1e-12)
+        row = sparsify(block, basis, zz)
+        np.testing.assert_allclose(stacked[i], row, rtol=1e-13, atol=1e-12)
         np.testing.assert_allclose(rebuilt[i], desparsify(row, basis, zz),
                                    rtol=1e-13, atol=1e-12)
     with pytest.raises(DimensionError):
