@@ -2,7 +2,7 @@
 
 The only shared secret is a small key file: seed plus parameters. Sender and
 receiver both regenerate the same Gaussian measurement matrix from the seed,
-so the matrix itself never travels. A block's measurement vector is a plain
+so the matrix, a plain (m, p2) array, never travels. A block's measurement vector is a plain
 array: the spectrum's first p1 coefficients (the u-part) verbatim, then the
 last p2 (the v-part) projected through the m x p2 matrix, so `measure` takes
 the split from the matrix's shape. The transplant rule reads and writes only
@@ -34,10 +34,9 @@ print(path.read_text(), end="")
 print("----------------")
 
 phi = gen_matrix(key)
-print(f"measurement matrix: {phi.rows}x{phi.cols}, "
-      f"mean {phi.entries.mean():+.4f}, var {phi.entries.var():.4f}")
-print("regeneration is bitwise identical:",
-      np.array_equal(phi.entries, gen_matrix(key).entries))
+print(f"measurement matrix: {phi.shape[0]}x{phi.shape[1]}, "
+      f"mean {phi.mean():+.4f}, var {phi.var():.4f}")
+print("regeneration is bitwise identical:", np.array_equal(phi, gen_matrix(key)))
 
 rng = np.random.default_rng(0)
 coeffs = np.concatenate([rng.uniform(-50, 50, params.p1),

@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .codec import embed_images, embed_subsets, extract_images
 from .errors import DimensionError, FormatError, ParamError, SolverError
@@ -25,17 +28,24 @@ IMAGE_SUFFIXES = (".pgm", ".srf")
 
 
 def read_image(path) -> Raster:
-    """Read PGM or SRF, sniffing the container by its magic bytes."""
+    """Read PGM or SRF, sniffing the container by its magic bytes. An image
+    holding a NaN or infinite sample is refused as a numerical failure."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic[:2] == b"P5":
-        return read_pgm(path)
-    if magic == b"SRF1":
-        return read_srf(path)
-    raise FormatError(f"{path}: unrecognized container (expected P5 PGM or SRF1)")
+        image = read_pgm(path)
+    elif magic == b"SRF1":
+        image = read_srf(path)
+    else:
+        raise FormatError(f"{path}: unrecognized container (expected P5 PGM or SRF1)")
+    if not np.isfinite(image.pixels).all():
+        raise SolverError(f"{path}: image holds non-finite samples")
+    return image
 
 
 def _cmd_keygen(args) -> int:
+    if not math.isfinite(args.m_factor):
+        raise ParamError(f"--m-factor must be finite, got {args.m_factor!r}")
     b = args.block
     p2 = b * b - args.p1
     params = StegoParams(

@@ -45,12 +45,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParamError
-from .measure import MeasurementMatrix, StegoKey, StegoParams, gen_matrix, make_key, measure
+from .measure import StegoKey, StegoParams, gen_matrix, make_key, measure
 from .raster import Raster
 from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConfig,
                      SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
-from .spectral import (DctBasis, ZigZagOrder, assemble_blocks, desparsify, make_dct_basis,
-                       make_zigzag, partition_blocks, sparsify)
+from .spectral import (assemble_blocks, desparsify, forward_matrix, partition_blocks,
+                       sparsify)
 
 
 @dataclass(frozen=True)
@@ -155,88 +155,72 @@ def rule_index_sets(p: StegoParams) -> tuple[set[int], set[int]]:
     return set((written + 1).tolist()), set((donor + 1).tolist())
 
 
-def reconstruct_block(y: np.ndarray, phi: MeasurementMatrix, basis: DctBasis,
-                      zz: ZigZagOrder) -> tuple[np.ndarray, SolverResult]:
-    """Rebuild a pixel block, or a stack of blocks, from measurements.
+def reconstruct_block(y: np.ndarray, phi: np.ndarray,
+                      p: StegoParams) -> tuple[np.ndarray, SolverResult]:
+    """Rebuild a b x b pixel block, or a stack of blocks, from measurements
+    taken with the (m, p2) matrix phi under the key's params p.
 
-    The u-part, all but the last phi.rows entries of y, is copied verbatim
-    into the spectrum; the v-part is recovered from those phi.rows
-    measurements by the l1 solver with a per-block scale-aware weight and the
-    factorization the embed uses. Returns the block(s) and the solver result.
+    The u-part, all but the last m entries of y, is copied verbatim into the
+    spectrum; the v-part is recovered from those m measurements by the l1
+    solver with a per-block scale-aware weight, on `prepare(phi)` as in the
+    embed. Returns the block(s) and the solver result.
     """
     y = np.asarray(y, dtype=np.float64)
-    split = y.shape[-1] - phi.rows
-    if split < 1 or split + phi.cols != basis.side ** 2:
+    m, p2 = phi.shape
+    split = y.shape[-1] - m
+    if split < 1 or split + p2 != p.b ** 2:
         raise DimensionError(f"measurement vector length {y.shape[-1]} is not a u-part of "
-                             f"{basis.side ** 2 - phi.cols} plus {phi.rows} measurements")
+                             f"{p.b ** 2 - p2} plus {m} measurements")
     yv = y[..., split:]
-    result = solve_lasso(LassoProblem(phi.entries, yv, default_lambda(phi.entries, yv)),
-                         cache=_factorization(phi))
-    return desparsify(np.concatenate([y[..., :split], result.s], axis=-1), basis, zz), result
+    result = solve_lasso(LassoProblem(phi, yv, default_lambda(phi, yv)))
+    return desparsify(np.concatenate([y[..., :split], result.s], axis=-1)), result
 
 
-def secret_to_coeffs(secret: Raster, p: StegoParams, basis: DctBasis,
-                     zz: ZigZagOrder) -> np.ndarray:
+def secret_to_coeffs(secret: Raster, p: StegoParams) -> np.ndarray:
     """Block-wise DCT of a secret raster, each block flattened in zig-zag
     order: a (count, l^2) array, one row per l x l block."""
-    return sparsify(partition_blocks(secret, p.l), basis, zz)
+    return sparsify(partition_blocks(secret, p.l))
 
 
-def coeffs_to_raster(t: np.ndarray, p: StegoParams, basis: DctBasis,
-                     zz: ZigZagOrder) -> Raster:
+def coeffs_to_raster(t: np.ndarray, p: StegoParams) -> Raster:
     """Inverse zig-zag plus block-wise inverse DCT of a (count, l^2) array;
     assembles the M x M raster."""
-    return assemble_blocks(desparsify(t, basis, zz), p.M, p.M)
+    return assemble_blocks(desparsify(t), p.M, p.M)
 
 
-def _forward(side: int) -> np.ndarray:
-    """The (side^2, side^2) matrix `sparsify` applies: a row-major block
-    times it is the block's zig-zag DCT coefficients; its transpose inverts it."""
-    return make_dct_basis(side).matrix[:, make_zigzag(side).perm]
-
-
-@functools.lru_cache(maxsize=8)
-def _factorization(phi: MeasurementMatrix) -> CachedFactorization:
-    """`prepare` for a keyed matrix, kept for the last few matrices.
-
-    `gen_matrix` returns one read-only matrix object per (seed, m, p2), so
-    this is keyed on (seed, m, p2); `sabmis bench` embeds many times with one
-    key. The factorization's arrays are read-only too.
-    """
-    return prepare(phi.entries)
-
-
-def _rule_reads(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
+def _rule_reads(phi: np.ndarray, p: StegoParams) -> np.ndarray:
     """(b^2, p3): a row-major b x b block times it gives, for each k < p3,
     the value at the position `_rule` writes k to minus the value at its
     donor, read from the block's measurement vector: what `extract_rule`
-    divides by the strengths. Row i of `measure(_forward(b), phi)` is the
-    measurement vector of the unit block with pixel i set."""
-    x = measure(_forward(p.b), phi)
+    divides by the strengths. Row i of `measure(forward_matrix(b), phi)` is
+    the measurement vector of the unit block with pixel i set."""
+    x = measure(forward_matrix(p.b), phi)
     written, donor, _ = _rule(p)
     return x[:, written] - x[:, donor]
 
 
 @functools.lru_cache(maxsize=8)
-def _extractor(phi: MeasurementMatrix, p: StegoParams) -> np.ndarray:
+def _extractor(seed: int, p: StegoParams) -> np.ndarray:
     """The whole per-block extraction folded into one (b^2, l^2) matrix.
 
     A row-major b x b stego block times it is the row-major l x l secret
     block that sparsify, the measurement rows the rule touches,
     `extract_rule` and `coeffs_to_raster` give, since each step is linear.
-    Kept for the last few (matrix, params); the matrix is read-only.
+    Kept for the last few (seed, params); the matrix is read-only.
     """
     _check_strengths(p)
     _, _, strength = _rule(p)
-    out = (_rule_reads(phi, p) / strength) @ _forward(p.l)[:, : p.p3].T
+    phi = gen_matrix(make_key(seed, p))
+    out = (_rule_reads(phi, p) / strength) @ forward_matrix(p.l)[:, : p.p3].T
     out.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=8)
-def _embedder(phi: MeasurementMatrix, p: StegoParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The embed's linear steps as per-key (cover_in, secret_in, back, phi_w).
+def _embedder(seed: int, p: StegoParams
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, CachedFactorization]:
+    """The embed's linear steps as per-key (cover_in, secret_in, back,
+    phi_w), with the solve's factorization `prepare(phi)`.
 
     For row-major cover and secret block rows x and z, x @ cover_in is the
     v-part s_v, then each written position's donor minus its value (minus
@@ -244,18 +228,20 @@ def _embedder(phi: MeasurementMatrix, p: StegoParams
     times their strengths, gives delta: the rule's change on its c written
     u-positions, then on the p3 - c written measurement rows W, phi_w's rows.
     Once the solve has replaced s_v by s, [delta[:c], s - s_v] @ back is the
-    block's change. Kept for the last few (matrix, params); read-only.
+    block's change. Kept for the last few (seed, params), since `sabmis
+    bench` embeds many times with one key; every array is read-only.
     """
-    fwd = _forward(p.b)
+    phi = gen_matrix(make_key(seed, p))
+    fwd = forward_matrix(p.b)
     fwd_v = fwd[:, p.p1 :]
     written, _, strength = _rule(p)
     cover_in = np.concatenate([fwd_v, -_rule_reads(phi, p)], axis=1)
-    secret_in = _forward(p.l)[:, : p.p3] * strength
+    secret_in = forward_matrix(p.l)[:, : p.p3] * strength
     back = np.concatenate([fwd[:, written[: p.c]].T, fwd_v.T])
-    phi_w = phi.entries[written[p.c :] - p.p1]
+    phi_w = phi[written[p.c :] - p.p1]
     for a in (cover_in, secret_in, back, phi_w):
         a.setflags(write=False)
-    return cover_in, secret_in, back, phi_w
+    return cover_in, secret_in, back, phi_w, prepare(phi)
 
 
 def _block_grid(pixels: np.ndarray, b: int, k: int) -> np.ndarray:
@@ -300,12 +286,11 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
 
 
 def _embed_sub_image(pixels: np.ndarray, k: int, secret: Raster, p: StegoParams,
-                     phi: MeasurementMatrix) -> tuple[np.ndarray, SubImageStats]:
+                     seed: int) -> tuple[np.ndarray, SubImageStats]:
     """Embed one secret into parity sub-image k of the cover pixels under one
-    key's params and matrix. Returns the sub-image's first secret_blocks
+    key's params and seed. Returns the sub-image's first secret_blocks
     blocks rebuilt, as (count, b*b) rows, and their stats."""
-    cover_in, secret_in, back, phi_w = _embedder(phi, p)
-    cache = _factorization(phi)
+    cover_in, secret_in, back, phi_w, cache = _embedder(seed, p)
     secret_rows = partition_blocks(secret, p.l).reshape(-1, p.l * p.l)
     count = secret_rows.shape[0]
     blocks = _gather_blocks(pixels, p.b, k, count)
@@ -365,8 +350,7 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)
-    phi = gen_matrix(key)
-    return _stego(cover, p.b, {k: _embed_sub_image(cover.pixels, k, secret, p, phi)
+    return _stego(cover, p.b, {k: _embed_sub_image(cover.pixels, k, secret, p, key.seed)
                                for secret, k in zip(secrets, key.assignment)})
 
 
@@ -385,14 +369,13 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     """
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
-    phi = gen_matrix(key)
     done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
         for combo in itertools.combinations(range(len(secrets)), count):
             for i, k in zip(combo, key_k.assignment):
                 if (k, i) not in done:
-                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, phi)
+                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, key.seed)
             stego, report = _stego(cover, full.b, {k: done[k, i] for i, k in
                                                    zip(combo, key_k.assignment)})
             yield combo, key_k, stego, report
@@ -413,7 +396,7 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     if stego.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
-    fold = _extractor(gen_matrix(key), p)
+    fold = _extractor(key.seed, p)
     out = []
     for k in key.assignment:
         rows = _gather_blocks(stego.pixels, p.b, k, p.secret_blocks) @ fold

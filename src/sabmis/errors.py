@@ -15,4 +15,5 @@ class DimensionError(SabmisError):
 
 
 class SolverError(SabmisError):
-    """Numerical failure inside the reconstruction solver."""
+    """Numerical failure: inside the reconstruction solver, or a NaN or
+    infinite sample in an input image."""

@@ -189,42 +189,34 @@ def make_key(seed: int, params: StegoParams | None = None, assignment=None) -> S
     return StegoKey(int(seed), params, tuple(assignment))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementMatrix:
-    """Keyed Gaussian projection applied to the v-part of every block spectrum."""
-
-    rows: int
-    cols: int
-    entries: np.ndarray
-
-
 @functools.lru_cache(maxsize=8)
-def _keyed_matrix(seed: int, m: int, p2: int) -> MeasurementMatrix:
-    entries = keyed_normals(seed, m * p2).reshape(m, p2)
-    entries.setflags(write=False)
-    return MeasurementMatrix(m, p2, entries)
+def _keyed_matrix(seed: int, m: int, p2: int) -> np.ndarray:
+    phi = keyed_normals(seed, m * p2).reshape(m, p2)
+    phi.setflags(write=False)
+    return phi
 
 
-def gen_matrix(key: StegoKey) -> MeasurementMatrix:
-    """Regenerate the m x p2 matrix from the key; same key, bitwise-identical matrix.
+def gen_matrix(key: StegoKey) -> np.ndarray:
+    """Regenerate the keyed Gaussian (m, p2) matrix phi that measures the
+    v-part of every block spectrum; same key, bitwise-identical matrix.
 
-    The matrix depends only on (seed, m, p2), and its entries are read-only,
-    so the last few are kept and a repeated key returns the same object.
+    The matrix depends only on (seed, m, p2) and is read-only, so the last
+    few are kept and a repeated key returns the same array.
     """
     p = key.params
     return _keyed_matrix(key.seed, p.m, p.p2)
 
 
-def measure(s: np.ndarray, phi: MeasurementMatrix) -> np.ndarray:
+def measure(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """y = [s_u ; phi @ s_v] for a spectrum, or row by row for a stack: linear
-    in the spectrum, identity on its u-part. s_v is the last phi.cols entries
-    and s_u the rest, so y holds s_u then phi.rows measurements."""
+    in the spectrum, identity on its u-part. For an (m, p2) phi, s_v is the
+    last p2 entries and s_u the rest, so y holds s_u then m measurements."""
     s = np.asarray(s, dtype=np.float64)
-    split = s.shape[-1] - phi.cols
+    split = s.shape[-1] - phi.shape[1]
     if split < 1:
         raise DimensionError(f"spectrum of length {s.shape[-1]} has no u-part before "
-                             f"the {phi.cols} entries the matrix measures")
-    return np.concatenate([s[..., :split], s[..., split:] @ phi.entries.T], axis=-1)
+                             f"the {phi.shape[1]} entries the matrix measures")
+    return np.concatenate([s[..., :split], s[..., split:] @ phi.T], axis=-1)
 
 
 # the StegoParams fields in declaration order, each with the type of its default
@@ -246,8 +238,12 @@ def write_key(key: StegoKey, path) -> None:
 
 def read_key(path) -> StegoKey:
     """Parse a key file; unknown fields and invariant violations are rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 key file (byte {exc.start})") from None
     values: dict[str, object] = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

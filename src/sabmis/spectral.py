@@ -4,7 +4,8 @@ vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
 
 import numpy as np
 
@@ -21,43 +22,23 @@ def dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class DctBasis:
-    """Sparsification basis for side x side blocks.
-
-    `matrix` is the side^2 x side^2 orthonormal synthesis matrix. Its transpose
-    is the separable 2-D DCT: matrix.T @ vec(block) equals vec(C @ block @ C.T)
-    for the row-major vec and the 1-D DCT matrix C, so a constant block of
-    value v transforms to a single DC coefficient side * v.
-    """
-
-    side: int
-    matrix: np.ndarray
-
-
-def make_dct_basis(side: int) -> DctBasis:
+def make_dct_basis(side: int) -> np.ndarray:
+    """The read-only (side^2, side^2) orthonormal synthesis matrix for side x
+    side blocks. Its transpose is the separable 2-D DCT: basis.T @ vec(block)
+    equals vec(C @ block @ C.T) for the row-major vec and the 1-D DCT matrix
+    C, so a constant block of value v transforms to a single DC coefficient
+    side * v."""
     if side < 2:
         raise DimensionError(f"block side must be at least 2, got {side}")
     c = dct_matrix(side)
     mat = np.kron(c, c).T.copy()
     mat.setflags(write=False)
-    return DctBasis(side, mat)
+    return mat
 
 
-@dataclass(frozen=True, eq=False)
-class ZigZagOrder:
-    """Anti-diagonal scan of an n x n grid, alternating direction, low to high frequency."""
-
-    side: int
-    perm: np.ndarray  # flat row-major grid indices in scan order
-
-    def positions(self) -> list[tuple[int, int]]:
-        """Scan positions as 1-based (row, column) pairs."""
-        n = self.side
-        return [(int(f) // n + 1, int(f) % n + 1) for f in self.perm]
-
-
-def make_zigzag(side: int) -> ZigZagOrder:
+def make_zigzag(side: int) -> np.ndarray:
+    """Anti-diagonal scan of a side x side grid, alternating direction, low to
+    high frequency: the flat row-major grid indices in scan order, read-only."""
     if side < 1:
         raise DimensionError(f"grid side must be at least 1, got {side}")
     order: list[int] = []
@@ -68,31 +49,41 @@ def make_zigzag(side: int) -> ZigZagOrder:
         order.extend(r * side + (d - r) for r in rows)
     perm = np.array(order, dtype=np.intp)
     perm.setflags(write=False)
-    return ZigZagOrder(side, perm)
+    return perm
 
 
-def sparsify(block: np.ndarray, basis: DctBasis, zz: ZigZagOrder) -> np.ndarray:
-    """Transform a pixel block, or a (count, b, b) stack of blocks, into its
-    spectrum: the zig-zag-ordered DCT coefficients, shape (b*b,) or
+@functools.lru_cache(maxsize=8)
+def forward_matrix(side: int) -> np.ndarray:
+    """The (side^2, side^2) matrix `sparsify` applies: a row-major side x side
+    block times it is the block's zig-zag-ordered DCT coefficients, and its
+    transpose, which `desparsify` applies, inverts it. Kept for the last few
+    sides; read-only."""
+    fwd = make_dct_basis(side)[:, make_zigzag(side)]
+    fwd.setflags(write=False)
+    return fwd
+
+
+def sparsify(block: np.ndarray) -> np.ndarray:
+    """Transform a b x b pixel block, or a (count, b, b) stack of blocks, into
+    its spectrum: the zig-zag-ordered DCT coefficients, shape (b*b,) or
     (count, b*b). Under a key, the first p1 entries are the u-part."""
-    b = basis.side
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim not in (2, 3) or block.shape[-2:] != (b, b):
-        raise DimensionError(f"block shape {block.shape} does not match basis side {b}")
-    if zz.side != b:
-        raise DimensionError(f"zig-zag side {zz.side} does not match basis side {b}")
-    return block.reshape(*block.shape[:-2], b * b) @ basis.matrix[:, zz.perm]
+    if block.ndim not in (2, 3) or block.shape[-1] != block.shape[-2]:
+        raise DimensionError(f"block shape {block.shape} is not a square block "
+                             f"or a stack of them")
+    b = block.shape[-1]
+    return block.reshape(*block.shape[:-2], b * b) @ forward_matrix(b)
 
 
-def desparsify(s: np.ndarray, basis: DctBasis, zz: ZigZagOrder) -> np.ndarray:
-    """Exact inverse of sparsify: coefficients back to a pixel block or stack of blocks."""
-    b = basis.side
+def desparsify(s: np.ndarray) -> np.ndarray:
+    """Exact inverse of sparsify: b*b coefficients back to a b x b pixel
+    block, row by row along leading axes."""
     s = np.asarray(s, dtype=np.float64)
-    if s.shape[-1] != b * b:
-        raise DimensionError(f"{s.shape[-1]} coefficients do not fill a {b}x{b} block")
-    if zz.side != b:
-        raise DimensionError(f"zig-zag side {zz.side} does not match basis side {b}")
-    return (s @ basis.matrix[:, zz.perm].T).reshape(*s.shape[:-1], b, b)
+    n = s.shape[-1] if s.ndim else 0
+    b = math.isqrt(n)
+    if n == 0 or b * b != n:
+        raise DimensionError(f"{n} coefficients do not fill a square block")
+    return (s @ forward_matrix(b).T).reshape(*s.shape[:-1], b, b)
 
 
 def partition_blocks(r: Raster, side: int) -> np.ndarray:

@@ -15,8 +15,7 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError
 from .raster import QuadSample, Raster, inverse_subsample, subsample
-from .spectral import (assemble_blocks, desparsify, make_dct_basis, make_zigzag,
-                       partition_blocks, sparsify)
+from .spectral import assemble_blocks, desparsify, partition_blocks, sparsify
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -82,11 +81,9 @@ def block_sparse_raster(r: Raster, keep: int = 32, side: int = 8) -> Raster:
     class for the scheme: its measurement tails vanish, so nothing competes
     with the embedded payload.
     """
-    basis, zz = make_dct_basis(side), make_zigzag(side)
     subs = []
     for sub in subsample(r).sub:
-        coeffs = sparsify(partition_blocks(sub, side), basis, zz)
+        coeffs = sparsify(partition_blocks(sub, side))
         coeffs[:, keep:] = 0.0
-        subs.append(assemble_blocks(desparsify(coeffs, basis, zz),
-                                    sub.height, sub.width))
+        subs.append(assemble_blocks(desparsify(coeffs), sub.height, sub.width))
     return inverse_subsample(QuadSample(tuple(subs)))

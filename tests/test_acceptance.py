@@ -15,7 +15,7 @@ import pytest
 from sabmis import (SolverConfig, StegoParams, cover_raster,
                     compare, default_params, embed_images, embed_rule,
                     extract_images, extract_rule, gen_matrix, make_dct_basis,
-                    make_key, make_zigzag, measure, partition_blocks,
+                    make_key, measure, partition_blocks,
                     quantize_u8, read_pgm, read_srf, secret_raster,
                     secret_to_coeffs, sparsify, subsample, write_pgm,
                     write_srf)
@@ -106,8 +106,8 @@ def test_structural_identities(tmp_path):
     """Criterion 3: orthonormality, transform round trips, container round
     trips, sub-sampling identity."""
     start = time.perf_counter()
-    basis, zz = make_dct_basis(8), make_zigzag(8)
-    ortho = np.abs(basis.matrix.T @ basis.matrix - np.eye(64)).max()
+    basis = make_dct_basis(8)
+    ortho = np.abs(basis.T @ basis - np.eye(64)).max()
     assert ortho <= 1e-12
 
     rng = np.random.default_rng(99)
@@ -115,7 +115,7 @@ def test_structural_identities(tmp_path):
     from sabmis import desparsify
     for _ in range(200):
         block = rng.uniform(0, 255, size=(8, 8))
-        back = desparsify(sparsify(block, basis, zz), basis, zz)
+        back = desparsify(sparsify(block))
         worst_rt = max(worst_rt, float(np.abs(back - block).max()))
     assert worst_rt <= 1e-10
 
@@ -149,14 +149,13 @@ def test_u_channel_end_to_end_exactness(paper_setup):
     start = time.perf_counter()
     stego, _ = embed_images(covers[0], [secrets[0]], key1)
 
-    basis, zz = make_dct_basis(p1.b), make_zigzag(p1.b)
     phi = gen_matrix(key1)
-    t_in = secret_to_coeffs(secrets[0], p1, basis, zz)
+    t_in = secret_to_coeffs(secrets[0], p1)
     sub = subsample(stego).sub[key1.assignment[0] - 1]
     blocks = partition_blocks(sub, p1.b)
     worst = 0.0
     for i in range(p1.secret_blocks):
-        spec = sparsify(blocks[i], basis, zz)
+        spec = sparsify(blocks[i])
         t_out = extract_rule(measure(spec, phi), p1)
         num = np.linalg.norm(t_out[: p1.c] - t_in[i, : p1.c])
         den = max(np.linalg.norm(t_in[i, : p1.c]), 1e-9)

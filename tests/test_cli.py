@@ -52,6 +52,14 @@ def test_keygen_rejects_invalid_c(tmp_path, capsys):
     assert "p1-2c >= 1 violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_keygen_rejects_a_non_finite_m_factor(tmp_path, capsys, value):
+    out = tmp_path / "k.skey"
+    assert run("keygen", "--seed", "1", "--out", str(out), "--m-factor", value) == 2
+    assert "--m-factor must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_extract_round_trip(small_setup, capsys):
     tmp, key_path, cover_path, secret_path = small_setup
     stego_path = tmp / "stego.srf"
@@ -134,6 +142,17 @@ def test_extract_with_wrong_seed_gives_low_ncc(small_setup, capsys):
     garbled = read_pgm(json.loads(capsys.readouterr().out)["files"][0])
     secret = read_pgm(secret_path)
     assert ncc(quantize_u8(secret), quantize_u8(garbled)) < 0.5
+
+
+def test_extract_with_a_binary_key_file_is_a_format_error(small_setup, capsys):
+    tmp, _, cover_path, _ = small_setup
+    bad_key = tmp / "binary.skey"
+    bad_key.write_bytes(b"version = 1\n\xff\n")
+    rc = run("extract", "--stego", str(cover_path), "--key", str(bad_key),
+             "--out-prefix", str(tmp / "x"))
+    assert rc == 3
+    assert "UTF-8" in capsys.readouterr().err
+    assert not list(tmp.glob("x*"))
 
 
 def test_extract_rejects_wrong_stego_size(small_setup, capsys):
@@ -304,7 +323,7 @@ def test_bench_records_a_wrong_size_secret(tmp_path, capsys):
 
 
 def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, monkeypatch):
-    from sabmis import Raster, cli, psnr, write_srf
+    from sabmis import Raster, cli, psnr, read_srf, write_srf
     params = StegoParams(N=128, M=64, num_secrets=2)
     key = make_key(5, params)
     key_path = tmp_path / "k.skey"
@@ -326,6 +345,10 @@ def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, mo
             "--key", str(key_path), "--report", str(report_path))
     subsets = []
     monkeypatch.setattr(cli, "psnr", lambda *a: subsets.append(a) or psnr(*a))
+    # read_image refuses a NaN sample outright; read the cover unchecked so
+    # that the failure comes from the solver, partway through the sweep
+    monkeypatch.setattr(cli, "read_image", lambda path: (
+        read_srf(path) if path.suffix == ".srf" else read_pgm(path)))
     assert run(*argv) == 0
     assert len(subsets) == 2
     entry = json.loads(report_path.read_text())["covers"]["c0"]
@@ -353,6 +376,48 @@ def test_non_finite_cover_is_numerical_failure(small_setup, capsys):
     rc = run("embed", "--cover", str(bad), "--secret", str(secret_path),
              "--key", str(key_path), "--out", str(tmp / "s.srf"))
     assert rc == 4
+
+
+def _write_nan_srf(path, row, col):
+    from sabmis import Raster, write_srf
+    pixels = np.full((SMALL.N, SMALL.N), 100.0)
+    pixels[row, col] = np.nan
+    write_srf(Raster(pixels), path)
+
+
+def test_extract_refuses_a_non_finite_stego(small_setup, capsys):
+    tmp, key_path, _, _ = small_setup
+    bad = tmp / "nan.srf"
+    _write_nan_srf(bad, 1, 0)  # in sub-image 2, the one seed 3 assigns
+    rc = run("extract", "--stego", str(bad), "--key", str(key_path),
+             "--out-prefix", str(tmp / "x"))
+    assert rc == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp.glob("x*"))
+
+
+def test_metrics_refuses_a_non_finite_image(small_setup, capsys):
+    tmp, _, cover_path, _ = small_setup
+    bad = tmp / "nan.srf"
+    _write_nan_srf(bad, 1, 0)
+    json_path = tmp / "m.json"
+    rc = run("metrics", "--ref", str(cover_path), "--test", str(bad), "--json", str(json_path))
+    assert rc == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not json_path.exists()
+
+
+def test_embed_refuses_a_non_finite_cover_outside_the_assigned_sub_image(small_setup,
+                                                                          capsys):
+    tmp, key_path, _, secret_path = small_setup
+    bad = tmp / "nan.srf"
+    _write_nan_srf(bad, 0, 0)  # in sub-image 1, which seed 3 leaves untouched
+    out, view = tmp / "s.srf", tmp / "s.pgm"
+    rc = run("embed", "--cover", str(bad), "--secret", str(secret_path),
+             "--key", str(key_path), "--out", str(out), "--export-pgm8", str(view))
+    assert rc == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists() and not view.exists()
 
 
 def test_bench_rejects_empty_corpus(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from reference import keyed_normals_loop, splitmix64_words
 
-from sabmis import (DimensionError, FormatError, MeasurementMatrix, ParamError,
+from sabmis import (DimensionError, FormatError, ParamError,
                     StegoKey, StegoParams, default_params, derive_assignment,
                     gen_matrix, keyed_normals, make_key, measure, read_key,
                     write_key)
@@ -64,8 +64,8 @@ def test_key_rejects_wrong_assignment_length():
 def test_gen_matrix_is_deterministic():
     key = make_key(7)
     a, b = gen_matrix(key), gen_matrix(key)
-    assert np.array_equal(a.entries, b.entries)
-    assert a.entries.shape == (320, 32)
+    assert np.array_equal(a, b)
+    assert a.shape == (320, 32)
 
 
 def test_gen_matrix_returns_the_same_matrix_for_a_repeated_key():
@@ -74,7 +74,7 @@ def test_gen_matrix_returns_the_same_matrix_for_a_repeated_key():
     assert gen_matrix(key) is first
     # the matrix depends on (seed, m, p2) only, not on the rest of the key
     assert gen_matrix(make_key(7, StegoParams(N=256, M=128, num_secrets=2))) is first
-    assert not first.entries.flags.writeable
+    assert not first.flags.writeable
 
 
 @pytest.mark.parametrize("seed, params", [
@@ -86,16 +86,16 @@ def test_gen_matrix_keys_differing_in_seed_or_shape_do_not_share(seed, params):
     base = gen_matrix(make_key(7))
     other = gen_matrix(make_key(seed, params))
     assert other is not base
-    assert other.entries.shape == (params.m, params.p2)
+    assert other.shape == (params.m, params.p2)
     expected = keyed_normals(seed, params.m * params.p2).reshape(params.m, params.p2)
-    assert np.array_equal(other.entries, expected)
+    assert np.array_equal(other, expected)
     assert gen_matrix(make_key(7)) is base
 
 
 def test_neighboring_seeds_give_unrelated_matrices():
     a = gen_matrix(make_key(7))
     b = gen_matrix(make_key(8))
-    assert np.mean(a.entries != b.entries) > 0.99
+    assert np.mean(a != b) > 0.99
 
 
 def test_generator_moments():
@@ -131,7 +131,7 @@ def test_keyed_normals_equal_the_scalar_loop_bitwise(seed):
 ], ids=["0xC0FFEE-default", "3-N256"])
 def test_gen_matrix_fingerprints_are_frozen(key, digest):
     # existing key files must keep regenerating the same matrices, bit for bit
-    entries = gen_matrix(key).entries.astype("<f8").tobytes()
+    entries = gen_matrix(key).astype("<f8").tobytes()
     assert hashlib.sha256(entries).hexdigest() == digest
 
 
@@ -170,7 +170,7 @@ def test_measure_zero_v_part():
 
 
 def test_measure_hand_product():
-    phi = MeasurementMatrix(2, 2, np.ones((2, 2)))
+    phi = np.ones((2, 2))
     y = measure(np.array([5.0, 1.0, 2.0]), phi)
     assert np.array_equal(y, [5.0, 3.0, 3.0])
 
@@ -279,6 +279,14 @@ def test_key_file_parse_error_reports_line(tmp_path):
     path = tmp_path / "k.skey"
     _write_lines(path, _valid_lines() + ["c == 9"])
     with pytest.raises(FormatError, match=":17"):
+        read_key(path)
+
+
+def test_key_file_rejects_bytes_that_are_not_utf8(tmp_path):
+    # a binary file, such as a stego image passed as the key
+    path = tmp_path / "k.skey"
+    path.write_bytes("\n".join(_valid_lines()).encode() + b"\n# \xff\n")
+    with pytest.raises(FormatError, match="UTF-8"):
         read_key(path)
 
 

@@ -202,25 +202,23 @@ def test_embed_residual_mean_matches_a_recomputation():
     # rebuild each block's carrier and solved v-part from the pipeline's own
     # steps and measure ||phi s - y_v|| outside the solver
     from sabmis import (StegoParams, cover_raster, embed_images, embed_rule, gen_matrix,
-                        make_dct_basis, make_key, make_zigzag, measure,
-                        partition_blocks, secret_raster, secret_to_coeffs, sparsify,
-                        subsample)
+                        make_key, measure, partition_blocks, secret_raster,
+                        secret_to_coeffs, sparsify, subsample)
     p = StegoParams(N=128, M=64, num_secrets=2)
     key = make_key(16, p)
     cover = cover_raster(p.N, 35)
     secrets = [secret_raster(p.M, 36 + i) for i in range(2)]
     stego, report = embed_images(cover, secrets, key)
-    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
     phi = gen_matrix(key)
     for secret, k, stats in zip(secrets, key.assignment, report.sub_images):
         assert stats.sub_index == k
-        payload = secret_to_coeffs(secret, p, basis, zz)
+        payload = secret_to_coeffs(secret, p)
         n = len(payload)
         before = partition_blocks(subsample(cover).sub[k - 1], p.b)[:n]
         after = partition_blocks(subsample(stego).sub[k - 1], p.b)[:n]
-        carrier = embed_rule(measure(sparsify(before, basis, zz), phi), payload, p)
-        s = sparsify(after, basis, zz)[:, p.p1:]
-        misfit = np.linalg.norm(s @ phi.entries.T - carrier[:, p.p1:], axis=1)
+        carrier = embed_rule(measure(sparsify(before), phi), payload, p)
+        s = sparsify(after)[:, p.p1:]
+        misfit = np.linalg.norm(s @ phi.T - carrier[:, p.p1:], axis=1)
         assert stats.residual_mean == pytest.approx(misfit.mean(), rel=1e-9)
 
 
@@ -268,18 +266,17 @@ def test_stacked_full_rank_solve_matches_lone_solves():
 
 def _paper_slab():
     """The first 512 carriers of a real embed at the paper's m = 320, p2 = 32."""
-    from sabmis import (cover_raster, embed_rule, gen_matrix, make_dct_basis, make_key,
-                        make_zigzag, measure, partition_blocks, secret_raster,
-                        secret_to_coeffs, sparsify, subsample)
+    from sabmis import (cover_raster, embed_rule, gen_matrix, make_key, measure,
+                        partition_blocks, secret_raster, secret_to_coeffs, sparsify,
+                        subsample)
     p = StegoParams(N=512, M=256, num_secrets=1)
     key = make_key(0xC0FFEE, p)
-    basis, zz = make_dct_basis(p.b), make_zigzag(p.b)
     phi = gen_matrix(key)
     blocks = partition_blocks(subsample(cover_raster(p.N, 1101)).sub[key.assignment[0] - 1],
                               p.b)[:512]
-    payload = secret_to_coeffs(secret_raster(p.M, 2201), p, basis, zz)[:512]
-    carrier = embed_rule(measure(sparsify(blocks, basis, zz), phi), payload, p)
-    return phi.entries, carrier[:, p.p1:]
+    payload = secret_to_coeffs(secret_raster(p.M, 2201), p)[:512]
+    carrier = embed_rule(measure(sparsify(blocks), phi), payload, p)
+    return phi, carrier[:, p.p1:]
 
 
 def test_certified_rows_meet_the_kkt_conditions():
