@@ -23,6 +23,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 16  # words per draw in derive_assignment; four distinct indices take about 8
+_PHI_MAX_ENTRIES = 2 ** 24  # m * p2 bound: phi stays within 128 MiB of float64
 
 
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
@@ -89,6 +90,9 @@ class StegoParams:
     large/small coefficient counts per cover block, p3 the embedded
     coefficients per secret block, m the measurement count, alpha/beta/gamma
     the embedding strengths and c the donor offset.
+
+    m is bounded above by m * p2 <= 2^24, so the keyed (m, p2) matrix phi
+    takes at most 128 MiB; at the default p2 = 32 that is m <= 524,288.
     """
 
     N: int = 1024
@@ -120,6 +124,9 @@ class StegoParams:
             raise ParamError(f"p1+p2 != b^2 (p1={self.p1}, p2={self.p2}, b={self.b})")
         if self.m <= self.p2:
             raise ParamError(f"m > p2 violated (m={self.m}, p2={self.p2})")
+        if self.m * self.p2 > _PHI_MAX_ENTRIES:
+            raise ParamError(f"m * p2 <= 2^24 violated (m={self.m}, p2={self.p2}): "
+                             f"phi would exceed 128 MiB")
         if self.N % 2:
             raise ParamError(f"N must be even, got {self.N}")
         if (self.N // 2) % self.b:

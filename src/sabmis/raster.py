@@ -73,10 +73,15 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
 
 
+def _rounded_u8(x: np.ndarray) -> np.ndarray:
+    # samples rounded half away from zero and clamped to [0, 255], in one new array
+    q = round_half_away(x)
+    return np.clip(q, 0.0, 255.0, out=q)
+
+
 def quantize_u8(r: Raster) -> Raster:
     """Round and clamp samples to integers in [0, 255]; idempotent."""
-    q = round_half_away(r.pixels)
-    return Raster(np.clip(q, 0.0, 255.0, out=q), "u8")
+    return Raster(_rounded_u8(r.pixels), "u8")
 
 
 def subsample(r: Raster) -> QuadSample:

@@ -60,6 +60,13 @@ def test_keygen_rejects_a_non_finite_m_factor(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_keygen_refuses_an_m_too_large_for_phi(tmp_path, capsys):
+    out = tmp_path / "k.skey"
+    assert run("keygen", "--seed", "1", "--out", str(out), "--m-factor", "1e300") == 2
+    assert "m * p2 <= 2^24 violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_extract_round_trip(small_setup, capsys):
     tmp, key_path, cover_path, secret_path = small_setup
     stego_path = tmp / "stego.srf"
@@ -152,6 +159,19 @@ def test_extract_with_a_binary_key_file_is_a_format_error(small_setup, capsys):
              "--out-prefix", str(tmp / "x"))
     assert rc == 3
     assert "UTF-8" in capsys.readouterr().err
+    assert not list(tmp.glob("x*"))
+
+
+def test_extract_with_a_hand_edited_m_is_a_parameter_error(small_setup, capsys):
+    tmp, key_path, cover_path, _ = small_setup
+    lines = key_path.read_text().splitlines()
+    edited = tmp / "edited.skey"
+    edited.write_text("\n".join(ln if not ln.startswith("m =") else f"m = {10 ** 301}"
+                                for ln in lines) + "\n")
+    rc = run("extract", "--stego", str(cover_path), "--key", str(edited),
+             "--out-prefix", str(tmp / "x"))
+    assert rc == 2
+    assert "m * p2 <= 2^24 violated" in capsys.readouterr().err
     assert not list(tmp.glob("x*"))
 
 

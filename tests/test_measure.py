@@ -39,6 +39,15 @@ def test_params_reject_undersampling():
         StegoParams(m=32)
 
 
+def test_params_bound_m_by_the_size_of_phi():
+    # m * p2 <= 2^24 keeps phi within 128 MiB: at p2 = 32 the largest m is 2^19
+    assert StegoParams(m=2 ** 19).m == 2 ** 19
+    with pytest.raises(ParamError, match=r"m \* p2 <= 2\^24 violated \(m=524289, p2=32\)"):
+        StegoParams(m=2 ** 19 + 1)
+    with pytest.raises(ParamError, match=r"m \* p2 <= 2\^24 violated \(m=1000"):
+        StegoParams(m=10 ** 300)
+
+
 def test_params_reject_secret_overflow():
     with pytest.raises(ParamError, match=r"M\^2/l\^2"):
         StegoParams(M=2048)

@@ -1,12 +1,13 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, ParamError, Raster, compare, edge_map,
-                    entropy, mssim, nae, ncc, psnr, textured_raster)
+from sabmis import (DimensionError, ParamError, Raster, SolverError, compare,
+                    edge_map, entropy, mssim, nae, ncc, psnr, textured_raster)
 
 from reference import mssim_windows
 
@@ -180,6 +181,80 @@ def test_compare_entropies_match_entropy():
     report = compare(ref, test)
     assert report.entropy_ref == entropy(ref)
     assert report.entropy_test == entropy(test)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["ref", "test"])
+def test_compare_and_entropy_refuse_a_non_finite_sample(bad, side):
+    good = textured_raster(32, 15)
+    pixels = good.pixels.copy()
+    pixels[3, 7] = bad
+    pair = (Raster(pixels), good) if side == "ref" else (good, Raster(pixels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(SolverError, match="non-finite"):
+            compare(*pair)
+        with pytest.raises(SolverError, match="non-finite"):
+            entropy(Raster(pixels))
+
+
+def _integer_pair(shape, low, high, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(low, high, shape)
+    x.flat[0] = high - 1  # a reference that is not all zero
+    return x, x + rng.integers(-30, 31, shape)
+
+
+# (1024, 1024) at full scale: every square and product sum reaches
+# 255^2 * 1024^2, about 6.8e10, still an integer below 2^53
+@pytest.mark.parametrize("shape, low, high", [((1, 1), 0, 256), ((7, 13), 0, 256),
+                                              ((64, 64), -300, 600), ((300, 257), 0, 256),
+                                              ((1024, 1024), 255, 256)])
+def test_psnr_ncc_nae_equal_their_exact_integer_values(shape, low, high):
+    x, y = _integer_pair(shape, low, high, shape[0] * 1000 + shape[1])
+    a, b = Raster(x.astype(np.float64)), Raster(y.astype(np.float64))
+    sq = int(((x - y) ** 2).sum())
+    # int / int is the correctly rounded quotient of the exact sums
+    exact_psnr = math.inf if sq == 0 else 10.0 * math.log10(255.0 * 255.0 / (sq / x.size))
+    assert psnr(a, b) == exact_psnr
+    assert ncc(a, b) == int((x * y).sum()) / int((x * x).sum())
+    assert nae(a, b) == int(np.abs(x - y).sum()) / int(np.abs(x).sum())
+
+
+# compare(...).to_dict() for three pairs, recorded before the report moved to
+# array-level cores on one quantized pair; the report must stay bitwise equal
+PINNED_REPORTS = {
+    "cover 1101 / stego": {
+        "psnr_db": 49.77148945098879, "mssim": 0.9934992970663237,
+        "ncc": 0.9999962886021753, "nae": 0.0046736624801205755,
+        "entropy_ref": 6.943536092593771, "entropy_test": 6.94405236643893},
+    "secret 2201 / extracted": {
+        "psnr_db": 45.54057126708884, "mssim": 0.9713891089576658,
+        "ncc": 0.9999736256443883, "nae": 0.017525764718690683,
+        "entropy_ref": 6.518199437795963, "entropy_test": 6.529026064076988},
+    "43x43": {
+        "psnr_db": 26.847275814506965, "mssim": 0.9874188866200042,
+        "ncc": 0.9982829837581577, "nae": 0.07189160064992466,
+        "entropy_ref": 7.906806620434253, "entropy_test": 7.8440245230540295},
+}
+
+
+def test_compare_reports_are_pinned():
+    from sabmis import (cover_raster, embed_images, extract_images, make_key,
+                        quantize_u8, secret_raster)
+    # the paper fixture of the acceptance suite
+    key = make_key(0xC0FFEE)
+    cover = quantize_u8(cover_raster(1024, 1101))
+    secrets = [quantize_u8(secret_raster(512, s)) for s in (2201, 2202, 2203, 2204)]
+    stego, _ = embed_images(cover, secrets, key)
+    # 43x43: one full strip plus a one-row strip, and a one-column last tile
+    rng = np.random.default_rng(43)
+    x = rng.uniform(0.0, 255.0, (43, 43))
+    y = x + rng.normal(0.0, 12.0, x.shape)
+    got = {"cover 1101 / stego": compare(cover, stego),
+           "secret 2201 / extracted": compare(secrets[0], extract_images(stego, key)[0]),
+           "43x43": compare(Raster(x), Raster(y))}
+    assert {name: report.to_dict() for name, report in got.items()} == PINNED_REPORTS
 
 
 def _edged_cover(side, seed):
