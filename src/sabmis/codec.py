@@ -7,13 +7,19 @@ float arrays: a spectrum of b^2 zig-zag DCT coefficients, or a measurement
 vector of p1 + m values, both with the u-part as their first p1 entries;
 stacks of them run row by row along leading axes. `_rule` gives the
 transplant's positions in the measurement vector, and both pipelines read it
-there. They compute the same thing as the definitions with fewer products:
-the rule reads and writes only the u-part and 2*(p3 - c) of the
-measurements, and the l1 solve sees the carrier only through phi^T y, so no
-block's measurement vector is formed. The solve takes its settings from phi
-alone: the weight is `LAMBDA_SCALE` * ||phi^T y||_inf per block, and ADMM's
-penalty comes with `prepare(phi)`. The stego raster is never quantized inside
-the pipeline; 8-bit export is an explicit step in the raster module.
+there.
+
+The paper rebuilds each carrier block from its measurement vector by l1
+recovery: `embed_rule`, then `reconstruct_block`. That solve projects the
+written measurement rows onto the p2-dimensional range of phi, so the mid
+(gamma) coefficients do not come back. The embed pipeline writes them
+exactly instead. A block's u-part takes the rule's c changes, as in the
+paper. Its v-part s_v moves by the smallest d after which every measurement
+row the rule writes reads what the rule put there: with A = phi_W - phi_D,
+the gap between the p3 - c written rows and their donors, d = A^+ (gamma
+t_mid - A s_v). `StegoParams` refuses p3 - c > p2, so such a d exists for
+every valid key. The stego raster is never quantized inside the pipeline;
+8-bit export is an explicit step in the raster module.
 
 Both pipelines address an assigned parity sub-image's b x b blocks through
 one strided view of the full raster: `_gather_blocks` copies its first
@@ -24,10 +30,10 @@ definitions the gather and the per-block functions are checked against.
 The embed rebuilds the gathered blocks and scatters them into one copy of
 the cover, so everything else passes through bitwise.
 
-Every step of both pipelines but the l1 solve is linear, so each folds its
-linear steps into per-key matrices built on one reader of the rule,
-`_rule_reads`: `_extractor` for the whole receiver, `_embedder` for the
-products before and after the solve.
+Every step of both pipelines is linear, so each folds into per-key matrices
+built on one reader of the rule, `_rule_reads`: `_extractor` for the whole
+receiver, and `_embedder` for the sender, whose change to a sub-image's
+blocks is one product with the blocks plus one with the secret.
 
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
@@ -44,30 +50,32 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParamError
+from .errors import DimensionError, ParamError, SolverError
 from .measure import StegoKey, StegoParams, gen_matrix, make_key, measure
 from .raster import Raster
-from .solver import (LAMBDA_SCALE, CachedFactorization, LassoProblem, SolverConfig,
-                     SolverResult, default_lambda, prepare, solve_lasso, solve_normal)
+from .solver import LassoProblem, SolverResult, default_lambda, solve_lasso
 from .spectral import (assemble_blocks, desparsify, forward_matrix, partition_blocks,
                        sparsify)
 
 
 @dataclass(frozen=True)
 class SubImageStats:
+    """What the embed did to one assigned sub-image.
+
+    `write_residual` is max |A s' - gamma t_mid| over its rebuilt blocks:
+    how far the measurement rows the rule writes read from what it wrote,
+    rounding-sized (0.0 when p3 = c writes none). No l1 solve runs, so the
+    report's solver figures `blocks`, `iterations_mean`, `iterations_max`
+    and `unconverged` each read 0.
+    """
+
     sub_index: int
-    blocks: int
-    iterations_mean: float
-    iterations_max: int
-    residual_mean: float  # mean ||phi s - y_v||_2 over reconstructed blocks
-    unconverged: int
+    write_residual: float
 
     def to_dict(self) -> dict:
-        return {"sub_index": self.sub_index, "blocks": self.blocks,
-                "iterations_mean": self.iterations_mean,
-                "iterations_max": self.iterations_max,
-                "residual_mean": self.residual_mean,
-                "unconverged": self.unconverged}
+        return {"sub_index": self.sub_index, "write_residual": self.write_residual,
+                "blocks": 0, "iterations_mean": 0.0, "iterations_max": 0,
+                "unconverged": 0}
 
 
 @dataclass(frozen=True)
@@ -162,8 +170,9 @@ def reconstruct_block(y: np.ndarray, phi: np.ndarray,
 
     The u-part, all but the last m entries of y, is copied verbatim into the
     spectrum; the v-part is recovered from those m measurements by the l1
-    solver with a per-block scale-aware weight, on `prepare(phi)` as in the
-    embed. Returns the block(s) and the solver result.
+    solver with a per-block scale-aware weight. After `embed_rule` this is
+    the paper's embed, which the pipelines replace by an exact write (see
+    the module notes). Returns the block(s) and the solver result.
     """
     y = np.asarray(y, dtype=np.float64)
     m, p2 = phi.shape
@@ -218,30 +227,35 @@ def _extractor(seed: int, p: StegoParams) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _embedder(seed: int, p: StegoParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, CachedFactorization]:
-    """The embed's linear steps as per-key (cover_in, secret_in, back,
-    phi_w), with the solve's factorization `prepare(phi)`.
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The whole per-block embed folded into per-key (cover_fold,
+    secret_fold), with (reads_w, payload_w), which check it.
 
-    For row-major cover and secret block rows x and z, x @ cover_in is the
-    v-part s_v, then each written position's donor minus its value (minus
-    `_rule_reads`). Adding z @ secret_in, the secret's first p3 coefficients
-    times their strengths, gives delta: the rule's change on its c written
-    u-positions, then on the p3 - c written measurement rows W, phi_w's rows.
-    Once the solve has replaced s_v by s, [delta[:c], s - s_v] @ back is the
-    block's change. Kept for the last few (seed, params), since `sabmis
-    bench` embeds many times with one key; every array is read-only.
+    For row-major cover and secret block rows x and z, the rule's change is
+    delta = z @ payload - x @ `_rule_reads`, payload being the secret's
+    first p3 coefficients times their strengths: on the c written
+    u-positions, then gamma t_mid - A s_v on the p3 - c written measurement
+    rows W. Row k of `change` is the block change that moves written
+    u-position k by one (k < c), or the smallest one that moves the gap A s_v
+    of written row k by one (row k - c of pinv(A).T, in pixels). So the
+    rebuilt block is x + x @ cover_fold + z @ secret_fold, and after it
+    x' @ reads_w - z @ payload_w is what the receiver reads on W minus what
+    the rule wrote there. Kept for the last few (seed, params), since
+    `sabmis bench` embeds many times with one key; every array is read-only.
     """
     phi = gen_matrix(make_key(seed, p))
     fwd = forward_matrix(p.b)
-    fwd_v = fwd[:, p.p1 :]
-    written, _, strength = _rule(p)
-    cover_in = np.concatenate([fwd_v, -_rule_reads(phi, p)], axis=1)
-    secret_in = forward_matrix(p.l)[:, : p.p3] * strength
-    back = np.concatenate([fwd[:, written[: p.c]].T, fwd_v.T])
-    phi_w = phi[written[p.c :] - p.p1]
-    for a in (cover_in, secret_in, back, phi_w):
+    written, donor, strength = _rule(p)
+    reads = _rule_reads(phi, p)
+    payload = forward_matrix(p.l)[:, : p.p3] * strength
+    gap = phi[written[p.c :] - p.p1] - phi[donor[p.c :] - p.p1]  # A, (p3 - c, p2)
+    change = np.concatenate([fwd[:, written[: p.c]].T,
+                             np.linalg.pinv(gap).T @ fwd[:, p.p1 :].T])
+    out = (-reads @ change, payload @ change,
+           reads[:, p.c :].copy(), payload[:, p.c :].copy())
+    for a in out:
         a.setflags(write=False)
-    return cover_in, secret_in, back, phi_w, prepare(phi)
+    return out
 
 
 def _block_grid(pixels: np.ndarray, b: int, k: int) -> np.ndarray:
@@ -289,32 +303,18 @@ def _embed_sub_image(pixels: np.ndarray, k: int, secret: Raster, p: StegoParams,
                      seed: int) -> tuple[np.ndarray, SubImageStats]:
     """Embed one secret into parity sub-image k of the cover pixels under one
     key's params and seed. Returns the sub-image's first secret_blocks
-    blocks rebuilt, as (count, b*b) rows, and their stats."""
-    cover_in, secret_in, back, phi_w, cache = _embedder(seed, p)
+    blocks rebuilt, as (count, b*b) rows, and their stats. A NaN or
+    infinite sample in those cover blocks or in the secret raises
+    SolverError, since it would pass into the stego unnoticed."""
+    cover_fold, secret_fold, reads_w, payload_w = _embedder(seed, p)
     secret_rows = partition_blocks(secret, p.l).reshape(-1, p.l * p.l)
-    count = secret_rows.shape[0]
-    blocks = _gather_blocks(pixels, p.b, k, count)
-    a = blocks @ cover_in
-    v = a[:, : p.p2]
-    delta = a[:, p.p2 :] + secret_rows @ secret_in
-    dm = delta[:, p.c :]  # the change on the written measurement rows W
-    aty = v @ cache.gram + dm @ phi_w
-    lam = LAMBDA_SCALE * np.abs(aty).max(axis=1)
-    s, iters, ok, _, _ = solve_normal(aty, lam, SolverConfig(), cache)
-    # with d = s - v, ||phi s - y'||^2 is the rows off W plus the rows on W:
-    # ||phi d||^2 - ||phi_W d||^2 + ||phi_W d - dm||^2, each part >= 0 up to
-    # rounding
-    d = s - v
-    dw = d @ phi_w.T
-    fit2 = (np.einsum("ij,ij->i", d @ cache.gram, d) - np.einsum("ij,ij->i", dw, dw)
-            + np.einsum("ij,ij->i", dw - dm, dw - dm))
-    blocks += np.concatenate([delta[:, : p.c], d], axis=1) @ back
-    stats = SubImageStats(
-        sub_index=k, blocks=count,
-        iterations_mean=float(iters.mean()), iterations_max=int(iters.max()),
-        residual_mean=float(np.sqrt(np.maximum(fit2, 0.0)).mean()),
-        unconverged=int(np.count_nonzero(~ok)))
-    return blocks, stats
+    blocks = _gather_blocks(pixels, p.b, k, secret_rows.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+        blocks += blocks @ cover_fold + secret_rows @ secret_fold
+    if not np.isfinite(blocks).all():
+        raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
+    miss = blocks @ reads_w - secret_rows @ payload_w
+    return blocks, SubImageStats(k, float(np.abs(miss).max(initial=0.0)))
 
 
 def _stego(cover: Raster, b: int,
@@ -331,7 +331,7 @@ def _stego(cover: Raster, b: int,
     for k, (blocks, _) in embedded.items():
         _scatter_blocks(out, b, k, blocks)
     stats = tuple(sub_stats for _, sub_stats in embedded.values())
-    return Raster(out, "float"), EmbedReport(2 * len(stats), stats)
+    return Raster._adopt(out), EmbedReport(2 * len(stats), stats)
 
 
 def embed_images(cover: Raster, secrets: Sequence[Raster],
@@ -339,14 +339,14 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     """Hide 1..4 secret rasters inside a cover raster.
 
     Per assigned sub-image: gather its first secret_blocks b x b blocks
-    straight from the cover and compute, per block, what
-    `reconstruct_block(embed_rule(measure(...)))` computes with `_embedder`'s
-    matrices: one product each of the blocks and the secret gives the v-part
-    and the rule's change delta, the l1 solver gets phi^T y = G s_v +
-    phi_W^T delta_W (G = phi^T phi, W the written measurement rows), and one
-    product adds the change in u and v to the blocks. They are scattered into
-    one copy of the cover, so unassigned sub-images and cover blocks beyond
-    the secret's block count pass through bitwise untouched.
+    straight from the cover and add one product of them and one of the
+    secret with `_embedder`'s matrices. Each block then carries the rule's
+    change on its u-part and reads exactly what the rule writes on the
+    measurement rows, through the smallest change to its v-part; the paper's
+    l1 rebuild, `reconstruct_block(embed_rule(measure(...)))`, keeps the
+    same u-part but not those reads. The blocks are scattered into one copy
+    of the cover, so unassigned sub-images and cover blocks beyond the
+    secret's block count pass through bitwise untouched.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)

@@ -27,7 +27,19 @@ class Raster:
     depth_tag: str = "float"
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.float64, order="C", copy=True)
+        self._own(np.array(self.pixels, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray, depth_tag: str = "float") -> Raster:
+        """A raster over `pixels` itself, not over a copy: for a C-ordered
+        float64 grid that the caller made and never touches again. The grid
+        becomes read-only."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "depth_tag", depth_tag)
+        r._own(pixels)
+        return r
+
+    def _own(self, px: np.ndarray) -> None:
         if px.ndim != 2 or px.size == 0:
             raise DimensionError("raster pixels must form a non-empty 2-D grid")
         if self.depth_tag not in DEPTH_TAGS:
@@ -81,7 +93,7 @@ def _rounded_u8(x: np.ndarray) -> np.ndarray:
 
 def quantize_u8(r: Raster) -> Raster:
     """Round and clamp samples to integers in [0, 255]; idempotent."""
-    return Raster(_rounded_u8(r.pixels), "u8")
+    return Raster._adopt(_rounded_u8(r.pixels), "u8")
 
 
 def subsample(r: Raster) -> QuadSample:

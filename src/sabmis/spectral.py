@@ -108,4 +108,5 @@ def assemble_blocks(blocks: np.ndarray, height: int, width: int) -> Raster:
     if height % side or width % side or count * side * side != height * width:
         raise DimensionError(f"{count} blocks of side {side} do not tile {height}x{width}")
     grid = blocks.reshape(height // side, width // side, side, side).swapaxes(1, 2)
-    return Raster(grid.reshape(height, width))
+    # one copy, never a view of the caller's blocks, which the raster then owns
+    return Raster._adopt(np.array(grid, order="C").reshape(height, width))

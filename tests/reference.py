@@ -1,6 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's own code paths. The accelerated
+These deliberately avoid the library's own code paths. The per-block
+write solves each block's least-squares problem with `np.linalg.lstsq`; the
+embed folds the pseudo-inverse of the same gap matrix into per-key products
+and never solves per block. The accelerated
 proximal-gradient iteration below shares no code with the l1 solver it is
 used to check, which certifies most rows by solving the KKT equations with
 the cached inverse of phi^T phi and runs ADMM only on the rows still open.
@@ -44,6 +47,24 @@ def keyed_normals_loop(seed, count):
         if i < count:
             out[i] = radius * math.sin(2.0 * math.pi * u2)
             i += 1
+    return out
+
+
+def exact_write(s, carrier, phi, c, p3):
+    """The spectrum the embed writes for one block with spectrum s.
+
+    Its u-part is the carrier's (the rule's measurement vector after the
+    transplant). Its v-part is s's plus the minimum-norm d, by least squares,
+    after which each written measurement row p3 - c + k minus its donor row
+    k (k = c .. p3 - 1) reads what the carrier holds there.
+    """
+    p1 = len(s) - phi.shape[1]
+    out = np.concatenate([carrier[:p1], s[p1:]])
+    pairs = [(p3 - c + k, k) for k in range(c, p3)]  # (written row, donor row)
+    if pairs:
+        gap = np.array([phi[w] - phi[d] for w, d in pairs])
+        want = np.array([carrier[p1 + w] - carrier[p1 + d] for w, d in pairs])
+        out[p1:] += np.linalg.lstsq(gap, want - gap @ s[p1:], rcond=None)[0]
     return out
 
 

@@ -39,6 +39,19 @@ def test_keygen_writes_reference_defaults(tmp_path, capsys):
     assert payload["assignment"] == list(key.assignment)
 
 
+def assert_sub_image_reports(sub_images, count):
+    # the embed writes without an l1 solve: its residual is rounding-sized,
+    # and the solver figures kept for earlier report readers read 0
+    assert len(sub_images) == count
+    for stats in sub_images:
+        assert set(stats) == {"sub_index", "write_residual", "blocks", "iterations_mean",
+                              "iterations_max", "unconverged"}
+        assert type(stats["sub_index"]) is int and 1 <= stats["sub_index"] <= 4
+        assert type(stats["write_residual"]) is float and stats["write_residual"] <= 1e-9
+        assert (stats["blocks"], stats["iterations_mean"], stats["iterations_max"],
+                stats["unconverged"]) == (0, 0.0, 0, 0)
+
+
 def test_keygen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.skey", tmp_path / "b.skey"
     run("keygen", "--seed", "9", "--out", str(a))
@@ -50,6 +63,14 @@ def test_keygen_rejects_invalid_c(tmp_path, capsys):
     rc = run("keygen", "--seed", "1", "--out", str(tmp_path / "k.skey"), "--c", "20")
     assert rc == 2
     assert "p1-2c >= 1 violated" in capsys.readouterr().err
+
+
+def test_keygen_refuses_more_written_rows_than_p2(tmp_path, capsys):
+    # --p1 48 leaves p2 = 16 for the default p3 - c = 24 written rows
+    out = tmp_path / "k.skey"
+    assert run("keygen", "--seed", "1", "--out", str(out), "--p1", "48") == 2
+    assert "p3-c <= p2 violated (p3=32, c=8, p2=16)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
@@ -77,6 +98,7 @@ def test_embed_extract_round_trip(small_setup, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["capacity_bpp"] == 2
+    assert_sub_image_reports(report["sub_images"], 1)
     assert stego_path.exists() and view_path.exists()
 
     rc = run("extract", "--stego", str(stego_path), "--key", str(key_path),
@@ -234,7 +256,8 @@ def test_bench_curves_and_restart(tmp_path, capsys):
     assert all(np.isfinite(curve))
     assert all(a >= b for a, b in zip(curve, curve[1:]))
     assert len(entry["extracted_metrics"]) == 4
-    assert "stego_metrics" in entry and "solver" in entry
+    assert "stego_metrics" in entry
+    assert_sub_image_reports(entry["solver"]["sub_images"], 4)
     # one sweep wall time per secret subset: C(4, k) of them for k secrets
     walls = entry["subset_wall_s"]
     assert {k: len(v) for k, v in walls.items()} == {
@@ -366,7 +389,8 @@ def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, mo
     subsets = []
     monkeypatch.setattr(cli, "psnr", lambda *a: subsets.append(a) or psnr(*a))
     # read_image refuses a NaN sample outright; read the cover unchecked so
-    # that the failure comes from the solver, partway through the sweep
+    # that the failure comes from the embed's own check, partway through the
+    # sweep
     monkeypatch.setattr(cli, "read_image", lambda path: (
         read_srf(path) if path.suffix == ".srf" else read_pgm(path)))
     assert run(*argv) == 0

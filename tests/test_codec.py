@@ -3,30 +3,34 @@ import hashlib
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, ParamError, Raster,
+from sabmis import (DimensionError, ParamError, Raster, SolverError,
                     StegoParams, cover_raster, embed_images, embed_rule,
                     embed_subsets, extract_images, extract_rule, gen_matrix,
                     make_key, measure, ncc, quantize_u8,
                     reconstruct_block, rule_index_sets,
                     secret_raster, secret_to_coeffs, sparsify, subsample)
 
-# smallest parameter set matching the worked trace: p1=8, p3=4, c=2, m=8
-TRACE = StegoParams(N=12, M=4, b=3, l=2, p1=8, p2=1, p3=4, m=8,
+from reference import exact_write
+
+# smallest parameter set matching the worked trace (p1=8, p3=4, c=2) on which
+# the embed can write its p3 - c = 2 measurement rows: that takes p2 >= 2,
+# so b = 4, p2 = 8 and m = 9 > p2, and measurement vectors are 17 long
+TRACE = StegoParams(N=16, M=4, b=4, l=2, p1=8, p2=8, p3=4, m=9,
                     alpha=1.0, beta=1.0, gamma=1.0, c=2, num_secrets=1)
 
 SMALL = StegoParams(N=128, M=64, num_secrets=1)
 
 
 def test_embed_rule_hand_trace():
-    y = np.arange(1.0, 17.0)
+    y = np.arange(1.0, 18.0)
     t = np.array([100.0, 200.0, 300.0, 400.0])
     out = embed_rule(y, t, TRACE)
-    expected = [1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16]
+    expected = [1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16, 17]
     assert np.array_equal(out, expected)
 
 
 def test_embed_rule_zero_payload_copies_donors():
-    y = np.arange(1.0, 17.0)
+    y = np.arange(1.0, 18.0)
     out = embed_rule(y, np.zeros(4), TRACE)
     p1, p3, c = TRACE.p1, TRACE.p3, TRACE.c
     assert out[p1 - 1] == y[p1 - 2 * c - 1]
@@ -36,29 +40,29 @@ def test_embed_rule_zero_payload_copies_donors():
 
 def test_embed_rule_leaves_other_positions_unchanged():
     rng = np.random.default_rng(0)
-    y = rng.standard_normal(16)
+    y = rng.standard_normal(17)
     out = embed_rule(y, rng.standard_normal(4), TRACE)
     written, _ = rule_index_sets(TRACE)
-    untouched = [i for i in range(16) if i + 1 not in written]
+    untouched = [i for i in range(17) if i + 1 not in written]
     assert np.array_equal(out[untouched], y[untouched])
 
 
 def test_extract_rule_inverts_hand_trace():
-    y2 = np.array([1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16.0])
+    y2 = np.array([1, 2, 3, 4, 5, 6, 205, 104, 9, 10, 11, 12, 311, 412, 15, 16, 17.0])
     t = extract_rule(y2, TRACE)
     assert np.array_equal(t, [100.0, 200.0, 300.0, 400.0])
 
 
 def test_extract_rule_zero_input_gives_zero_output():
-    t = extract_rule(np.zeros(16), TRACE)
+    t = extract_rule(np.zeros(17), TRACE)
     assert np.all(t == 0)
 
 
 def test_extract_rule_rejects_zero_strengths():
-    p = StegoParams(N=12, M=4, b=3, l=2, p1=8, p2=1, p3=4, m=8,
-                    alpha=0.0, beta=1.0, gamma=1.0, c=2, num_secrets=1)
+    from dataclasses import replace
+    p = replace(TRACE, alpha=0.0)
     with pytest.raises(ParamError, match="nonzero"):
-        extract_rule(np.zeros(16), p)
+        extract_rule(np.zeros(17), p)
 
 
 def test_rules_invert_on_random_pairs():
@@ -288,21 +292,26 @@ def test_block_gather_matches_partition_blocks(p):
 
 def test_extractor_is_kept_per_key_and_read_only():
     # the extract's fold and the embed's folds alike
+    from dataclasses import replace
+
     from sabmis import codec
     key = make_key(18, SMALL)
     equal_params = StegoParams(N=128, M=64, num_secrets=1)
-    b2, l2, p2, p3, c = SMALL.b ** 2, SMALL.l ** 2, SMALL.p2, SMALL.p3, SMALL.c
+    b2, l2, p3, c = SMALL.b ** 2, SMALL.l ** 2, SMALL.p3, SMALL.c
     cover, secret = cover_raster(SMALL.N, 40), secret_raster(SMALL.M, 41)
     cases = [(codec._extractor, [(b2, l2)], lambda: extract_images(cover, key)),
-             (codec._embedder, [(b2, p2 + p3), (l2, p3), (c + p2, b2), (p3 - c, p2)],
+             (codec._embedder, [(b2, b2), (l2, b2), (b2, p3 - c), (l2, p3 - c)],
               lambda: embed_images(cover, [secret], key))]
     for fold, shapes, run_with_key in cases:
         first = fold(key.seed, SMALL)
-        # the embed's folds end in the factorization, checked on its own below
-        arrays = first[:4] if isinstance(first, tuple) else (first,)
+        arrays = first if isinstance(first, tuple) else (first,)
         assert [a.shape for a in arrays] == shapes
         assert fold(18, equal_params) is first
-        assert fold(19, SMALL) is not first
+        # the seed, m and the p1/p2 split each get folds of their own
+        others = [fold(19, SMALL), fold(18, replace(SMALL, m=160)),
+                  fold(18, replace(SMALL, p1=40, p2=24))]
+        assert all(other is not first for other in others)
+        assert len({id(o) for o in others}) == len(others)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
@@ -367,7 +376,8 @@ def test_wrong_seed_with_the_same_assignment_still_recovers_the_secret():
 
 
 def test_key_with_p3_equal_to_c_round_trips(tmp_path):
-    # p3 = c writes no payload into the measured channel
+    # p3 = c writes no payload into the measured channel, so the embed has
+    # no measurement row to write and no write residual
     from sabmis import read_key, write_key
     p = StegoParams(N=128, M=64, p3=8, c=8, num_secrets=1)
     key = make_key(5, p)
@@ -377,16 +387,15 @@ def test_key_with_p3_equal_to_c_round_trips(tmp_path):
     assert max(written) == p.p1 and len(written) == p.c
     secret = secret_raster(p.M, 37)
     stego, report = embed_images(cover_raster(p.N, 38), [secret], key)
-    assert report.sub_images[0].unconverged == 0
+    assert report.sub_images[0].write_residual == 0.0
     recovered = extract_images(stego, key)[0]
     assert ncc(quantize_u8(secret), quantize_u8(recovered)) >= 0.99
 
 
 def test_payload_channels_at_default_parameters():
     # float path: the alpha (DC) and beta (low) channels ride on the verbatim
-    # part and come back exactly; the gamma (mid) channel is written into
-    # measurements, which the l1 solve projects onto the 32-dimensional range
-    # of phi, so what returns is mostly carrier, not payload
+    # part and the gamma (mid) channel on the measurement rows the embed
+    # writes exactly, so all three come back to rounding
     p = StegoParams()
     key = make_key(0xC0FFEE, p)
     cover = quantize_u8(cover_raster(p.N, 1101))
@@ -398,8 +407,7 @@ def test_payload_channels_at_default_parameters():
         got = secret_to_coeffs(recovered, p)
         rel = {name: np.linalg.norm(got[:, c] - sent[:, c]) / np.linalg.norm(sent[:, c])
                for name, c in channels.items()}
-        assert rel["alpha"] < 1e-9 and rel["beta"] < 1e-9
-        assert rel["gamma"] > 1.0
+        assert rel["alpha"] < 1e-9 and rel["beta"] < 1e-9 and rel["gamma"] < 1e-9
 
 
 # keys for the per-block references: the defaults at N=128, a key whose rule
@@ -413,9 +421,9 @@ REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64", "m40-partial-row"]
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
 def test_embed_matches_per_block_reference(p):
-    # the count-1 calls, one block at a time, against the pipeline's folded
-    # products over the whole sub-image
-    from sabmis import partition_blocks
+    # the least-squares write of one block at a time, on the count-1 rule,
+    # against the pipeline's two folded products over the whole sub-image
+    from sabmis import desparsify, partition_blocks
     key = make_key(15, p)
     cover = cover_raster(p.N, 32)
     secret = secret_raster(p.M, 33)
@@ -423,19 +431,46 @@ def test_embed_matches_per_block_reference(p):
     payload = secret_to_coeffs(secret, p)
     k = key.assignment[0]
     cover_blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)
-    ref_blocks, ref_iters = [], []
+    ref_blocks = []
     for block, t in zip(cover_blocks, payload):
-        carrier = embed_rule(measure(sparsify(block), phi), t, p)
-        rebuilt, result = reconstruct_block(carrier, phi, p)
-        ref_blocks.append(rebuilt)
-        ref_iters.append(result.iterations)
+        s = sparsify(block)
+        carrier = embed_rule(measure(s, phi), t, p)
+        ref_blocks.append(desparsify(exact_write(s, carrier, phi, p.c, p.p3)))
     stego, report = embed_images(cover, [secret], key)
     got = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(ref_blocks)]
     assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
-    stats = report.sub_images[0]
-    assert stats.iterations_mean == np.mean(ref_iters)
-    assert stats.iterations_max == max(ref_iters)
-    assert stats.unconverged == 0
+    assert report.sub_images[0].write_residual <= 1e-9
+
+
+def test_paper_l1_embed_keeps_the_u_part_and_loses_the_mid_payload():
+    # the paper's embed, block by block on a small key: embed_rule, then the
+    # l1 rebuild. It keeps the carrier's u-part, as the pipeline's write
+    # does, so the alpha (DC) and beta (low) coefficients return from both.
+    # The solve projects the written measurement rows onto the range of phi,
+    # so its gamma (mid) coefficients do not return; the pipeline's do
+    from sabmis import partition_blocks
+    p = SMALL
+    key = make_key(15, p)
+    cover, secret = cover_raster(p.N, 32), secret_raster(p.M, 33)
+    phi = gen_matrix(key)
+    payload = secret_to_coeffs(secret, p)
+    k = key.assignment[0]
+    blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)[: len(payload)]
+    carrier = embed_rule(measure(sparsify(blocks), phi), payload, p)
+    l1_blocks, result = reconstruct_block(carrier, phi, p)
+    assert result.converged.all()
+    stego, _ = embed_images(cover, [secret], key)
+    written = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
+    l1_spec, written_spec = sparsify(l1_blocks), sparsify(written)
+    assert np.abs(l1_spec[:, : p.p1] - written_spec[:, : p.p1]).max() <= 1e-9
+    low, mid = slice(0, p.c), slice(p.c, p.p3)
+    rel = {}
+    for name, spec in (("l1", l1_spec), ("write", written_spec)):
+        got = extract_rule(measure(spec, phi), p)
+        rel[name] = [np.linalg.norm(got[:, c] - payload[:, c]) / np.linalg.norm(payload[:, c])
+                     for c in (low, mid)]
+    assert rel["l1"][0] < 1e-9 and rel["write"][0] < 1e-9
+    assert rel["l1"][1] > 1.0 and rel["write"][1] < 1e-9
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS + [TRACE], ids=REFERENCE_IDS + ["trace"])
@@ -457,76 +492,82 @@ def test_extract_matches_per_block_reference(p):
     assert np.abs(got.pixels - ref.pixels).max() <= 1e-12 / p.alpha
 
 
-@pytest.mark.parametrize("p", REFERENCE_PARAMS[1:], ids=REFERENCE_IDS[1:])
-def test_embed_residual_mean_on_keys_with_other_written_rows(p):
-    # residual_mean comes from an n-dimensional identity over the written
-    # rows; it must equal ||phi s - y'|| formed on the full carrier, also when
-    # no row is written (p3 = c) or the written rows move
-    from sabmis import partition_blocks
+@pytest.mark.parametrize("p", REFERENCE_PARAMS[1:] + [StegoParams(N=128, M=64, num_secrets=2)],
+                         ids=REFERENCE_IDS[1:] + ["two-secrets"])
+def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
+    # write_residual is max |A s' - gamma t_mid| over a sub-image's rebuilt
+    # blocks, read through the folded per-key matrices. It is rounding-sized
+    # on the write, and 0.0 when no row is written (p3 = c). On a write that
+    # puts in half the secret's change it must equal the miss recomputed from
+    # each stego block's own measurement vector, also where the written rows
+    # move and with a second sub-image
+    from sabmis import codec, partition_blocks
     key = make_key(17, p)
-    cover, secret = cover_raster(p.N, 36), secret_raster(p.M, 37)
-    stego, report = embed_images(cover, [secret], key)
+    cover = cover_raster(p.N, 36)
+    secrets = [secret_raster(p.M, 37 + i) for i in range(p.num_secrets)]
     phi = gen_matrix(key)
+
+    def misses(stego):
+        out = []
+        for secret, k in zip(secrets, key.assignment):
+            payload = secret_to_coeffs(secret, p)
+            blocks = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
+            read = extract_rule(measure(sparsify(blocks), phi), p)
+            out.append(p.gamma * np.abs(read - payload)[:, p.c : p.p3].max(initial=0.0))
+        return out
+
+    stego, report = embed_images(cover, secrets, key)
+    assert [s.sub_index for s in report.sub_images] == list(key.assignment)
+    for stats, miss in zip(report.sub_images, misses(stego)):
+        assert stats.write_residual <= 1e-9 and miss <= 1e-9
+        assert (stats.write_residual == 0.0) == (p.p3 == p.c)
+    original = codec._embedder
+
+    def half_write(seed, q):
+        cover_fold, secret_fold, *check = original(seed, q)
+        return (cover_fold, 0.5 * secret_fold, *check)
+
+    monkeypatch.setattr(codec, "_embedder", half_write)
+    stego, report = embed_images(cover, secrets, key)
+    for stats, miss in zip(report.sub_images, misses(stego)):
+        assert (miss > 1.0) == (p.p3 > p.c)
+        assert stats.write_residual == pytest.approx(miss, rel=1e-9)
+
+
+def test_embed_refuses_non_finite_samples_it_rebuilds():
+    # with no solve to stop it, a NaN or infinite sample in an assigned
+    # sub-image's carrier blocks or in a secret would pass into the stego
+    key = make_key(3, SMALL)
     k = key.assignment[0]
-    payload = secret_to_coeffs(secret, p)
-    before = partition_blocks(subsample(cover).sub[k - 1], p.b)[: len(payload)]
-    after = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
-    carrier = embed_rule(measure(sparsify(before), phi), payload, p)
-    s = sparsify(after)[:, p.p1:]
-    fit = np.linalg.norm(s @ phi.T - carrier[:, p.p1:], axis=1)
-    assert report.sub_images[0].residual_mean == pytest.approx(fit.mean(), rel=1e-9)
+    cover, secret = cover_raster(SMALL.N, 29), secret_raster(SMALL.M, 31)
+    bad_cover = cover.pixels.copy()
+    bad_cover[(k - 1) % 2, (k - 1) // 2] = np.inf  # the sub-image's first pixel
+    bad_secret = secret.pixels.copy()
+    bad_secret[-1, -1] = np.nan
+    for bad_pair in ((Raster(bad_cover), secret), (cover, Raster(bad_secret))):
+        with pytest.raises(SolverError, match="non-finite"):
+            embed_images(bad_pair[0], [bad_pair[1]], key)
 
 
-def test_factorization_is_kept_per_key(monkeypatch):
-    from sabmis import codec, solver
-    key = make_key(18, SMALL)
-    first = codec._embedder(key.seed, SMALL)[-1]
-    assert first.phi is gen_matrix(key)
-    assert codec._embedder(18, StegoParams(N=128, M=64, num_secrets=1))[-1] is first
-    others = [codec._embedder(19, SMALL)[-1],
-              codec._embedder(18, StegoParams(N=128, M=64, m=160, num_secrets=1))[-1],
-              codec._embedder(18, StegoParams(N=128, M=64, p1=40, p2=24,
-                                              num_secrets=1))[-1]]
-    assert all(other is not first for other in others)
-    assert len({id(o) for o in others}) == len(others)
-    for a in (first.phi, first.gram, first.gram_inverse, first.inverse):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
-    # a second embed with the same key factorizes nothing
-    calls = []
-    monkeypatch.setattr(codec, "prepare", lambda *a: calls.append(a) or solver.prepare(*a))
-    codec._embedder.cache_clear()
-    cover, secret = cover_raster(SMALL.N, 38), secret_raster(SMALL.M, 39)
-    embed_images(cover, [secret], key)
-    embed_images(cover, [secret], key)
-    assert len(calls) == 1
-
-
-def test_solver_path_is_frozen():
-    # frozen per-sub-image iteration statistics and 8-bit stego digest of one
-    # N=256 embed: a solver change that alters any block's certifying round or
-    # ADMM path, even by one iteration, fails here; the digest of the 8-bit
-    # secrets extracted from its stego freezes the receiver's fold too
+def test_embed_path_is_frozen():
+    # frozen 8-bit stego digest of one N=256 embed: a change to the write
+    # that moves any pixel across a rounding boundary fails here; the digest
+    # of the 8-bit secrets extracted from its stego freezes the receiver's
+    # fold too
     p = StegoParams(N=256, M=128)
     key = make_key(3, p)
     cover = cover_raster(p.N, 41)
     secrets = [secret_raster(p.M, 50 + i) for i in range(p.num_secrets)]
     stego, report = embed_images(cover, secrets, key)
-    frozen = [(2, 1.38671875, 3, 0, 5.232854385396359),
-              (4, 1.39453125, 3, 0, 4.946299869715403),
-              (3, 1.390625, 2, 0, 5.338138274755427),
-              (1, 1.40625, 3, 0, 5.116340377359862)]
-    for stats, (k, mean, top, unconverged, residual) in zip(report.sub_images, frozen):
-        assert (stats.sub_index, stats.iterations_mean, stats.iterations_max,
-                stats.unconverged) == (k, mean, top, unconverged)
-        assert stats.residual_mean == pytest.approx(residual, rel=1e-9)
+    assert [stats.sub_index for stats in report.sub_images] == [2, 4, 3, 1]
+    assert all(stats.write_residual <= 1e-9 for stats in report.sub_images)
     u8 = quantize_u8(stego).pixels.astype(np.uint8).tobytes()
     assert hashlib.sha256(u8).hexdigest() == \
-        "93f6c88a1baadb714469ab1f4b84eb474f5022d10260c141eadd49cf55e11866"
+        "4bc876b52393d0f6e41246b8186888dbe5797ba2d6c282a1200ece5e06fc9056"
     extracted = b"".join(quantize_u8(e).pixels.astype(np.uint8).tobytes()
                          for e in extract_images(stego, key))
     assert hashlib.sha256(extracted).hexdigest() == \
-        "eea1848a7044b8c910323f8ffd50086e706f5318fad8a8de447ed865ee654716"
+        "51683ede7d22c76a55e97587a73cccee0ebcac557ef2efd3417058d4c3697954"
 
 
 def test_rules_on_a_stack_match_row_by_row_calls():

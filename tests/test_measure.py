@@ -34,6 +34,16 @@ def test_params_reject_large_c():
         StegoParams(c=20)
 
 
+def test_params_reject_more_written_rows_than_p2():
+    # the embed writes p3 - c measurement rows through the p2 coefficients of
+    # a block's v-part, so no exact write exists beyond p3 - c = p2
+    assert StegoParams(p1=40, p2=24).p2 == 24  # p3 - c = 24 rows: the largest key
+    with pytest.raises(ParamError, match=r"p3-c <= p2 violated \(p3=32, c=8, p2=16\)"):
+        StegoParams(p1=48, p2=16)
+    with pytest.raises(ParamError, match=r"p3-c <= p2 violated \(p3=4, c=2, p2=1\)"):
+        StegoParams(N=12, M=4, b=3, l=2, p1=8, p2=1, p3=4, m=8, c=2)
+
+
 def test_params_reject_undersampling():
     with pytest.raises(ParamError, match="m > p2"):
         StegoParams(m=32)

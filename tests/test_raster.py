@@ -163,6 +163,28 @@ def test_quantize_u8_idempotent():
     assert np.array_equal(once.pixels, twice.pixels)
 
 
+def test_rasters_built_inside_the_package_are_not_copied_again():
+    # a public Raster copies the caller's grid; quantize_u8 and
+    # assemble_blocks make one grid of their own and the raster adopts it
+    import tracemalloc
+
+    from sabmis import assemble_blocks, partition_blocks
+    grid = np.random.default_rng(10).uniform(0, 255, (64, 64))
+    r = Raster(grid)
+    grid[0, 0] = -1.0
+    assert r.pixels[0, 0] != -1.0 and not r.pixels.flags.writeable
+    blocks = partition_blocks(r, 8)
+    for build in (lambda: quantize_u8(r), lambda: assemble_blocks(blocks, 64, 64)):
+        tracemalloc.start()
+        try:
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.pixels.flags.writeable
+        assert peak < 1.5 * grid.nbytes
+
+
 def test_in_place_rounding_is_bitwise_the_plain_formula():
     def plain(x):
         return np.copysign(np.floor(np.abs(x) + 0.5), x)

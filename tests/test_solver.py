@@ -198,30 +198,6 @@ def test_fit_residual_is_the_measurement_misfit():
         assert stacked.fit_residual[i] == pytest.approx(misfit, rel=1e-12)
 
 
-def test_embed_residual_mean_matches_a_recomputation():
-    # rebuild each block's carrier and solved v-part from the pipeline's own
-    # steps and measure ||phi s - y_v|| outside the solver
-    from sabmis import (StegoParams, cover_raster, embed_images, embed_rule, gen_matrix,
-                        make_key, measure, partition_blocks, secret_raster,
-                        secret_to_coeffs, sparsify, subsample)
-    p = StegoParams(N=128, M=64, num_secrets=2)
-    key = make_key(16, p)
-    cover = cover_raster(p.N, 35)
-    secrets = [secret_raster(p.M, 36 + i) for i in range(2)]
-    stego, report = embed_images(cover, secrets, key)
-    phi = gen_matrix(key)
-    for secret, k, stats in zip(secrets, key.assignment, report.sub_images):
-        assert stats.sub_index == k
-        payload = secret_to_coeffs(secret, p)
-        n = len(payload)
-        before = partition_blocks(subsample(cover).sub[k - 1], p.b)[:n]
-        after = partition_blocks(subsample(stego).sub[k - 1], p.b)[:n]
-        carrier = embed_rule(measure(sparsify(before), phi), payload, p)
-        s = sparsify(after)[:, p.p1:]
-        misfit = np.linalg.norm(s @ phi.T - carrier[:, p.p1:], axis=1)
-        assert stats.residual_mean == pytest.approx(misfit.mean(), rel=1e-9)
-
-
 def test_stacked_solve_matches_lone_solves():
     # m < n: every row runs ADMM, so a cap can stop some rows and not others
     rng = np.random.default_rng(11)
