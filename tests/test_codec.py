@@ -323,6 +323,29 @@ def test_extractor_is_kept_per_key_and_read_only():
         assert (info.misses, info.hits) == (1, 1)
 
 
+def test_factorization_is_kept_per_key(monkeypatch):
+    # the embed's one factorization, the pseudo-inverse of the written rows'
+    # gap matrix, is taken once per key and reused by every later embed
+    from dataclasses import replace
+
+    from sabmis import codec
+    key = make_key(18, SMALL)
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+    codec._embedder.cache_clear()
+    cover, secret = cover_raster(SMALL.N, 38), secret_raster(SMALL.M, 39)
+    first, _ = embed_images(cover, [secret], key)
+    again, _ = embed_images(cover, [secret], key)
+    assert calls == [(SMALL.p3 - SMALL.c, SMALL.p2)]
+    np.testing.assert_array_equal(again.pixels, first.pixels)
+    # the seed, m and the p1/p2 split each factorize on their own
+    for seed, p in [(19, SMALL), (18, replace(SMALL, m=160)),
+                    (18, replace(SMALL, p1=40, p2=24))]:
+        codec._embedder(seed, p)
+    assert len(calls) == 4
+    assert calls[-1] == (SMALL.p3 - SMALL.c, 24)
+
 def test_round_trip_recovers_secret():
     key = make_key(13, SMALL)
     cover = cover_raster(SMALL.N, 26)
