@@ -2,8 +2,10 @@
 
 Hides up to four gray-scale secret images inside one cover image by
 transplanting secret DCT coefficients into keyed linear measurements of the
-cover's sparsified blocks, rebuilding the stego image with an l1 solver, and
-extracting the secrets again from the stego image and the key alone.
+cover's sparsified blocks, writing the stego image in closed form so that
+those measurements read the transplant exactly, and extracting the secrets
+again from the stego image and the key alone. The paper's l1 rebuild of each
+block stays available per block (`embed_rule`, then `reconstruct_block`).
 """
 
 from .codec import (EmbedReport, SubImageStats, coeffs_to_raster, embed_images,
@@ -17,9 +19,8 @@ from .metrics import (MetricsReport, compare, edge_map, entropy, mssim, nae, ncc
                       psnr)
 from .raster import (QuadSample, Raster, inverse_subsample, quantize_u8, read_pgm,
                      read_srf, round_half_away, subsample, write_pgm, write_srf)
-from .solver import (CachedFactorization, LassoProblem, SolverConfig, SolverResult,
-                     default_lambda, prepare, soft_threshold, solve_lasso,
-                     solve_normal)
+from .solver import (LassoProblem, SolverConfig, SolverResult, default_lambda,
+                     soft_threshold, solve_lasso)
 from .spectral import (assemble_blocks, desparsify, make_dct_basis, make_zigzag,
                        partition_blocks, sparsify)
 from .synth import (block_sparse_raster, cover_raster, secret_raster,

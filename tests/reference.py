@@ -4,9 +4,8 @@ These deliberately avoid the library's own code paths. The per-block
 write solves each block's least-squares problem with `np.linalg.lstsq`; the
 embed folds the pseudo-inverse of the same gap matrix into per-key products
 and never solves per block. The accelerated
-proximal-gradient iteration below shares no code with the l1 solver it is
-used to check, which certifies most rows by solving the KKT equations with
-the cached inverse of phi^T phi and runs ADMM only on the rows still open.
+proximal-gradient iteration below shares no code with the ADMM l1 solver it
+is used to check, and takes no matrix inverse.
 The scalar SplitMix64/Box-Muller loop shares none with the array generator
 behind `keyed_normals`, and the window-by-window SSIM loop shares none with
 `mssim`, which applies the window as banded-matrix products over strips of

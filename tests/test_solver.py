@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from sabmis import (DimensionError, LassoProblem, ParamError, SolverConfig, SolverError,
-                    StegoParams, default_lambda, prepare, soft_threshold, solve_lasso,
-                    solve_normal)
-from sabmis.solver import _ROUNDS
+                    StegoParams, default_lambda, soft_threshold, solve_lasso)
+from sabmis.solver import _prepare
 
 from reference import lasso_fista, lasso_objective
 
@@ -35,11 +34,12 @@ def test_soft_threshold_rejects_negative_kappa():
 
 
 def test_prepare_identity_system():
-    cache = prepare(np.eye(2))
+    rho, inverse = _prepare(np.eye(2))
     # rho = 1 for two rows, so (phi^T phi + rho I) = 2 I and its inverse
     # halves any right-hand side; one ulp below 0.5: the Cholesky factor
     # holds sqrt(2) on its diagonal
-    assert np.allclose(cache.inverse, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
+    assert rho == 1.0
+    assert np.allclose(inverse, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
 
 
 def test_prepare_inverse_inverts_the_system():
@@ -47,48 +47,16 @@ def test_prepare_inverse_inverts_the_system():
     for _ in range(20):
         m, n = rng.integers(4, 41), rng.integers(2, 33)
         phi = rng.standard_normal((m, n))
-        cache = prepare(phi)
-        system = phi.T @ phi + cache.rho * np.eye(n)
-        assert np.abs(cache.inverse @ system - np.eye(n)).max() <= 1e-12
+        rho, inverse = _prepare(phi)
+        system = phi.T @ phi + rho * np.eye(n)
+        assert np.abs(inverse @ system - np.eye(n)).max() <= 1e-12
 
 
 def test_prepare_derives_rho_from_the_row_count():
     # the Gram matrix of m unit-variance rows has eigenvalues near m
     rng = np.random.default_rng(15)
     for m, rho in ((320, 32.0), (8, 1.0), (15, 1.5)):
-        assert prepare(rng.standard_normal((m, 4))).rho == rho
-
-
-def test_cached_factorization_reuse_matches_fresh():
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal((12, 5))
-    cfg = SolverConfig()
-    cache = prepare(phi)
-    for _ in range(100):
-        y = rng.standard_normal(12)
-        lam = 0.1 * default_lambda(phi, y, 1.0)
-        with_cache = solve_lasso(LassoProblem(phi, y, lam), cfg, cache)
-        fresh = solve_lasso(LassoProblem(phi, y, lam), cfg)
-        assert np.array_equal(with_cache.s, fresh.s)
-        assert with_cache.iterations == fresh.iterations
-
-
-def test_cache_accepted_for_an_equal_copy_of_phi():
-    rng = np.random.default_rng(3)
-    phi = rng.standard_normal((8, 4))
-    y = rng.standard_normal(8)
-    copy = phi.copy()
-    got = solve_lasso(LassoProblem(copy, y, 0.1), SolverConfig(), prepare(phi))
-    assert np.array_equal(got.s, solve_lasso(LassoProblem(phi, y, 0.1)).s)
-
-
-def test_cache_rejected_when_phi_changes():
-    rng = np.random.default_rng(4)
-    phi = rng.standard_normal((8, 4))
-    cache = prepare(phi)
-    other = LassoProblem(phi + 1e-9, rng.standard_normal(8), 0.1)
-    with pytest.raises(ParamError, match="cached factorization"):
-        solve_lasso(other, SolverConfig(), cache)
+        assert _prepare(rng.standard_normal((m, 4)))[0] == rho
 
 
 def test_zero_measurements_solve_immediately():
@@ -158,7 +126,6 @@ def test_solver_is_bitwise_deterministic():
 
 
 def test_unconverged_result_is_flagged_not_fatal():
-    # m < n: no certificate applies, so ADMM alone meets the cap
     rng = np.random.default_rng(10)
     phi = rng.standard_normal((20, 30))
     y = rng.standard_normal(20)
@@ -167,20 +134,6 @@ def test_unconverged_result_is_flagged_not_fatal():
     assert not result.converged
     assert result.iterations == 3
     assert result.primal_residual > 0
-
-
-def test_full_rank_rows_are_certified_whatever_max_iter():
-    rng = np.random.default_rng(10)
-    phi = rng.standard_normal((30, 10))
-    y = rng.standard_normal(30)
-    results = [solve_lasso(LassoProblem(phi, y, 0.1),
-                           SolverConfig(eps_abs=1e-14, eps_rel=1e-14, max_iter=cap))
-               for cap in (1, 3, 500)]
-    for result in results:
-        assert result.converged
-        assert 1 <= result.iterations <= _ROUNDS
-        assert result.primal_residual == 0.0 and result.dual_residual == 0.0
-        assert np.array_equal(result.s, results[0].s)
 
 
 def test_fit_residual_is_the_measurement_misfit():
@@ -199,45 +152,29 @@ def test_fit_residual_is_the_measurement_misfit():
 
 
 def test_stacked_solve_matches_lone_solves():
-    # m < n: every row runs ADMM, so a cap can stop some rows and not others
+    # a cap can stop some rows and not others, for m < n and for m >= n
     rng = np.random.default_rng(11)
-    phi = rng.standard_normal((8, 10))
-    ys = rng.standard_normal((6, 8))
-    ys[2] = 0.0  # stops at the first iteration
-    lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
-    assert lam.shape == (6,)
-    free = [solve_lasso(LassoProblem(phi, y, w), SolverConfig()) for y, w in zip(ys, lam)]
-    # cap the iterations so the slowest row runs out while the others converge
-    cfg = SolverConfig(max_iter=max(r.iterations for r in free) - 1)
-    lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
-    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi))
-    assert stacked.s.shape == (6, 10)
-    assert 0 < sum(r.converged for r in lone) < len(lone)
-    for i, r in enumerate(lone):
-        assert isinstance(r.iterations, int) and isinstance(r.converged, bool)
-        assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
-        assert stacked.iterations[i] == r.iterations
-        assert stacked.converged[i] == r.converged
-    with pytest.raises(DimensionError, match="lam"):
-        LassoProblem(phi, ys, 0.1)
-
-
-def test_stacked_full_rank_solve_matches_lone_solves():
-    rng = np.random.default_rng(11)
-    phi = rng.standard_normal((30, 10))
-    ys = rng.standard_normal((6, 30))
-    ys[2] = 0.0
-    lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
-    for cap in (1, 500):
-        cfg = SolverConfig(max_iter=cap)
+    for m in (8, 30):
+        phi = rng.standard_normal((m, 10))
+        ys = rng.standard_normal((6, m))
+        ys[2] = 0.0  # stops at the first iteration
+        lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
+        assert lam.shape == (6,)
+        free = [solve_lasso(LassoProblem(phi, y, w), SolverConfig()) for y, w in zip(ys, lam)]
+        # cap the iterations so the slowest row runs out while the others converge
+        cfg = SolverConfig(max_iter=max(r.iterations for r in free) - 1)
         lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
-        stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg, prepare(phi))
-        assert stacked.converged.all() and stacked.iterations.max() <= _ROUNDS
+        stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg)
+        assert stacked.s.shape == (6, 10)
+        assert 0 < sum(r.converged for r in lone) < len(lone)
         assert np.all(stacked.s[2] == 0) and stacked.iterations[2] == 1
         for i, r in enumerate(lone):
+            assert isinstance(r.iterations, int) and isinstance(r.converged, bool)
             assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
             assert stacked.iterations[i] == r.iterations
             assert stacked.converged[i] == r.converged
+    with pytest.raises(DimensionError, match="lam"):
+        LassoProblem(phi, ys, 0.1)
 
 
 def _paper_slab():
@@ -255,93 +192,19 @@ def _paper_slab():
     return phi, carrier[:, p.p1:]
 
 
-def test_certified_rows_meet_the_kkt_conditions():
+def test_admm_matches_the_reference_on_a_paper_slab():
+    # the default stopping rule on a real embed's carriers, against FISTA
     phi, ys = _paper_slab()
     lam = default_lambda(phi, ys)
     result = solve_lasso(LassoProblem(phi, ys, lam))
-    certified = result.iterations <= _ROUNDS
-    assert certified.all()
-    assert (result.iterations > 1).any()  # some rows needed a sign update
-    assert np.all(result.primal_residual == 0.0) and np.all(result.dual_residual == 0.0)
-    corr = ys @ phi - result.s @ (phi.T @ phi)  # phi^T (y - phi s)
-    tol = 1e-9 * np.abs(ys @ phi).max(axis=1, keepdims=True)
-    on = result.s != 0
-    slack = np.where(on, np.abs(corr - lam[:, None] * np.sign(result.s)),
-                     np.abs(corr) - lam[:, None])
-    assert np.all(slack <= tol)
-    assert (~on).any()
-
-
-def test_stack_mixing_certified_and_fallback_rows_matches_lone_solves():
-    phi = _paper_slab()[0]
-    rng = np.random.default_rng(20)
-    ys = rng.standard_normal((16, 320))[[0, 9, 1, 2, 13, 3]]
-    # lam near ||phi^T y||_inf leaves one or two nonzeros, which the least-squares
-    # signs cannot reach in three rounds on rows 1 and 4
-    fallback = np.array([False, True, False, False, True, False])
-    lam = default_lambda(phi, ys, 1.0) * np.where(fallback, 0.95, 1e-3)
-    lone = [solve_lasso(LassoProblem(phi, y, w)) for y, w in zip(ys, lam)]
-    stacked = solve_lasso(LassoProblem(phi, ys, lam), cache=prepare(phi))
-    assert np.array_equal(stacked.iterations > _ROUNDS, fallback)
-    assert stacked.converged.all()
-    for i, r in enumerate(lone):
-        assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
-        assert stacked.iterations[i] == r.iterations
-        assert stacked.converged[i] == r.converged
-    for i in np.flatnonzero(fallback):
-        assert 1 <= np.count_nonzero(stacked.s[i]) <= 2
-        ref = lasso_fista(phi, ys[i], lam[i], tol=1e-10)
-        obj_ref = lasso_objective(phi, ys[i], lam[i], ref)
-        assert abs(stacked.objective[i] - obj_ref) <= 1e-4 * abs(obj_ref)
-
-
-def test_solve_normal_on_aty_matches_solve_lasso():
-    # the core that the pipeline calls with phi^T y, against the LassoProblem
-    # entry on y, on a stack mixing certified and fallback rows
-    phi = _paper_slab()[0]
-    cfg = SolverConfig()
-    rng = np.random.default_rng(20)
-    ys = rng.standard_normal((16, 320))[[0, 9, 1, 2, 13, 3]]
-    lam = default_lambda(phi, ys, 1.0) * np.array([1e-3, 0.95, 1e-3, 0.5, 0.95, 0.0])
-    cache = prepare(phi)
-    ref = solve_lasso(LassoProblem(phi, ys, lam), cfg, cache)
-    s, iterations, converged, primal, dual = solve_normal(ys @ phi, lam, cfg, cache)
-    assert (iterations > _ROUNDS).any() and (iterations <= _ROUNDS).any()
-    assert np.abs(s - ref.s).max() <= 1e-12
-    assert np.array_equal(iterations, ref.iterations)
-    assert np.array_equal(converged, ref.converged)
-    assert np.abs(primal - ref.primal_residual).max() <= 1e-12
-    assert np.abs(dual - ref.dual_residual).max() <= 1e-12
-    with pytest.raises(DimensionError):
-        solve_normal(ys @ phi, lam[:5], cfg, cache)
-    with pytest.raises(DimensionError):
-        solve_normal(ys, lam, cfg, cache)
-    bad = ys @ phi
-    bad[2, 3] = np.nan
-    with pytest.raises(SolverError):
-        solve_normal(bad, lam, cfg, cache)
-    with pytest.raises(ParamError):
-        solve_normal(ys @ phi, -lam, cfg, cache)
-
-
-def test_a_support_solve_is_never_certified_on_signs_alone():
-    # a slightly wrong inverse keeps the signs and the zero bounds but breaks
-    # stationarity, so no row may be certified and ADMM must solve them all
-    from dataclasses import replace
-    phi, ys = _paper_slab()
-    ys = ys[:64]
-    lam = default_lambda(phi, ys)
-    good = prepare(phi)
-    skewed = replace(good, gram_inverse=good.gram_inverse * (1 + 1e-6))
-    exact = solve_lasso(LassoProblem(phi, ys, lam), SolverConfig(), good)
-    result = solve_lasso(LassoProblem(phi, ys, lam), SolverConfig(), skewed)
-    assert np.all(exact.iterations <= _ROUNDS)
-    assert np.all(result.iterations > _ROUNDS) and result.converged.all()
-    assert np.abs(result.objective - exact.objective).max() <= 1e-4 * exact.objective.min()
+    assert result.converged.all()
+    for i in range(len(ys)):
+        obj_ref = lasso_objective(phi, ys[i], lam[i], lasso_fista(phi, ys[i], lam[i], tol=1e-10))
+        assert abs(result.objective[i] - obj_ref) <= 1e-6 * abs(obj_ref)
 
 
 def test_nearly_collinear_columns_fall_back_to_admm():
-    # m >= n but phi^T phi is singular to working precision: no certificate
+    # m >= n but phi^T phi is singular to working precision
     rng = np.random.default_rng(14)
     phi = rng.standard_normal((20, 8))
     phi[:, 6] = phi[:, 0]
@@ -349,7 +212,6 @@ def test_nearly_collinear_columns_fall_back_to_admm():
     ys = rng.standard_normal((5, 20))
     lam = default_lambda(phi, ys, 0.1)
     cfg = SolverConfig(eps_abs=1e-10, eps_rel=1e-10, max_iter=5000)
-    assert prepare(phi).gram_inverse is None
     result = solve_lasso(LassoProblem(phi, ys, lam), cfg)
     for i in range(5):
         obj_ref = lasso_objective(phi, ys[i], lam[i], lasso_fista(phi, ys[i], lam[i], tol=1e-8))
@@ -361,3 +223,5 @@ def test_problem_validation():
         LassoProblem(np.eye(2), np.zeros(2), -1.0)
     with pytest.raises(DimensionError):
         LassoProblem(np.eye(2), np.zeros(3), 1.0)
+    with pytest.raises(SolverError, match="matrix"):
+        LassoProblem(np.array([[1.0, np.inf], [0.0, 1.0]]), np.zeros(2), 1.0)
