@@ -151,30 +151,37 @@ def test_fit_residual_is_the_measurement_misfit():
         assert stacked.fit_residual[i] == pytest.approx(misfit, rel=1e-12)
 
 
-def test_stacked_solve_matches_lone_solves():
-    # a cap can stop some rows and not others, for m < n and for m >= n
+def _check_stacked_matches_lone(m):
+    # a cap can stop some rows and not others
     rng = np.random.default_rng(11)
-    for m in (8, 30):
-        phi = rng.standard_normal((m, 10))
-        ys = rng.standard_normal((6, m))
-        ys[2] = 0.0  # stops at the first iteration
-        lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
-        assert lam.shape == (6,)
-        free = [solve_lasso(LassoProblem(phi, y, w), SolverConfig()) for y, w in zip(ys, lam)]
-        # cap the iterations so the slowest row runs out while the others converge
-        cfg = SolverConfig(max_iter=max(r.iterations for r in free) - 1)
-        lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
-        stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg)
-        assert stacked.s.shape == (6, 10)
-        assert 0 < sum(r.converged for r in lone) < len(lone)
-        assert np.all(stacked.s[2] == 0) and stacked.iterations[2] == 1
-        for i, r in enumerate(lone):
-            assert isinstance(r.iterations, int) and isinstance(r.converged, bool)
-            assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
-            assert stacked.iterations[i] == r.iterations
-            assert stacked.converged[i] == r.converged
+    phi = rng.standard_normal((m, 10))
+    ys = rng.standard_normal((6, m))
+    ys[2] = 0.0  # stops at the first iteration
+    lam = default_lambda(phi, ys, 1.0) * np.array([0.01, 0.05, 0.0, 0.2, 0.5, 0.9])
+    assert lam.shape == (6,)
+    free = [solve_lasso(LassoProblem(phi, y, w), SolverConfig()) for y, w in zip(ys, lam)]
+    # cap the iterations so the slowest row runs out while the others converge
+    cfg = SolverConfig(max_iter=max(r.iterations for r in free) - 1)
+    lone = [solve_lasso(LassoProblem(phi, y, w), cfg) for y, w in zip(ys, lam)]
+    stacked = solve_lasso(LassoProblem(phi, ys, lam), cfg)
+    assert stacked.s.shape == (6, 10)
+    assert 0 < sum(r.converged for r in lone) < len(lone)
+    assert np.all(stacked.s[2] == 0) and stacked.iterations[2] == 1
+    for i, r in enumerate(lone):
+        assert isinstance(r.iterations, int) and isinstance(r.converged, bool)
+        assert np.abs(stacked.s[i] - r.s).max() <= 1e-12
+        assert stacked.iterations[i] == r.iterations
+        assert stacked.converged[i] == r.converged
     with pytest.raises(DimensionError, match="lam"):
         LassoProblem(phi, ys, 0.1)
+
+
+def test_stacked_solve_matches_lone_solves():
+    _check_stacked_matches_lone(8)  # m < n
+
+
+def test_stacked_full_rank_solve_matches_lone_solves():
+    _check_stacked_matches_lone(30)  # m >= n
 
 
 def _paper_slab():
