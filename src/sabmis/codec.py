@@ -30,10 +30,11 @@ definitions the gather and the per-block functions are checked against.
 The embed rebuilds the gathered blocks and scatters them into one copy of
 the cover, so everything else passes through bitwise.
 
-Every step of both pipelines is linear, so each folds into per-key matrices
-built on one reader of the rule, `_rule_reads`: `_extractor` for the whole
-receiver, and `_embedder` for the sender, whose change to a sub-image's
-blocks is one product with the blocks plus one with the secret.
+Every step of both pipelines is linear, and one per-key cache,
+`_key_factors`, serves both. The sender applies the rule's three factors as
+they are: what the rule reads from a block, what it writes from a secret
+block, and the smallest block change per written position or gap. The
+receiver's whole extraction is folded into one matrix.
 
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
@@ -123,11 +124,6 @@ def _rule(p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return written, donor, strength
 
 
-def _check_strengths(p: StegoParams) -> None:
-    if p.alpha == 0 or p.beta == 0 or p.gamma == 0:
-        raise ParamError("alpha, beta and gamma must be nonzero to extract")
-
-
 def embed_rule(y: np.ndarray, t: np.ndarray, p: StegoParams) -> np.ndarray:
     """Transplant the first p3 entries of t into a copy of y (row by row for stacks).
 
@@ -150,7 +146,6 @@ def embed_rule(y: np.ndarray, t: np.ndarray, p: StegoParams) -> np.ndarray:
 def extract_rule(y2: np.ndarray, p: StegoParams) -> np.ndarray:
     """Recover the p3 embedded coefficients from measurements; the tail stays zero."""
     y2 = _check_rule_vector(y2, p)
-    _check_strengths(p)
     written, donor, strength = _rule(p)
     t = np.zeros(y2.shape[:-1] + (p.l * p.l,))
     t[..., : p.p3] = (y2[..., written] - y2[..., donor]) / strength
@@ -197,62 +192,41 @@ def coeffs_to_raster(t: np.ndarray, p: StegoParams) -> Raster:
     return assemble_blocks(desparsify(t), p.M, p.M)
 
 
-def _rule_reads(phi: np.ndarray, p: StegoParams) -> np.ndarray:
-    """(b^2, p3): a row-major b x b block times it gives, for each k < p3,
-    the value at the position `_rule` writes k to minus the value at its
-    donor, read from the block's measurement vector: what `extract_rule`
-    divides by the strengths. Row i of `measure(forward_matrix(b), phi)` is
-    the measurement vector of the unit block with pixel i set."""
-    x = measure(forward_matrix(p.b), phi)
-    written, donor, _ = _rule(p)
-    return x[:, written] - x[:, donor]
-
-
 @functools.lru_cache(maxsize=8)
-def _extractor(seed: int, p: StegoParams) -> np.ndarray:
-    """The whole per-block extraction folded into one (b^2, l^2) matrix.
+def _key_factors(seed: int, p: StegoParams
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-key (reads, payload, change, fold): the rule's three factors and
+    the receiver's fold, for row-major b x b blocks and l x l secret blocks.
 
-    A row-major b x b stego block times it is the row-major l x l secret
-    block that sparsify, the measurement rows the rule touches,
-    `extract_rule` and `coeffs_to_raster` give, since each step is linear.
-    Kept for the last few (seed, params); the matrix is read-only.
-    """
-    _check_strengths(p)
-    _, _, strength = _rule(p)
-    phi = gen_matrix(make_key(seed, p))
-    out = (_rule_reads(phi, p) / strength) @ forward_matrix(p.l)[:, : p.p3].T
-    out.setflags(write=False)
-    return out
+    reads (b^2, p3): a block times it gives, for each k < p3, the value at
+    the position `_rule` writes k to minus the value at its donor, read from
+    the block's measurement vector; row i of `measure(forward_matrix(b), phi)`
+    is the measurement vector of the unit block with pixel i set. payload
+    (l^2, p3): a secret block times it is its first p3 coefficients times
+    their strengths, what the rule writes into those gaps. change (p3, b^2):
+    row k is the block change that moves written u-position k by one (k < c),
+    or the smallest one that moves the gap A s_v of written row k by one (row
+    k - c of pinv(A).T, in pixels), so change @ reads is the identity.
 
-
-@functools.lru_cache(maxsize=8)
-def _embedder(seed: int, p: StegoParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The whole per-block embed folded into per-key (cover_fold,
-    secret_fold), with (reads_w, payload_w), which check it.
-
-    For row-major cover and secret block rows x and z, the rule's change is
-    delta = z @ payload - x @ `_rule_reads`, payload being the secret's
-    first p3 coefficients times their strengths: on the c written
-    u-positions, then gamma t_mid - A s_v on the p3 - c written measurement
-    rows W. Row k of `change` is the block change that moves written
-    u-position k by one (k < c), or the smallest one that moves the gap A s_v
-    of written row k by one (row k - c of pinv(A).T, in pixels). So the
-    rebuilt block is x + x @ cover_fold + z @ secret_fold, and after it
-    x' @ reads_w - z @ payload_w is what the receiver reads on W minus what
-    the rule wrote there. Kept for the last few (seed, params), since
-    `sabmis bench` embeds many times with one key; every array is read-only.
+    The embed is x += (z @ payload - x @ reads) @ change. The extract is one
+    product with fold (b^2, l^2): reads / strength, then the l x l inverse
+    transform of the first p3 coefficients. That is sparsify, the
+    measurement rows the rule touches, `extract_rule` and `coeffs_to_raster`
+    in one, since each step is linear. Kept for the last few (seed, params),
+    since `sabmis bench` embeds many times with one key; every array is
+    read-only.
     """
     phi = gen_matrix(make_key(seed, p))
     fwd = forward_matrix(p.b)
     written, donor, strength = _rule(p)
-    reads = _rule_reads(phi, p)
+    x = measure(fwd, phi)
+    reads = x[:, written] - x[:, donor]
     payload = forward_matrix(p.l)[:, : p.p3] * strength
     gap = phi[written[p.c :] - p.p1] - phi[donor[p.c :] - p.p1]  # A, (p3 - c, p2)
     change = np.concatenate([fwd[:, written[: p.c]].T,
                              np.linalg.pinv(gap).T @ fwd[:, p.p1 :].T])
-    out = (-reads @ change, payload @ change,
-           reads[:, p.c :].copy(), payload[:, p.c :].copy())
+    fold = (reads / strength) @ forward_matrix(p.l)[:, : p.p3].T
+    out = (reads, payload, change, fold)
     for a in out:
         a.setflags(write=False)
     return out
@@ -303,17 +277,22 @@ def _embed_sub_image(pixels: np.ndarray, k: int, secret: Raster, p: StegoParams,
                      seed: int) -> tuple[np.ndarray, SubImageStats]:
     """Embed one secret into parity sub-image k of the cover pixels under one
     key's params and seed. Returns the sub-image's first secret_blocks
-    blocks rebuilt, as (count, b*b) rows, and their stats. A NaN or
-    infinite sample in those cover blocks or in the secret raises
-    SolverError, since it would pass into the stego unnoticed."""
-    cover_fold, secret_fold, reads_w, payload_w = _embedder(seed, p)
+    blocks rebuilt, as (count, b*b) rows, and their stats. With the cover
+    blocks x and the secret blocks z as rows, the rebuilt blocks are
+    x + (z @ payload - x @ reads) @ change (`_key_factors`), and the stats'
+    write_residual is what they read on the p3 - c written measurement rows
+    minus what the rule wrote there. A NaN or infinite sample in those cover
+    blocks or in the secret raises SolverError, since it would pass into the
+    stego unnoticed."""
+    reads, payload, change, _ = _key_factors(seed, p)
     secret_rows = partition_blocks(secret, p.l).reshape(-1, p.l * p.l)
     blocks = _gather_blocks(pixels, p.b, k, secret_rows.shape[0])
     with np.errstate(invalid="ignore", over="ignore"):  # refused just below
-        blocks += blocks @ cover_fold + secret_rows @ secret_fold
+        wrote = secret_rows @ payload
+        blocks += (wrote - blocks @ reads) @ change
     if not np.isfinite(blocks).all():
         raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
-    miss = blocks @ reads_w - secret_rows @ payload_w
+    miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
     return blocks, SubImageStats(k, float(np.abs(miss).max(initial=0.0)))
 
 
@@ -339,8 +318,9 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     """Hide 1..4 secret rasters inside a cover raster.
 
     Per assigned sub-image: gather its first secret_blocks b x b blocks
-    straight from the cover and add one product of them and one of the
-    secret with `_embedder`'s matrices. Each block then carries the rule's
+    straight from the cover and apply the rule's per-key factors: what the
+    rule writes from the secret, minus what it reads from the blocks, times
+    the smallest change per written gap. Each block then carries the rule's
     change on its u-part and reads exactly what the rule writes on the
     measurement rows, through the smallest change to its v-part; the paper's
     l1 rebuild, `reconstruct_block(embed_rule(measure(...)))`, keeps the
@@ -396,7 +376,7 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     if stego.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
-    fold = _extractor(key.seed, p)
+    *_, fold = _key_factors(key.seed, p)
     out = []
     for k in key.assignment:
         rows = _gather_blocks(stego.pixels, p.b, k, p.secret_blocks) @ fold

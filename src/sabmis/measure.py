@@ -89,7 +89,8 @@ class StegoParams:
     N/M are cover/secret sides, b/l the respective block sides, p1/p2 the
     large/small coefficient counts per cover block, p3 the embedded
     coefficients per secret block, m the measurement count, alpha/beta/gamma
-    the embedding strengths and c the donor offset.
+    the embedding strengths (finite and nonzero: the receiver divides by
+    them) and c the donor offset.
 
     m is bounded above by m * p2 <= 2^24, so the keyed (m, p2) matrix phi
     takes at most 128 MiB; at the default p2 = 32 that is m <= 524,288.
@@ -118,8 +119,8 @@ class StegoParams:
                 raise ParamError(f"{name} must be a positive integer, got {v!r}")
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParamError(f"{name} must be finite, got {v!r}")
+            if not math.isfinite(v) or v == 0:
+                raise ParamError(f"{name} must be finite and nonzero, got {v!r}")
         if not 1 <= self.num_secrets <= 4:
             raise ParamError(f"num_secrets must be 1..4, got {self.num_secrets}")
         if self.p1 + self.p2 != self.b * self.b:

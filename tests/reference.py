@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths. The per-block
 write solves each block's least-squares problem with `np.linalg.lstsq`; the
-embed folds the pseudo-inverse of the same gap matrix into per-key products
-and never solves per block. The accelerated
+embed applies the pseudo-inverse of the same gap matrix, taken once per key,
+as one of the rule's factors and never solves per block. The accelerated
 proximal-gradient iteration below shares no code with the ADMM l1 solver it
 is used to check, and takes no matrix inverse.
 The scalar SplitMix64/Box-Muller loop shares none with the array generator

@@ -73,6 +73,22 @@ def test_keygen_refuses_more_written_rows_than_p2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_keygen_and_extract_refuse_a_zero_strength(small_setup, capsys):
+    # the receiver divides by the strengths: keygen writes no key holding a
+    # zero one, and a key file edited to hold one is refused on reading
+    tmp, key_path, cover_path, _ = small_setup
+    out = tmp / "zero.skey"
+    assert run("keygen", "--seed", "1", "--out", str(out), "--alpha", "0") == 2
+    assert "alpha must be finite and nonzero" in capsys.readouterr().err
+    assert not out.exists()
+    text = key_path.read_text(encoding="utf-8")
+    key_path.write_text(text.replace("gamma = 1\n", "gamma = 0\n"), encoding="utf-8")
+    assert run("extract", "--stego", str(cover_path), "--key", str(key_path),
+               "--out-prefix", str(tmp / "recovered")) == 2
+    assert "gamma must be finite and nonzero" in capsys.readouterr().err
+    assert not list(tmp.glob("recovered*"))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
 def test_keygen_rejects_a_non_finite_m_factor(tmp_path, capsys, value):
     out = tmp_path / "k.skey"

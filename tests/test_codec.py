@@ -59,10 +59,11 @@ def test_extract_rule_zero_input_gives_zero_output():
 
 
 def test_extract_rule_rejects_zero_strengths():
+    # extract_rule divides by the strengths, so params holding a zero one
+    # are refused when they are made, before any rule can run on them
     from dataclasses import replace
-    p = replace(TRACE, alpha=0.0)
-    with pytest.raises(ParamError, match="nonzero"):
-        extract_rule(np.zeros(17), p)
+    with pytest.raises(ParamError, match="alpha must be finite and nonzero"):
+        replace(TRACE, alpha=0.0)
 
 
 def test_rules_invert_on_random_pairs():
@@ -247,12 +248,13 @@ def test_extract_validates_size():
 
 @pytest.mark.parametrize("strength", ["alpha", "beta", "gamma"])
 def test_extract_rejects_zero_strengths(strength):
-    # the check comes before the per-key matrix divides by the strengths;
-    # a divide-by-zero warning would fail this test first
+    # the receiver's per-key fold divides by the strengths, so no key can
+    # hold a zero one: the params refuse it when they are made (a key file
+    # holding one is refused on reading, see test_cli)
     from dataclasses import replace
-    key = make_key(12, replace(SMALL, **{strength: 0.0}))
-    with pytest.raises(ParamError, match="nonzero"):
-        extract_images(cover_raster(SMALL.N, 2), key)
+    for zero in (0.0, -0.0):
+        with pytest.raises(ParamError, match=f"{strength} must be finite and nonzero"):
+            replace(SMALL, **{strength: zero})
 
 
 @pytest.mark.parametrize("p", [TRACE, SMALL], ids=["trace", "small"])
@@ -291,41 +293,38 @@ def test_block_gather_matches_partition_blocks(p):
 
 
 def test_extractor_is_kept_per_key_and_read_only():
-    # the extract's fold and the embed's folds alike
+    # one per-key cache serves both pipelines: the rule's factors for the
+    # embed and the receiver's fold for the extract
     from dataclasses import replace
 
     from sabmis import codec
     key = make_key(18, SMALL)
     equal_params = StegoParams(N=128, M=64, num_secrets=1)
-    b2, l2, p3, c = SMALL.b ** 2, SMALL.l ** 2, SMALL.p3, SMALL.c
+    b2, l2, p3 = SMALL.b ** 2, SMALL.l ** 2, SMALL.p3
     cover, secret = cover_raster(SMALL.N, 40), secret_raster(SMALL.M, 41)
-    cases = [(codec._extractor, [(b2, l2)], lambda: extract_images(cover, key)),
-             (codec._embedder, [(b2, b2), (l2, b2), (b2, p3 - c), (l2, p3 - c)],
-              lambda: embed_images(cover, [secret], key))]
-    for fold, shapes, run_with_key in cases:
-        first = fold(key.seed, SMALL)
-        arrays = first if isinstance(first, tuple) else (first,)
-        assert [a.shape for a in arrays] == shapes
-        assert fold(18, equal_params) is first
-        # the seed, m and the p1/p2 split each get folds of their own
-        others = [fold(19, SMALL), fold(18, replace(SMALL, m=160)),
-                  fold(18, replace(SMALL, p1=40, p2=24))]
-        assert all(other is not first for other in others)
-        assert len({id(o) for o in others}) == len(others)
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 1.0
-        # a second run with the same key builds nothing
-        fold.cache_clear()
-        run_with_key()
-        run_with_key()
-        info = fold.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+    first = codec._key_factors(key.seed, SMALL)
+    assert [a.shape for a in first] == [(b2, p3), (l2, p3), (p3, b2), (b2, l2)]
+    assert codec._key_factors(18, equal_params) is first
+    # the seed, m and the p1/p2 split each get factors of their own
+    others = [codec._key_factors(19, SMALL), codec._key_factors(18, replace(SMALL, m=160)),
+              codec._key_factors(18, replace(SMALL, p1=40, p2=24))]
+    assert all(other is not first for other in others)
+    assert len({id(o) for o in others}) == len(others)
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # an extract after an embed under the same key builds nothing
+    codec._key_factors.cache_clear()
+    embed_images(cover, [secret], key)
+    extract_images(cover, key)
+    info = codec._key_factors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_factorization_is_kept_per_key(monkeypatch):
-    # the embed's one factorization, the pseudo-inverse of the written rows'
-    # gap matrix, is taken once per key and reused by every later embed
+    # the one factorization, the pseudo-inverse of the written rows' gap
+    # matrix, is taken once per key and reused by every later embed and
+    # extract under it
     from dataclasses import replace
 
     from sabmis import codec
@@ -333,16 +332,17 @@ def test_factorization_is_kept_per_key(monkeypatch):
     calls = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
-    codec._embedder.cache_clear()
+    codec._key_factors.cache_clear()
     cover, secret = cover_raster(SMALL.N, 38), secret_raster(SMALL.M, 39)
     first, _ = embed_images(cover, [secret], key)
+    extract_images(first, key)
     again, _ = embed_images(cover, [secret], key)
     assert calls == [(SMALL.p3 - SMALL.c, SMALL.p2)]
     np.testing.assert_array_equal(again.pixels, first.pixels)
     # the seed, m and the p1/p2 split each factorize on their own
     for seed, p in [(19, SMALL), (18, replace(SMALL, m=160)),
                     (18, replace(SMALL, p1=40, p2=24))]:
-        codec._embedder(seed, p)
+        codec._key_factors(seed, p)
     assert len(calls) == 4
     assert calls[-1] == (SMALL.p3 - SMALL.c, 24)
 
@@ -445,7 +445,7 @@ REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64", "m40-partial-row"]
 @pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
 def test_embed_matches_per_block_reference(p):
     # the least-squares write of one block at a time, on the count-1 rule,
-    # against the pipeline's two folded products over the whole sub-image
+    # against the pipeline's rule factors applied to the whole sub-image
     from sabmis import desparsify, partition_blocks
     key = make_key(15, p)
     cover = cover_raster(p.N, 32)
@@ -463,6 +463,16 @@ def test_embed_matches_per_block_reference(p):
     got = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(ref_blocks)]
     assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
     assert report.sub_images[0].write_residual <= 1e-9
+
+
+@pytest.mark.parametrize("p", REFERENCE_PARAMS + [StegoParams()],
+                         ids=REFERENCE_IDS + ["default"])
+def test_rule_change_undoes_its_reads(p):
+    # row k of change moves the k-th gap the rule reads by exactly one and
+    # every other gap not at all, which is what makes the embed's write exact
+    from sabmis import codec
+    reads, _, change, _ = codec._key_factors(5, p)
+    assert np.abs(change @ reads - np.eye(p.p3)).max() <= 1e-12
 
 
 def test_paper_l1_embed_keeps_the_u_part_and_loses_the_mid_payload():
@@ -519,9 +529,9 @@ def test_extract_matches_per_block_reference(p):
                          ids=REFERENCE_IDS[1:] + ["two-secrets"])
 def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
     # write_residual is max |A s' - gamma t_mid| over a sub-image's rebuilt
-    # blocks, read through the folded per-key matrices. It is rounding-sized
+    # blocks, read through the rule's per-key factors. It is rounding-sized
     # on the write, and 0.0 when no row is written (p3 = c). On a write that
-    # puts in half the secret's change it must equal the miss recomputed from
+    # makes half the rule's change it must equal the miss recomputed from
     # each stego block's own measurement vector, also where the written rows
     # move and with a second sub-image
     from sabmis import codec, partition_blocks
@@ -544,13 +554,13 @@ def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
     for stats, miss in zip(report.sub_images, misses(stego)):
         assert stats.write_residual <= 1e-9 and miss <= 1e-9
         assert (stats.write_residual == 0.0) == (p.p3 == p.c)
-    original = codec._embedder
+    original = codec._key_factors
 
     def half_write(seed, q):
-        cover_fold, secret_fold, *check = original(seed, q)
-        return (cover_fold, 0.5 * secret_fold, *check)
+        reads, payload, change, fold = original(seed, q)
+        return reads, payload, 0.5 * change, fold
 
-    monkeypatch.setattr(codec, "_embedder", half_write)
+    monkeypatch.setattr(codec, "_key_factors", half_write)
     stego, report = embed_images(cover, secrets, key)
     for stats, miss in zip(report.sub_images, misses(stego)):
         assert (miss > 1.0) == (p.p3 > p.c)

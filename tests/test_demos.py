@@ -1,7 +1,10 @@
 """Every script in demos/ runs to completion.
 
 The demos write their outputs under tempfile.mkdtemp() and leave them there,
-so each runs with TMPDIR pointed at the test's own temporary directory.
+so each runs with TMPDIR pointed at the test's own temporary directory. Each
+runs under the warning filters pyproject.toml sets for the tests (pytest's
+filter syntax is Python's -W syntax), so a RuntimeWarning,
+DeprecationWarning or FutureWarning stops it with an error.
 """
 
 import os
@@ -16,10 +19,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(script, tmp_path):
+def test_demo_runs(script, tmp_path, pytestconfig):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+    warnings = [f"-W{rule}" for rule in pytestconfig.getini("filterwarnings")]
+    assert warnings
+    proc = subprocess.run([sys.executable, *warnings, str(script)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
