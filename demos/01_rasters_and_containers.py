@@ -31,8 +31,8 @@ write_srf(r, srf)
 print("SRF round trip bit-exact:", np.array_equal(read_srf(srf).pixels, r.pixels))
 
 # parity sub-sampling: four quarter images, every parent pixel used once
-quad = subsample(r)
-print("sub-raster sizes:", [f"{s.width}x{s.height}" for s in quad.sub])
+subs = subsample(r)  # a 4-tuple, sub-image k at index k - 1
+print("sub-raster sizes:", [f"{s.width}x{s.height}" for s in subs])
 print("inverse gives the original back bitwise:",
-      np.array_equal(inverse_subsample(quad).pixels, r.pixels))
+      np.array_equal(inverse_subsample(subs).pixels, r.pixels))
 print("files in", out)

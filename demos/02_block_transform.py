@@ -20,7 +20,7 @@ print("zig-zag scan starts at (row, column)",
       [(f // 8 + 1, f % 8 + 1) for f in zz[:6].tolist()], "...")
 
 r = textured_raster(128, seed=7, smoothness=8)
-blocks = partition_blocks(subsample(r).sub[0], 8)
+blocks = partition_blocks(subsample(r)[0], 8)
 spectra = sparsify(blocks)  # (count, 64)
 
 energy = (spectra ** 2).sum()

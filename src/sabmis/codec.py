@@ -22,11 +22,14 @@ every valid key. The stego raster is never quantized inside the pipeline;
 8-bit export is an explicit step in the raster module.
 
 Both pipelines address an assigned parity sub-image's b x b blocks through
-one strided view of the full raster: `_gather_blocks` copies its first
+one strided view of the full raster, built from the same two layout helpers
+that `subsample` and `partition_blocks` use: the raster module's parity view
+and the spectral module's block tiling. `_gather_blocks` copies its first
 secret_blocks blocks out as (count, b^2) rows, and `_scatter_blocks` writes
-such rows back. Neither pipeline splits the raster into sub-image rasters;
-`subsample`, `partition_blocks` and the spectral round trip remain the
-definitions the gather and the per-block functions are checked against.
+such rows back through the view. Neither pipeline splits the raster into
+sub-image rasters; `subsample`, `partition_blocks` and the spectral round
+trip remain the definitions the gather and the per-block functions are
+checked against.
 The embed rebuilds the gathered blocks and scatters them into one copy of
 the cover, so everything else passes through bitwise.
 
@@ -46,17 +49,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ParamError, SolverError
 from .measure import StegoKey, StegoParams, gen_matrix, make_key, measure
-from .raster import Raster
+from .raster import Raster, _parity
 from .solver import LassoProblem, SolverResult, default_lambda, solve_lasso
-from .spectral import (assemble_blocks, desparsify, forward_matrix, partition_blocks,
-                       sparsify)
+from .spectral import (_tiles, assemble_blocks, desparsify, forward_matrix,
+                       partition_blocks, sparsify)
 
 
 @dataclass(frozen=True)
@@ -81,12 +84,13 @@ class SubImageStats:
 
 @dataclass(frozen=True)
 class EmbedReport:
-    capacity_bpp: int
-    sub_images: tuple[SubImageStats, ...] = field(default_factory=tuple)
+    sub_images: tuple[SubImageStats, ...]
 
-    def __post_init__(self):
-        if self.capacity_bpp not in (2, 4, 6, 8):
-            raise ParamError(f"capacity must be 2, 4, 6 or 8 bpp, got {self.capacity_bpp}")
+    @property
+    def capacity_bpp(self) -> int:
+        """Nominal capacity in bits per cover pixel: 2 per embedded secret,
+        an 8-bit image the size of one sub-image, a quarter of the cover."""
+        return 2 * len(self.sub_images)
 
     def to_dict(self) -> dict:
         return {"capacity_bpp": self.capacity_bpp,
@@ -232,19 +236,11 @@ def _key_factors(seed: int, p: StegoParams
     return out
 
 
-def _block_grid(pixels: np.ndarray, b: int, k: int) -> np.ndarray:
-    """Parity sub-image k of an N x N raster as a strided (g, g, b, b) view of
-    its b x b blocks: block row, block column, pixel row, pixel column."""
-    g = pixels.shape[0] // (2 * b)
-    grid = pixels.reshape(g, b, 2, g, b, 2)[:, :, (k - 1) % 2, :, :, (k - 1) // 2]
-    return grid.transpose(0, 2, 1, 3)
-
-
 def _gather_blocks(pixels: np.ndarray, b: int, k: int, count: int) -> np.ndarray:
     """The first `count` b x b blocks of parity sub-image k of an N x N
     raster, in row-major block order, as (count, b*b) rows: what
-    `partition_blocks(subsample(r).sub[k - 1], b)` holds, in one copy."""
-    grid = _block_grid(pixels, b, k)
+    `partition_blocks(subsample(r)[k - 1], b)` holds, in one copy."""
+    grid = _tiles(_parity(pixels, k), b)
     rows = -(-count // grid.shape[0])  # block rows holding the first `count` blocks
     return grid[:rows].reshape(-1, b * b)[:count]
 
@@ -252,7 +248,7 @@ def _gather_blocks(pixels: np.ndarray, b: int, k: int, count: int) -> np.ndarray
 def _scatter_blocks(pixels: np.ndarray, b: int, k: int, blocks: np.ndarray) -> None:
     """Write (count, b*b) rows over the first `count` blocks of parity
     sub-image k of `pixels`, in place: the inverse of `_gather_blocks`."""
-    grid = _block_grid(pixels, b, k)
+    grid = _tiles(_parity(pixels, k), b)
     g = grid.shape[0]
     full, rest = divmod(blocks.shape[0], g)  # whole block rows, then a partial one
     tiles = blocks.reshape(-1, b, b)
@@ -310,7 +306,7 @@ def _stego(cover: Raster, b: int,
     for k, (blocks, _) in embedded.items():
         _scatter_blocks(out, b, k, blocks)
     stats = tuple(sub_stats for _, sub_stats in embedded.values())
-    return Raster._adopt(out), EmbedReport(2 * len(stats), stats)
+    return Raster._adopt(out), EmbedReport(stats)
 
 
 def embed_images(cover: Raster, secrets: Sequence[Raster],

@@ -190,8 +190,8 @@ def edge_map(a: Raster, threshold: float = 0.2) -> Raster:
     mag = np.hypot(gx, gy)
     peak = float(mag.max())
     if peak == 0.0:
-        return Raster(np.zeros_like(mag), "u8")
-    return Raster((mag >= threshold * peak).astype(np.float64), "u8")
+        return Raster._adopt(np.zeros_like(mag))
+    return Raster._adopt((mag >= threshold * peak).astype(np.float64))
 
 
 @dataclass(frozen=True)

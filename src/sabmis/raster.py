@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, FormatError
-
-DEPTH_TAGS = ("float", "u8", "u16")
 
 SRF_MAGIC = b"SRF1"
 
@@ -24,26 +23,22 @@ class Raster:
     """A gray-scale image: (height, width) float64 grid, nominal range [0, 255]."""
 
     pixels: np.ndarray
-    depth_tag: str = "float"
 
     def __post_init__(self):
         self._own(np.array(self.pixels, dtype=np.float64, order="C", copy=True))
 
     @classmethod
-    def _adopt(cls, pixels: np.ndarray, depth_tag: str = "float") -> Raster:
+    def _adopt(cls, pixels: np.ndarray) -> Raster:
         """A raster over `pixels` itself, not over a copy: for a C-ordered
         float64 grid that the caller made and never touches again. The grid
         becomes read-only."""
         r = object.__new__(cls)
-        object.__setattr__(r, "depth_tag", depth_tag)
         r._own(pixels)
         return r
 
     def _own(self, px: np.ndarray) -> None:
         if px.ndim != 2 or px.size == 0:
             raise DimensionError("raster pixels must form a non-empty 2-D grid")
-        if self.depth_tag not in DEPTH_TAGS:
-            raise ValueError(f"unknown depth_tag {self.depth_tag!r}")
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
@@ -54,23 +49,6 @@ class Raster:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class QuadSample:
-    """The four parity sub-rasters of an even-sized raster, indexed k = 1..4."""
-
-    sub: tuple[Raster, Raster, Raster, Raster]
-
-    def __post_init__(self):
-        sub = tuple(self.sub)
-        if len(sub) != 4:
-            raise DimensionError(f"expected exactly four sub-rasters, got {len(sub)}")
-        shape = sub[0].pixels.shape
-        for s in sub[1:]:
-            if s.pixels.shape != shape:
-                raise DimensionError("sub-raster dimensions differ")
-        object.__setattr__(self, "sub", sub)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -93,11 +71,18 @@ def _rounded_u8(x: np.ndarray) -> np.ndarray:
 
 def quantize_u8(r: Raster) -> Raster:
     """Round and clamp samples to integers in [0, 255]; idempotent."""
-    return Raster._adopt(_rounded_u8(r.pixels), "u8")
+    return Raster._adopt(_rounded_u8(r.pixels))
 
 
-def subsample(r: Raster) -> QuadSample:
-    """Split into four (h/2, w/2) rasters by (row, column) parity.
+def _parity(pixels: np.ndarray, k: int) -> np.ndarray:
+    # parity sub-image k = 1..4 of a grid, as a strided view: (odd, odd),
+    # (even, odd), (odd, even), (even, even) rows and columns, 1-based
+    return pixels[(k - 1) % 2 :: 2, (k - 1) // 2 :: 2]
+
+
+def subsample(r: Raster) -> tuple[Raster, Raster, Raster, Raster]:
+    """Split into four (h/2, w/2) rasters by (row, column) parity, as a
+    4-tuple whose entry k - 1 is sub-image k.
 
     In 1-based pixel coordinates sub 1 keeps (odd, odd), sub 2 (even, odd),
     sub 3 (odd, even) and sub 4 (even, even), so every parent pixel lands in
@@ -105,20 +90,21 @@ def subsample(r: Raster) -> QuadSample:
     """
     if r.height % 2 or r.width % 2:
         raise DimensionError(f"raster dimensions must be even, got {r.height}x{r.width}")
-    p = r.pixels
-    quarters = (p[0::2, 0::2], p[1::2, 0::2], p[0::2, 1::2], p[1::2, 1::2])
-    return QuadSample(tuple(Raster(q, r.depth_tag) for q in quarters))
+    return tuple(Raster(_parity(r.pixels, k)) for k in range(1, 5))
 
 
-def inverse_subsample(q: QuadSample) -> Raster:
-    """Reassemble the parent raster; exact inverse of subsample, depth tag included."""
-    h, w = q.sub[0].pixels.shape
+def inverse_subsample(subs: Sequence[Raster]) -> Raster:
+    """Reassemble the parent raster from four equal-shape sub-rasters, sub k
+    at entry k - 1: the exact inverse of subsample."""
+    if len(subs) != 4:
+        raise DimensionError(f"expected exactly four sub-rasters, got {len(subs)}")
+    h, w = subs[0].pixels.shape
+    if any(s.pixels.shape != (h, w) for s in subs[1:]):
+        raise DimensionError("sub-raster dimensions differ")
     out = np.empty((2 * h, 2 * w))
-    out[0::2, 0::2] = q.sub[0].pixels
-    out[1::2, 0::2] = q.sub[1].pixels
-    out[0::2, 1::2] = q.sub[2].pixels
-    out[1::2, 1::2] = q.sub[3].pixels
-    return Raster(out, q.sub[0].depth_tag)
+    for k, s in enumerate(subs, start=1):
+        _parity(out, k)[...] = s.pixels
+    return Raster._adopt(out)
 
 
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:
@@ -162,14 +148,15 @@ def read_pgm(path) -> Raster:
         if len(payload) < need:
             raise FormatError(f"truncated payload: expected {need} bytes, got {len(payload)}")
         px = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(height, width)
-        return Raster(px, "u8")
+        return Raster._adopt(px)
     if maxval == 65535:
         need = 2 * width * height
         payload = data[offset : offset + need]
         if len(payload) < need:
             raise FormatError(f"truncated payload: expected {need} bytes, got {len(payload)}")
         raw = np.frombuffer(payload, dtype=">u2").astype(np.float64).reshape(height, width)
-        return Raster(raw * (255.0 / 65535.0), "u16")
+        raw *= 255.0 / 65535.0
+        return Raster._adopt(raw)
     raise FormatError(f"unsupported maxval {maxval}: must be 255 or 65535")
 
 
@@ -177,7 +164,7 @@ def write_pgm(r: Raster, path, depth: int = 8) -> None:
     """Write binary PGM; samples are rounded half-away-from-zero, then clamped."""
     if depth == 8:
         maxval = 255
-        body = np.clip(round_half_away(r.pixels), 0, 255).astype(np.uint8).tobytes()
+        body = _rounded_u8(r.pixels).astype(np.uint8).tobytes()
     elif depth == 16:
         maxval = 65535
         scaled = round_half_away(r.pixels * (65535.0 / 255.0))
@@ -217,4 +204,4 @@ def read_srf(path) -> Raster:
     if len(payload) > need:
         raise FormatError(f"size mismatch: {len(payload) - need} trailing bytes")
     px = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(height, width)
-    return Raster(px, "float")
+    return Raster._adopt(px)

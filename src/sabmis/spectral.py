@@ -86,6 +86,13 @@ def desparsify(s: np.ndarray) -> np.ndarray:
     return (s @ forward_matrix(b).T).reshape(*s.shape[:-1], b, b)
 
 
+def _tiles(pixels: np.ndarray, side: int) -> np.ndarray:
+    # a (h, w) grid's side x side blocks in row-major block order, as a
+    # (rows, cols, side, side) view: block row, block column, pixel row, pixel column
+    h, w = pixels.shape
+    return pixels.reshape(h // side, side, w // side, side).swapaxes(1, 2)
+
+
 def partition_blocks(r: Raster, side: int) -> np.ndarray:
     """Cut a raster into side x side blocks in row-major block order.
 
@@ -94,9 +101,8 @@ def partition_blocks(r: Raster, side: int) -> np.ndarray:
     h, w = r.pixels.shape
     if side < 1 or h % side or w % side:
         raise DimensionError(f"block side {side} must divide raster dimensions {h}x{w}")
-    grid = r.pixels.reshape(h // side, side, w // side, side)
     # one copy, writable also where the swapped view needs none (one block wide)
-    return grid.swapaxes(1, 2).copy().reshape(-1, side, side)
+    return _tiles(r.pixels, side).copy().reshape(-1, side, side)
 
 
 def assemble_blocks(blocks: np.ndarray, height: int, width: int) -> Raster:
@@ -107,6 +113,7 @@ def assemble_blocks(blocks: np.ndarray, height: int, width: int) -> Raster:
     count, side = blocks.shape[0], blocks.shape[1]
     if height % side or width % side or count * side * side != height * width:
         raise DimensionError(f"{count} blocks of side {side} do not tile {height}x{width}")
-    grid = blocks.reshape(height // side, width // side, side, side).swapaxes(1, 2)
     # one copy, never a view of the caller's blocks, which the raster then owns
-    return Raster._adopt(np.array(grid, order="C").reshape(height, width))
+    out = np.empty((height, width))
+    _tiles(out, side)[...] = blocks.reshape(height // side, width // side, side, side)
+    return Raster._adopt(out)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import DimensionError
-from .raster import QuadSample, Raster, inverse_subsample, subsample
+from .errors import DimensionError, ParamError
+from .raster import Raster, inverse_subsample, subsample
 from .spectral import assemble_blocks, desparsify, partition_blocks, sparsify
 
 
@@ -26,13 +26,15 @@ def textured_raster(side: int, seed: int, smoothness: float = 10.0, octaves: int
                     low: float = 4.0, high: float = 251.0) -> Raster:
     """Band-limited noise field normalized to [low, high].
 
-    More octaves add finer detail; larger smoothness pushes energy toward low
-    frequencies. Reproducible for a given (side, seed).
+    More octaves (1..3) add finer detail; larger smoothness pushes energy
+    toward low frequencies. Reproducible for a given (side, seed).
     """
+    if octaves not in (1, 2, 3):
+        raise ParamError(f"octaves must be 1, 2 or 3, got {octaves!r}")
     rng = np.random.default_rng(seed)
     weights = (1.0, 0.4, 0.15)
     img = np.zeros((side, side))
-    for o in range(max(1, min(octaves, 3))):
+    for o in range(octaves):
         sigma = max(1.0, smoothness / (3.0 ** o))
         img += weights[o] * gaussian_filter(rng.standard_normal((side, side)), sigma, mode="wrap")
     lo, hi = float(img.min()), float(img.max())
@@ -82,8 +84,8 @@ def block_sparse_raster(r: Raster, keep: int = 32, side: int = 8) -> Raster:
     with the embedded payload.
     """
     subs = []
-    for sub in subsample(r).sub:
+    for sub in subsample(r):
         coeffs = sparsify(partition_blocks(sub, side))
         coeffs[:, keep:] = 0.0
         subs.append(assemble_blocks(desparsify(coeffs), sub.height, sub.width))
-    return inverse_subsample(QuadSample(tuple(subs)))
+    return inverse_subsample(subs)

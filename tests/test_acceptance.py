@@ -151,7 +151,7 @@ def test_u_channel_end_to_end_exactness(paper_setup):
 
     phi = gen_matrix(key1)
     t_in = secret_to_coeffs(secrets[0], p1)
-    sub = subsample(stego).sub[key1.assignment[0] - 1]
+    sub = subsample(stego)[key1.assignment[0] - 1]
     blocks = partition_blocks(sub, p1.b)
     worst = 0.0
     for i in range(p1.secret_blocks):

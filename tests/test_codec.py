@@ -158,11 +158,11 @@ def test_embed_leaves_unassigned_sub_images_untouched():
     after = subsample(stego)
     assigned = set(key.assignment)
     for k in range(1, 5):
-        same = np.array_equal(after.sub[k - 1].pixels, before.sub[k - 1].pixels)
+        same = np.array_equal(after[k - 1].pixels, before[k - 1].pixels)
         assert same == (k not in assigned)
     # 25 secret blocks fill three block rows and one block of an 8-block-wide
     # sub-image: every pixel outside them passes through bitwise
-    from sabmis import QuadSample, inverse_subsample
+    from sabmis import inverse_subsample
     p = StegoParams(N=128, M=40, num_secrets=2)
     key = make_key(9, p)
     cover = cover_raster(p.N, 21)
@@ -178,7 +178,7 @@ def test_embed_leaves_unassigned_sub_images_untouched():
     assert len(stegos) == 4
     for key_k, stego in stegos:
         subs = [carried if k in key_k.assignment else empty for k in range(1, 5)]
-        touched = inverse_subsample(QuadSample(tuple(Raster(m) for m in subs))).pixels == 1.0
+        touched = inverse_subsample([Raster(m) for m in subs]).pixels == 1.0
         assert np.array_equal(stego.pixels[~touched], cover.pixels[~touched])
         assert not np.array_equal(stego.pixels[touched], cover.pixels[touched])
 
@@ -220,14 +220,6 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
         assert report.to_dict() == ref_report.to_dict()
 
 
-def test_stego_of_an_8bit_cover_is_tagged_float():
-    key = make_key(13, StegoParams(N=128, M=64, num_secrets=2))
-    cover = quantize_u8(cover_raster(128, 26))
-    secrets = [secret_raster(64, 40 + i) for i in range(2)]
-    assert embed_images(cover, secrets, key)[0].depth_tag == "float"
-    assert all(stego.depth_tag == "float" for _, _, stego, _ in embed_subsets(cover, secrets, key))
-
-
 def test_embed_validates_sizes_and_counts():
     key = make_key(11, SMALL)
     cover = cover_raster(SMALL.N, 24)
@@ -258,14 +250,16 @@ def test_extract_rejects_zero_strengths(strength):
 
 
 @pytest.mark.parametrize("p", [TRACE, SMALL], ids=["trace", "small"])
-def test_block_gather_matches_partition_blocks(p):
+def test_block_gather_matches_partition_blocks(p, monkeypatch):
     import tracemalloc
 
-    from sabmis import (QuadSample, assemble_blocks, codec, inverse_subsample,
-                        partition_blocks)
+    from sabmis import assemble_blocks, codec, inverse_subsample, partition_blocks
+    grids = []  # every block grid the codec builds, to check what the scatter writes through
+    tiles = codec._tiles
+    monkeypatch.setattr(codec, "_tiles", lambda *a: grids.append(tiles(*a)) or grids[-1])
     r = cover_raster(p.N, 3)
     for k in range(1, 5):
-        ref = partition_blocks(subsample(r).sub[k - 1], p.b).reshape(-1, p.b * p.b)
+        ref = partition_blocks(subsample(r)[k - 1], p.b).reshape(-1, p.b * p.b)
         for count in (1, len(ref) - 1, p.secret_blocks, len(ref)):
             tracemalloc.start()
             try:
@@ -281,13 +275,15 @@ def test_block_gather_matches_partition_blocks(p):
             # the pixels the sub-image round trip writes
             out = r.pixels.copy()
             codec._scatter_blocks(out, p.b, k, got)
+            # a grid that silently copied would drop the writes
+            assert np.shares_memory(grids[-1], out)
             assert np.array_equal(out, r.pixels)
             codec._scatter_blocks(out, p.b, k, got + 1)
-            subs = list(subsample(r).sub)
+            subs = list(subsample(r))
             blocks = partition_blocks(subs[k - 1], p.b)
             blocks[:count] += 1
             subs[k - 1] = assemble_blocks(blocks, subs[k - 1].height, subs[k - 1].width)
-            expected = inverse_subsample(QuadSample(tuple(subs))).pixels
+            expected = inverse_subsample(subs).pixels
             assert np.array_equal(out != r.pixels, expected != r.pixels)
             assert np.array_equal(out, expected)
 
@@ -453,14 +449,14 @@ def test_embed_matches_per_block_reference(p):
     phi = gen_matrix(key)
     payload = secret_to_coeffs(secret, p)
     k = key.assignment[0]
-    cover_blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)
+    cover_blocks = partition_blocks(subsample(cover)[k - 1], p.b)
     ref_blocks = []
     for block, t in zip(cover_blocks, payload):
         s = sparsify(block)
         carrier = embed_rule(measure(s, phi), t, p)
         ref_blocks.append(desparsify(exact_write(s, carrier, phi, p.c, p.p3)))
     stego, report = embed_images(cover, [secret], key)
-    got = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(ref_blocks)]
+    got = partition_blocks(subsample(stego)[k - 1], p.b)[: len(ref_blocks)]
     assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
     assert report.sub_images[0].write_residual <= 1e-9
 
@@ -488,12 +484,12 @@ def test_paper_l1_embed_keeps_the_u_part_and_loses_the_mid_payload():
     phi = gen_matrix(key)
     payload = secret_to_coeffs(secret, p)
     k = key.assignment[0]
-    blocks = partition_blocks(subsample(cover).sub[k - 1], p.b)[: len(payload)]
+    blocks = partition_blocks(subsample(cover)[k - 1], p.b)[: len(payload)]
     carrier = embed_rule(measure(sparsify(blocks), phi), payload, p)
     l1_blocks, result = reconstruct_block(carrier, phi, p)
     assert result.converged.all()
     stego, _ = embed_images(cover, [secret], key)
-    written = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
+    written = partition_blocks(subsample(stego)[k - 1], p.b)[: len(payload)]
     l1_spec, written_spec = sparsify(l1_blocks), sparsify(written)
     assert np.abs(l1_spec[:, : p.p1] - written_spec[:, : p.p1]).max() <= 1e-9
     low, mid = slice(0, p.c), slice(p.c, p.p3)
@@ -517,7 +513,7 @@ def test_extract_matches_per_block_reference(p):
     key = make_key(16, p)
     stego, _ = embed_images(cover_raster(p.N, 34), [secret_raster(p.M, 35)], key)
     phi = gen_matrix(key)
-    blocks = partition_blocks(subsample(stego).sub[key.assignment[0] - 1], p.b)
+    blocks = partition_blocks(subsample(stego)[key.assignment[0] - 1], p.b)
     rows = [extract_rule(measure(sparsify(block), phi), p)
             for block in blocks[: p.secret_blocks]]
     ref = coeffs_to_raster(np.stack(rows), p)
@@ -544,7 +540,7 @@ def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
         out = []
         for secret, k in zip(secrets, key.assignment):
             payload = secret_to_coeffs(secret, p)
-            blocks = partition_blocks(subsample(stego).sub[k - 1], p.b)[: len(payload)]
+            blocks = partition_blocks(subsample(stego)[k - 1], p.b)[: len(payload)]
             read = extract_rule(measure(sparsify(blocks), phi), p)
             out.append(p.gamma * np.abs(read - payload)[:, p.c : p.p3].max(initial=0.0))
         return out

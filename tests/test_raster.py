@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, FormatError, QuadSample, Raster,
-                    inverse_subsample, quantize_u8, read_pgm, read_srf,
-                    round_half_away, subsample, write_pgm, write_srf)
+from sabmis import (DimensionError, FormatError, Raster, inverse_subsample,
+                    quantize_u8, read_pgm, read_srf, round_half_away, subsample,
+                    write_pgm, write_srf)
 
 
 def test_read_pgm_maps_bytes_directly(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64]))
-    r = read_pgm(path)
-    assert r.depth_tag == "u8"
-    assert np.array_equal(r.pixels, [[0, 128], [255, 64]])
+    assert np.array_equal(read_pgm(path).pixels, [[0, 128], [255, 64]])
 
 
 def test_read_pgm_rejects_ascii_magic(tmp_path):
@@ -59,9 +57,7 @@ def test_write_pgm_16bit_scale(tmp_path):
     write_pgm(Raster([[100.0]]), path, depth=16)
     raw = path.read_bytes()
     assert raw.endswith((25700).to_bytes(2, "big"))
-    back = read_pgm(path)
-    assert back.depth_tag == "u16"
-    assert back.pixels[0, 0] == pytest.approx(100.0, abs=1e-12)
+    assert read_pgm(path).pixels[0, 0] == pytest.approx(100.0, abs=1e-12)
 
 
 def test_pgm_u8_round_trip_is_byte_identical(tmp_path):
@@ -78,9 +74,7 @@ def test_srf_round_trip_is_bitwise(tmp_path):
     r = Raster(rng.standard_normal((5, 7)) * 300.0)
     path = tmp_path / "a.srf"
     write_srf(r, path)
-    back = read_srf(path)
-    assert back.depth_tag == "float"
-    assert np.array_equal(back.pixels, r.pixels)
+    assert np.array_equal(read_srf(path).pixels, r.pixels)
 
 
 def test_srf_rejects_wrong_magic(tmp_path):
@@ -107,33 +101,26 @@ def test_srf_rejects_trailing_bytes(tmp_path):
 
 def test_subsample_2x2_example():
     q = subsample(Raster([[1.0, 3.0], [2.0, 4.0]]))
-    assert [q.sub[k].pixels[0, 0] for k in range(4)] == [1.0, 2.0, 3.0, 4.0]
+    assert len(q) == 4
+    assert [q[k].pixels[0, 0] for k in range(4)] == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_subsample_constant_raster():
-    q = subsample(Raster(np.full((4, 4), 9.5)))
-    for sub in q.sub:
+    for sub in subsample(Raster(np.full((4, 4), 9.5))):
         assert np.all(sub.pixels == 9.5)
 
 
 def test_subsample_round_trip_bitwise():
     rng = np.random.default_rng(7)
-    r = Raster(rng.uniform(0, 255, size=(8, 8)))
-    assert np.array_equal(inverse_subsample(subsample(r)).pixels, r.pixels)
-
-
-def test_inverse_subsample_takes_a_depth_tag():
-    r = quantize_u8(Raster(np.arange(16.0).reshape(4, 4)))
-    back = inverse_subsample(subsample(r))
-    assert back.depth_tag == "u8"
-    assert np.array_equal(back.pixels, r.pixels)
+    for r in (Raster(rng.uniform(0, 255, size=(8, 8))),
+              quantize_u8(Raster(np.arange(16.0).reshape(4, 4)))):
+        assert np.array_equal(inverse_subsample(subsample(r)).pixels, r.pixels)
 
 
 def test_subsample_conserves_pixels():
     rng = np.random.default_rng(8)
     r = Raster(rng.uniform(0, 255, size=(6, 10)))
-    q = subsample(r)
-    combined = np.concatenate([s.pixels.ravel() for s in q.sub])
+    combined = np.concatenate([s.pixels.ravel() for s in subsample(r)])
     assert np.array_equal(np.sort(combined), np.sort(r.pixels.ravel()))
 
 
@@ -145,14 +132,16 @@ def test_subsample_rejects_odd_dimensions():
 def test_inverse_subsample_rejects_mismatched_subs():
     a = Raster(np.zeros((2, 2)))
     b = Raster(np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        QuadSample((a, a, a, b))
+    with pytest.raises(DimensionError, match="differ"):
+        inverse_subsample((a, a, a, b))
+    for count in (3, 5):
+        with pytest.raises(DimensionError, match="exactly four"):
+            inverse_subsample((a,) * count)
 
 
 def test_quantize_u8_rounds_and_clamps():
     r = quantize_u8(Raster([[127.4, 260.0, -5.0, 127.5]]))
     assert np.array_equal(r.pixels, [[127.0, 255.0, 0.0, 128.0]])
-    assert r.depth_tag == "u8"
 
 
 def test_quantize_u8_idempotent():
@@ -163,9 +152,10 @@ def test_quantize_u8_idempotent():
     assert np.array_equal(once.pixels, twice.pixels)
 
 
-def test_rasters_built_inside_the_package_are_not_copied_again():
-    # a public Raster copies the caller's grid; quantize_u8 and
-    # assemble_blocks make one grid of their own and the raster adopts it
+def test_rasters_built_inside_the_package_are_not_copied_again(tmp_path):
+    # a public Raster copies the caller's grid; quantize_u8, assemble_blocks,
+    # inverse_subsample and read_pgm make one grid of their own and the
+    # raster adopts it
     import tracemalloc
 
     from sabmis import assemble_blocks, partition_blocks
@@ -174,7 +164,10 @@ def test_rasters_built_inside_the_package_are_not_copied_again():
     grid[0, 0] = -1.0
     assert r.pixels[0, 0] != -1.0 and not r.pixels.flags.writeable
     blocks = partition_blocks(r, 8)
-    for build in (lambda: quantize_u8(r), lambda: assemble_blocks(blocks, 64, 64)):
+    subs = subsample(r)
+    write_pgm(r, tmp_path / "r.pgm")
+    for build in (lambda: quantize_u8(r), lambda: assemble_blocks(blocks, 64, 64),
+                  lambda: inverse_subsample(subs), lambda: read_pgm(tmp_path / "r.pgm")):
         tracemalloc.start()
         try:
             out = build()
@@ -200,3 +193,10 @@ def test_in_place_rounding_is_bitwise_the_plain_formula():
     assert np.array_equal(quantize_u8(Raster(x)).pixels.view(bits),
                           np.clip(plain(x), 0.0, 255.0).view(bits))
     assert round_half_away(-2.5) == -3.0 and np.ndim(round_half_away(2.5)) == 0
+
+
+def test_textured_raster_refuses_octaves_outside_one_to_three():
+    from sabmis import ParamError, textured_raster
+    for octaves in (0, 4):
+        with pytest.raises(ParamError, match="octaves"):
+            textured_raster(16, 1, octaves=octaves)

@@ -192,7 +192,7 @@ def _paper_slab():
     p = StegoParams(N=512, M=256, num_secrets=1)
     key = make_key(0xC0FFEE, p)
     phi = gen_matrix(key)
-    blocks = partition_blocks(subsample(cover_raster(p.N, 1101)).sub[key.assignment[0] - 1],
+    blocks = partition_blocks(subsample(cover_raster(p.N, 1101))[key.assignment[0] - 1],
                               p.b)[:512]
     payload = secret_to_coeffs(secret_raster(p.M, 2201), p)[:512]
     carrier = embed_rule(measure(sparsify(blocks), phi), payload, p)
