@@ -142,22 +142,17 @@ def read_pgm(path) -> Raster:
         raise FormatError(f"non-numeric PGM header fields {tokens[1:4]!r}") from None
     if width <= 0 or height <= 0:
         raise FormatError(f"invalid PGM dimensions {width}x{height}")
-    if maxval == 255:
-        need = width * height
-        payload = data[offset : offset + need]
-        if len(payload) < need:
-            raise FormatError(f"truncated payload: expected {need} bytes, got {len(payload)}")
-        px = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(height, width)
-        return Raster._adopt(px)
+    if maxval not in (255, 65535):
+        raise FormatError(f"unsupported maxval {maxval}: must be 255 or 65535")
+    dtype = np.dtype(np.uint8 if maxval == 255 else ">u2")
+    need = dtype.itemsize * width * height
+    if len(data) - offset < need:
+        raise FormatError(f"truncated payload: expected {need} bytes, got {len(data) - offset}")
+    px = np.frombuffer(data, dtype=dtype, count=width * height, offset=offset)
+    px = px.astype(np.float64).reshape(height, width)
     if maxval == 65535:
-        need = 2 * width * height
-        payload = data[offset : offset + need]
-        if len(payload) < need:
-            raise FormatError(f"truncated payload: expected {need} bytes, got {len(payload)}")
-        raw = np.frombuffer(payload, dtype=">u2").astype(np.float64).reshape(height, width)
-        raw *= 255.0 / 65535.0
-        return Raster._adopt(raw)
-    raise FormatError(f"unsupported maxval {maxval}: must be 255 or 65535")
+        px *= 255.0 / 65535.0
+    return Raster._adopt(px)
 
 
 def write_pgm(r: Raster, path, depth: int = 8) -> None:
@@ -197,11 +192,10 @@ def read_srf(path) -> Raster:
         raise FormatError(f"non-numeric SRF dimensions {parts!r}") from None
     if width <= 0 or height <= 0:
         raise FormatError(f"invalid SRF dimensions {width}x{height}")
-    payload = data[nl + 1 :]
-    need = 8 * width * height
-    if len(payload) < need:
-        raise FormatError(f"truncated payload: expected {need} bytes, got {len(payload)}")
-    if len(payload) > need:
-        raise FormatError(f"size mismatch: {len(payload) - need} trailing bytes")
-    px = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(height, width)
-    return Raster._adopt(px)
+    have, need = len(data) - (nl + 1), 8 * width * height
+    if have < need:
+        raise FormatError(f"truncated payload: expected {need} bytes, got {have}")
+    if have > need:
+        raise FormatError(f"size mismatch: {have - need} trailing bytes")
+    px = np.frombuffer(data, dtype="<f8", offset=nl + 1).astype(np.float64)
+    return Raster._adopt(px.reshape(height, width))

@@ -7,6 +7,10 @@ shape, m < n and rank-deficient ones included. Its penalty
 rho = max(1, m/10) follows from phi's m rows, and (phi^T phi + rho I) is
 inverted once per solve, so each iteration's linear step is one matrix
 product.
+
+scipy is imported on the first solve, not with the module: its import costs
+about 0.3 s per fresh process, and the embed and extract pipelines never
+solve, so they should not pay it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, ParamError, SolverError
 
@@ -100,6 +103,9 @@ def _prepare(phi: np.ndarray) -> tuple[float, np.ndarray]:
     near m, so rho = max(1, m/10); rho = 1 on such problems needs roughly ten
     times more ADMM iterations for the same solution.
     """
+    # imported here: ~0.3 s per fresh process that the hide/recover path never needs
+    from scipy.linalg import cho_factor, cho_solve
+
     m, n = phi.shape
     rho = max(1.0, m / 10.0)
     try:

@@ -6,12 +6,15 @@ the test suite. `cover_raster` mirrors how large test covers are usually
 produced (a natural-resolution image upsampled 2x), which is also the regime
 this hiding scheme is built for: the parity sub-images must be smooth at
 block scale or their measurement tails drown the payload.
+
+The smoothing filter comes from scipy, imported on first use rather than
+with the package: scipy's import costs about 0.3 s per fresh process, and
+hiding and recovering secrets never calls these generators.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError, ParamError
 from .raster import Raster, inverse_subsample, subsample
@@ -31,6 +34,9 @@ def textured_raster(side: int, seed: int, smoothness: float = 10.0, octaves: int
     """
     if octaves not in (1, 2, 3):
         raise ParamError(f"octaves must be 1, 2 or 3, got {octaves!r}")
+    # imported here: ~0.3 s per fresh process that the hide/recover path never needs
+    from scipy.ndimage import gaussian_filter
+
     rng = np.random.default_rng(seed)
     weights = (1.0, 0.4, 0.15)
     img = np.zeros((side, side))
@@ -51,6 +57,9 @@ def cover_raster(side: int, seed: int) -> Raster:
     """
     if side % 2:
         raise DimensionError(f"cover side must be even, got {side}")
+    # imported here: ~0.3 s per fresh process that the hide/recover path never needs
+    from scipy.ndimage import gaussian_filter
+
     half = side // 2
     rng = np.random.default_rng(seed)
     img = 0.55 * _unit(gaussian_filter(rng.standard_normal((half, half)), 12.0, mode="wrap"))

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,3 +493,50 @@ def test_bench_rejects_empty_corpus(tmp_path, capsys):
     rc = run("bench", "--covers", str(empty), "--secrets", str(empty),
              "--key", str(key_path), "--report", str(tmp_path / "r.json"))
     assert rc == 2
+
+
+_SCIPY_PROBE = """
+import json, sys
+import sabmis, sabmis.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+seen = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    if sabmis.cli.main(argv) != 0:
+        sys.exit(f"sabmis {argv[0]} failed")
+    seen[argv[0]] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_the_cli_commands_load_no_scipy(small_setup):
+    # scipy's import is most of a fresh process's start-up; only synth, edge_map
+    # and the per-block l1 solve may load it, and a one-shot command reaches none
+    tmp, _, cover_path, secret_path = small_setup
+    covers, secrets = tmp / "covers", tmp / "secrets"
+    covers.mkdir()
+    secrets.mkdir()
+    shutil.copy(cover_path, covers / "c0.pgm")
+    shutil.copy(secret_path, secrets / "s0.pgm")
+    key, stego = str(tmp / "kg.skey"), str(tmp / "stego.srf")
+    commands = [
+        ["keygen", "--seed", "3", "--out", key, "--cover-size", "128",
+         "--secret-size", "64", "--num-secrets", "1"],
+        ["embed", "--cover", str(cover_path), "--secret", str(secret_path),
+         "--key", key, "--out", stego, "--export-pgm8", str(tmp / "stego.pgm")],
+        ["extract", "--stego", stego, "--key", key, "--out-prefix", str(tmp / "rec")],
+        ["metrics", "--ref", str(secret_path), "--test", str(tmp / "rec1.pgm")],
+        ["bench", "--covers", str(covers), "--secrets", str(secrets), "--key", key,
+         "--report", str(tmp / "report.json")],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import", "keygen", "embed", "extract", "metrics", "bench"]
+    assert seen == {stage: [] for stage in seen}

@@ -99,6 +99,24 @@ def test_srf_rejects_trailing_bytes(tmp_path):
         read_srf(path)
 
 
+def test_read_srf_holds_the_file_and_the_grid_but_no_payload_copy(tmp_path):
+    # a 1024x1024 read peaks at the file's bytes plus the new grid; slicing
+    # the payload out of the file first would add a third 8 MiB buffer
+    import tracemalloc
+
+    r = Raster(np.random.default_rng(11).standard_normal((1024, 1024)) * 300.0)
+    path = tmp_path / "a.srf"
+    write_srf(r, path)
+    tracemalloc.start()
+    try:
+        out = read_srf(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.pixels, r.pixels)
+    assert peak < r.pixels.nbytes + path.stat().st_size + 2**20
+
+
 def test_subsample_2x2_example():
     q = subsample(Raster([[1.0, 3.0], [2.0, 4.0]]))
     assert len(q) == 4
