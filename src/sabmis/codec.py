@@ -12,14 +12,13 @@ there.
 The paper rebuilds each carrier block from its measurement vector by l1
 recovery: `embed_rule`, then `reconstruct_block`. That solve projects the
 written measurement rows onto the p2-dimensional range of phi, so the mid
-(gamma) coefficients do not come back. The embed pipeline writes them
-exactly instead. A block's u-part takes the rule's c changes, as in the
-paper. Its v-part s_v moves by the smallest d after which every measurement
-row the rule writes reads what the rule put there: with A = phi_W - phi_D,
-the gap between the p3 - c written rows and their donors, d = A^+ (gamma
-t_mid - A s_v). `StegoParams` refuses p3 - c > p2, so such a d exists for
-every valid key. The stego raster is never quantized inside the pipeline;
-8-bit export is an explicit step in the raster module.
+(gamma) coefficients do not come back. The embed pipeline derives the
+sender from the receiver instead: each block moves by the minimum-norm
+change after which all p3 values the receiver reads from it (written
+position minus donor, over strength) are the secret block's coefficients.
+`StegoParams` refuses p3 - c > p2, so the reads are independent and that
+change exists for every valid key. The stego raster is never quantized
+inside the pipeline; 8-bit export is an explicit step in the raster module.
 
 Both pipelines address an assigned parity sub-image's b x b blocks through
 one strided view of the full raster, built from the same two layout helpers
@@ -36,8 +35,8 @@ the cover, so everything else passes through bitwise.
 Every step of both pipelines is linear, and one per-key cache,
 `_key_factors`, serves both. The sender applies the rule's three factors as
 they are: what the rule reads from a block, what it writes from a secret
-block, and the smallest block change per written position or gap. The
-receiver's whole extraction is folded into one matrix.
+block, and the pseudo-inverse of the reads. The receiver's whole extraction
+is folded into one matrix.
 
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
@@ -66,11 +65,12 @@ from .spectral import (_tiles, assemble_blocks, desparsify, forward_matrix,
 class SubImageStats:
     """What the embed did to one assigned sub-image.
 
-    `write_residual` is max |A s' - gamma t_mid| over its rebuilt blocks:
-    how far the measurement rows the rule writes read from what it wrote,
-    rounding-sized (0.0 when p3 = c writes none). No l1 solve runs, so the
-    report's solver figures `blocks`, `iterations_mean`, `iterations_max`
-    and `unconverged` each read 0.
+    `write_residual` is the largest miss over its rebuilt blocks' written
+    measurement rows: what each of the p3 - c rows minus its donor reads,
+    against gamma times the secret's mid coefficient the rule wrote there.
+    It is rounding-sized (0.0 when p3 = c writes none). No l1 solve runs,
+    so the report's solver figures `blocks`, `iterations_mean`,
+    `iterations_max` and `unconverged` each read 0.
     """
 
     sub_index: int
@@ -207,10 +207,10 @@ def _key_factors(seed: int, p: StegoParams
     the block's measurement vector; row i of `measure(forward_matrix(b), phi)`
     is the measurement vector of the unit block with pixel i set. payload
     (l^2, p3): a secret block times it is its first p3 coefficients times
-    their strengths, what the rule writes into those gaps. change (p3, b^2):
-    row k is the block change that moves written u-position k by one (k < c),
-    or the smallest one that moves the gap A s_v of written row k by one (row
-    k - c of pinv(A).T, in pixels), so change @ reads is the identity.
+    their strengths, what the rule writes into those gaps. change (p3, b^2)
+    is pinv(reads): reads has full column rank p3 (`StegoParams`), so
+    change @ reads is the identity, and row k is the smallest block change
+    that moves the k-th read by one and every other read not at all.
 
     The embed is x += (z @ payload - x @ reads) @ change. The extract is one
     product with fold (b^2, l^2): reads / strength, then the l x l inverse
@@ -220,15 +220,11 @@ def _key_factors(seed: int, p: StegoParams
     since `sabmis bench` embeds many times with one key; every array is
     read-only.
     """
-    phi = gen_matrix(make_key(seed, p))
-    fwd = forward_matrix(p.b)
     written, donor, strength = _rule(p)
-    x = measure(fwd, phi)
+    x = measure(forward_matrix(p.b), gen_matrix(make_key(seed, p)))
     reads = x[:, written] - x[:, donor]
     payload = forward_matrix(p.l)[:, : p.p3] * strength
-    gap = phi[written[p.c :] - p.p1] - phi[donor[p.c :] - p.p1]  # A, (p3 - c, p2)
-    change = np.concatenate([fwd[:, written[: p.c]].T,
-                             np.linalg.pinv(gap).T @ fwd[:, p.p1 :].T])
+    change = np.linalg.pinv(reads)
     fold = (reads / strength) @ forward_matrix(p.l)[:, : p.p3].T
     out = (reads, payload, change, fold)
     for a in out:
@@ -316,13 +312,14 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     Per assigned sub-image: gather its first secret_blocks b x b blocks
     straight from the cover and apply the rule's per-key factors: what the
     rule writes from the secret, minus what it reads from the blocks, times
-    the smallest change per written gap. Each block then carries the rule's
-    change on its u-part and reads exactly what the rule writes on the
-    measurement rows, through the smallest change to its v-part; the paper's
-    l1 rebuild, `reconstruct_block(embed_rule(measure(...)))`, keeps the
-    same u-part but not those reads. The blocks are scattered into one copy
-    of the cover, so unassigned sub-images and cover blocks beyond the
-    secret's block count pass through bitwise untouched.
+    the pseudo-inverse of the reads. Each block then reads exactly what the
+    rule writes, on the u-part and the measurement rows alike, by the
+    smallest change that does so, which on the u-part splits each low gap
+    between the written position and its donor. The paper's l1 rebuild,
+    `reconstruct_block(embed_rule(measure(...)))`, keeps `embed_rule`'s
+    u-part instead, and loses the measurement rows' reads. The blocks are
+    scattered into one copy of the cover, so unassigned sub-images and cover
+    blocks beyond the secret's block count pass through bitwise untouched.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)

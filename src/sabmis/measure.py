@@ -94,8 +94,9 @@ class StegoParams:
 
     m is bounded above by m * p2 <= 2^24, so the keyed (m, p2) matrix phi
     takes at most 128 MiB; at the default p2 = 32 that is m <= 524,288.
-    p3 - c <= p2: the embed writes the p3 - c measured coefficients exactly
-    through the p2 coefficients of a cover block's v-part.
+    p3 - c <= p2: the rule's p3 - c measured reads see a block only through
+    its p2 v-part coefficients, so only then do its p3 reads have full column
+    rank, which the embed's pseudo-inverse of them needs to write them all.
     """
 
     N: int = 1024
@@ -153,7 +154,7 @@ class StegoParams:
             raise ParamError(f"p3 <= l^2 violated (p3={self.p3}, l={self.l})")
         if self.p3 - self.c > self.p2:
             raise ParamError(f"p3-c <= p2 violated (p3={self.p3}, c={self.c}, p2={self.p2}): "
-                             f"no exact write of p3-c measurement rows through p2 coefficients")
+                             f"the rule's reads of a block lose rank")
 
     @property
     def cover_blocks_per_sub(self) -> int:

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths. The per-block
-write solves each block's least-squares problem with `np.linalg.lstsq`; the
-embed applies the pseudo-inverse of the same gap matrix, taken once per key,
-as one of the rule's factors and never solves per block. The accelerated
+write takes the receiver's read as a function, builds its matrix one unit
+spectrum at a time and solves each block's least-squares problem with
+`np.linalg.lstsq`; the embed applies the pseudo-inverse of the rule's reads
+in pixels, taken once per key, and never solves per block. The accelerated
 proximal-gradient iteration below shares no code with the ADMM l1 solver it
 is used to check, and takes no matrix inverse.
 The scalar SplitMix64/Box-Muller loop shares none with the array generator
@@ -49,22 +50,15 @@ def keyed_normals_loop(seed, count):
     return out
 
 
-def exact_write(s, carrier, phi, c, p3):
+def min_norm_write(s, target, read):
     """The spectrum the embed writes for one block with spectrum s.
 
-    Its u-part is the carrier's (the rule's measurement vector after the
-    transplant). Its v-part is s's plus the minimum-norm d, by least squares,
-    after which each written measurement row p3 - c + k minus its donor row
-    k (k = c .. p3 - 1) reads what the carrier holds there.
+    read is a linear map from a spectrum to what the receiver reads from it.
+    The result is s plus the minimum-norm change, by least squares, after
+    which read gives target: column j of the read's matrix is read(e_j).
     """
-    p1 = len(s) - phi.shape[1]
-    out = np.concatenate([carrier[:p1], s[p1:]])
-    pairs = [(p3 - c + k, k) for k in range(c, p3)]  # (written row, donor row)
-    if pairs:
-        gap = np.array([phi[w] - phi[d] for w, d in pairs])
-        want = np.array([carrier[p1 + w] - carrier[p1 + d] for w, d in pairs])
-        out[p1:] += np.linalg.lstsq(gap, want - gap @ s[p1:], rcond=None)[0]
-    return out
+    reads = np.stack([read(e) for e in np.eye(len(s))], axis=1)
+    return s + np.linalg.lstsq(reads, target - read(s), rcond=None)[0]
 
 
 def lasso_objective(phi, y, lam, x):

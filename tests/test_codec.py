@@ -10,7 +10,7 @@ from sabmis import (DimensionError, ParamError, Raster, SolverError,
                     reconstruct_block, rule_index_sets,
                     secret_raster, secret_to_coeffs, sparsify, subsample)
 
-from reference import exact_write
+from reference import min_norm_write
 
 # smallest parameter set matching the worked trace (p1=8, p3=4, c=2) on which
 # the embed can write its p3 - c = 2 measurement rows: that takes p2 >= 2,
@@ -318,8 +318,8 @@ def test_extractor_is_kept_per_key_and_read_only():
 
 
 def test_factorization_is_kept_per_key(monkeypatch):
-    # the one factorization, the pseudo-inverse of the written rows' gap
-    # matrix, is taken once per key and reused by every later embed and
+    # the one factorization, the pseudo-inverse of the rule's (b^2, p3)
+    # reads, is taken once per key and reused by every later embed and
     # extract under it
     from dataclasses import replace
 
@@ -333,14 +333,13 @@ def test_factorization_is_kept_per_key(monkeypatch):
     first, _ = embed_images(cover, [secret], key)
     extract_images(first, key)
     again, _ = embed_images(cover, [secret], key)
-    assert calls == [(SMALL.p3 - SMALL.c, SMALL.p2)]
+    assert calls == [(SMALL.b ** 2, SMALL.p3)]
     np.testing.assert_array_equal(again.pixels, first.pixels)
     # the seed, m and the p1/p2 split each factorize on their own
     for seed, p in [(19, SMALL), (18, replace(SMALL, m=160)),
                     (18, replace(SMALL, p1=40, p2=24))]:
         codec._key_factors(seed, p)
-    assert len(calls) == 4
-    assert calls[-1] == (SMALL.p3 - SMALL.c, 24)
+    assert calls[1:] == [(SMALL.b ** 2, SMALL.p3)] * 3
 
 def test_round_trip_recovers_secret():
     key = make_key(13, SMALL)
@@ -440,8 +439,9 @@ REFERENCE_IDS = ["small", "p3-equals-c", "c4-p3-20-m64", "m40-partial-row"]
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS, ids=REFERENCE_IDS)
 def test_embed_matches_per_block_reference(p):
-    # the least-squares write of one block at a time, on the count-1 rule,
-    # against the pipeline's rule factors applied to the whole sub-image
+    # the minimum-norm write of one block at a time, built from the public
+    # per-block definitions of what the receiver reads, against the
+    # pipeline's rule factors applied to the whole sub-image
     from sabmis import desparsify, partition_blocks
     key = make_key(15, p)
     cover = cover_raster(p.N, 32)
@@ -450,11 +450,12 @@ def test_embed_matches_per_block_reference(p):
     payload = secret_to_coeffs(secret, p)
     k = key.assignment[0]
     cover_blocks = partition_blocks(subsample(cover)[k - 1], p.b)
-    ref_blocks = []
-    for block, t in zip(cover_blocks, payload):
-        s = sparsify(block)
-        carrier = embed_rule(measure(s, phi), t, p)
-        ref_blocks.append(desparsify(exact_write(s, carrier, phi, p.c, p.p3)))
+
+    def read(s):
+        return extract_rule(measure(s, phi), p)[: p.p3]
+
+    ref_blocks = [desparsify(min_norm_write(sparsify(block), t[: p.p3], read))
+                  for block, t in zip(cover_blocks, payload)]
     stego, report = embed_images(cover, [secret], key)
     got = partition_blocks(subsample(stego)[k - 1], p.b)[: len(ref_blocks)]
     assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
@@ -465,18 +466,22 @@ def test_embed_matches_per_block_reference(p):
                          ids=REFERENCE_IDS + ["default"])
 def test_rule_change_undoes_its_reads(p):
     # row k of change moves the k-th gap the rule reads by exactly one and
-    # every other gap not at all, which is what makes the embed's write exact
+    # every other gap not at all, which is what makes the embed's write exact;
+    # reads @ change is then a projector, and its symmetry makes change the
+    # Moore-Penrose inverse of reads, so each row is the smallest such change
     from sabmis import codec
     reads, _, change, _ = codec._key_factors(5, p)
     assert np.abs(change @ reads - np.eye(p.p3)).max() <= 1e-12
+    projector = reads @ change
+    assert np.abs(projector - projector.T).max() <= 1e-12
 
 
-def test_paper_l1_embed_keeps_the_u_part_and_loses_the_mid_payload():
+def test_paper_l1_embed_loses_the_mid_payload():
     # the paper's embed, block by block on a small key: embed_rule, then the
-    # l1 rebuild. It keeps the carrier's u-part, as the pipeline's write
-    # does, so the alpha (DC) and beta (low) coefficients return from both.
-    # The solve projects the written measurement rows onto the range of phi,
-    # so its gamma (mid) coefficients do not return; the pipeline's do
+    # l1 rebuild. It keeps the carrier's u-part, so the alpha (DC) and beta
+    # (low) coefficients return from it, as they do from the pipeline's
+    # write. The solve projects the written measurement rows onto the range
+    # of phi, so its gamma (mid) coefficients do not return; the pipeline's do
     from sabmis import partition_blocks
     p = SMALL
     key = make_key(15, p)
@@ -491,7 +496,6 @@ def test_paper_l1_embed_keeps_the_u_part_and_loses_the_mid_payload():
     stego, _ = embed_images(cover, [secret], key)
     written = partition_blocks(subsample(stego)[k - 1], p.b)[: len(payload)]
     l1_spec, written_spec = sparsify(l1_blocks), sparsify(written)
-    assert np.abs(l1_spec[:, : p.p1] - written_spec[:, : p.p1]).max() <= 1e-9
     low, mid = slice(0, p.c), slice(p.c, p.p3)
     rel = {}
     for name, spec in (("l1", l1_spec), ("write", written_spec)):
@@ -592,7 +596,7 @@ def test_embed_path_is_frozen():
     assert all(stats.write_residual <= 1e-9 for stats in report.sub_images)
     u8 = quantize_u8(stego).pixels.astype(np.uint8).tobytes()
     assert hashlib.sha256(u8).hexdigest() == \
-        "4bc876b52393d0f6e41246b8186888dbe5797ba2d6c282a1200ece5e06fc9056"
+        "386f532259003355eea6e128b1f3d9ccb78d6e0af074c160baa9705c45926d06"
     extracted = b"".join(quantize_u8(e).pixels.astype(np.uint8).tobytes()
                          for e in extract_images(stego, key))
     assert hashlib.sha256(extracted).hexdigest() == \

@@ -35,8 +35,9 @@ def test_params_reject_large_c():
 
 
 def test_params_reject_more_written_rows_than_p2():
-    # the embed writes p3 - c measurement rows through the p2 coefficients of
-    # a block's v-part, so no exact write exists beyond p3 - c = p2
+    # the rule's p3 - c measured reads see a block only through the p2
+    # coefficients of its v-part, so beyond p3 - c = p2 they lose rank and
+    # no exact write exists
     assert StegoParams(p1=40, p2=24).p2 == 24  # p3 - c = 24 rows: the largest key
     with pytest.raises(ParamError, match=r"p3-c <= p2 violated \(p3=32, c=8, p2=16\)"):
         StegoParams(p1=48, p2=16)

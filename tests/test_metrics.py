@@ -222,13 +222,14 @@ def test_psnr_ncc_nae_equal_their_exact_integer_values(shape, low, high):
 
 
 # compare(...).to_dict() for three pairs: the 43x43 pair recorded before the
-# report moved to array-level cores on one quantized pair, the embed's pairs
-# when the embed became the exact write; each report must stay bitwise equal
+# report moved to array-level cores on one quantized pair, the extracted
+# secret when the embed became the exact write, and the stego when the write
+# became the pseudo-inverse of the rule's reads; each must stay bitwise equal
 PINNED_REPORTS = {
     "cover 1101 / stego": {
-        "psnr_db": 49.51426756747026, "mssim": 0.9930836455665115,
-        "ncc": 0.9999947586955126, "nae": 0.004871512461934578,
-        "entropy_ref": 6.943536092593771, "entropy_test": 6.944041205816752},
+        "psnr_db": 51.96365698693419, "mssim": 0.9961242639875758,
+        "ncc": 0.9999832439540293, "nae": 0.003148954183397514,
+        "entropy_ref": 6.943536092593771, "entropy_test": 6.943708063645105},
     "secret 2201 / extracted": {
         "psnr_db": 71.9940457952159, "mssim": 0.9999345862318364,
         "ncc": 1.0000039944017607, "nae": 7.084824824910428e-05,
