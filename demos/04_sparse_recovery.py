@@ -10,7 +10,7 @@ lone solve would.
 
 import numpy as np
 
-from sabmis import LassoProblem, SolverConfig, default_lambda, soft_threshold, solve_lasso
+from sabmis import default_lambda, soft_threshold, solve_lasso
 
 rng = np.random.default_rng(11)
 m, n = 320, 32
@@ -22,8 +22,8 @@ truth[rng.choice(n, 5, replace=False)] = rng.uniform(2, 6, 5) * rng.choice([-1, 
 y = phi @ truth
 
 lam = default_lambda(phi, y, scale=1e-3)
-cfg = SolverConfig()  # ADMM's default stopping rule; rho = m/10 = 32 comes from phi
-result = solve_lasso(LassoProblem(phi, y, lam), cfg)
+# ADMM's default stopping rule; rho = m/10 = 32 comes from phi
+result = solve_lasso(phi, y, lam)
 
 print(f"lam = {lam:.4f}, ADMM iterations {result.iterations} "
       f"(converged {result.converged}, primal residual {result.primal_residual:.1e}, "
@@ -47,7 +47,7 @@ sparse = np.zeros((64, n))
 for row in sparse:
     row[rng.choice(n, 3, replace=False)] = rng.uniform(2, 6, 3) * rng.choice([-1, 1], 3)
 ys = sparse @ wide.T
-stack = solve_lasso(LassoProblem(wide, ys, default_lambda(wide, ys, 1e-2)), cfg)
+stack = solve_lasso(wide, ys, default_lambda(wide, ys, 1e-2))
 print(f"64 rows on a 24 x {n} phi: all converged {bool(stack.converged.all())}, "
       f"ADMM iterations mean {stack.iterations.mean():.1f}, max {stack.iterations.max()}; "
       f"support recovered on {np.sum(np.all((stack.s != 0) == (sparse != 0), axis=1))} rows")

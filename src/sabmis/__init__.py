@@ -19,8 +19,7 @@ from .metrics import (MetricsReport, compare, edge_map, entropy, mssim, nae, ncc
                       psnr)
 from .raster import (Raster, inverse_subsample, quantize_u8, read_pgm, read_srf,
                      round_half_away, subsample, write_pgm, write_srf)
-from .solver import (LassoProblem, SolverConfig, SolverResult, default_lambda,
-                     soft_threshold, solve_lasso)
+from .solver import SolverResult, default_lambda, soft_threshold, solve_lasso
 from .spectral import (assemble_blocks, desparsify, make_dct_basis, make_zigzag,
                        partition_blocks, sparsify)
 from .synth import (block_sparse_raster, cover_raster, secret_raster,

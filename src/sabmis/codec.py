@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DimensionError, ParamError, SolverError
 from .measure import StegoKey, StegoParams, gen_matrix, make_key, measure
 from .raster import Raster, _parity
-from .solver import LassoProblem, SolverResult, default_lambda, solve_lasso
+from .solver import SolverResult, default_lambda, solve_lasso
 from .spectral import (_tiles, assemble_blocks, desparsify, forward_matrix,
                        partition_blocks, sparsify)
 
@@ -170,8 +170,8 @@ def reconstruct_block(y: np.ndarray, phi: np.ndarray,
     The u-part, all but the last m entries of y, is copied verbatim into the
     spectrum; the v-part is recovered from those m measurements by the l1
     solver with a per-block scale-aware weight. After `embed_rule` this is
-    the paper's embed, which the pipelines replace by an exact write (see
-    the module notes). Returns the block(s) and the solver result.
+    the paper's embed, which the pipelines replace by a minimum-norm write
+    (see the module notes). Returns the block(s) and the solver result.
     """
     y = np.asarray(y, dtype=np.float64)
     m, p2 = phi.shape
@@ -180,7 +180,7 @@ def reconstruct_block(y: np.ndarray, phi: np.ndarray,
         raise DimensionError(f"measurement vector length {y.shape[-1]} is not a u-part of "
                              f"{p.b ** 2 - p2} plus {m} measurements")
     yv = y[..., split:]
-    result = solve_lasso(LassoProblem(phi, yv, default_lambda(phi, yv)))
+    result = solve_lasso(phi, yv, default_lambda(phi, yv))
     return desparsify(np.concatenate([y[..., :split], result.s], axis=-1)), result
 
 

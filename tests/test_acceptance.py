@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sabmis import (SolverConfig, StegoParams, cover_raster,
+from sabmis import (StegoParams, cover_raster,
                     compare, default_params, embed_images, embed_rule,
                     extract_images, extract_rule, gen_matrix, make_dct_basis,
                     make_key, measure, partition_blocks,
@@ -20,7 +20,7 @@ from sabmis import (SolverConfig, StegoParams, cover_raster,
                     secret_to_coeffs, sparsify, subsample, write_pgm,
                     write_srf)
 from sabmis.cli import main as cli_main
-from sabmis.solver import LassoProblem, default_lambda, solve_lasso
+from sabmis.solver import default_lambda, solve_lasso
 
 from reference import lasso_fista, lasso_objective
 
@@ -72,7 +72,6 @@ def test_solver_against_independent_reference():
     """Criterion 2: ADMM matches a tight proximal-gradient oracle on 200
     random problems, and the KKT residual bounds hold."""
     rng = np.random.default_rng(777)
-    tight = SolverConfig(eps_abs=1e-12, eps_rel=1e-12, max_iter=20000)
     start = time.perf_counter()
     worst_obj = 0.0
     worst_kkt = 0.0
@@ -82,7 +81,7 @@ def test_solver_against_independent_reference():
         phi = rng.standard_normal((m, n))
         y = rng.standard_normal(m)
         lam = float(rng.uniform(0.02, 0.9)) * default_lambda(phi, y, 1.0)
-        result = solve_lasso(LassoProblem(phi, y, lam), tight)
+        result = solve_lasso(phi, y, lam, eps_abs=1e-12, eps_rel=1e-12, max_iter=20000)
         ref = lasso_fista(phi, y, lam, tol=1e-10)
         obj_ref = lasso_objective(phi, y, lam, ref)
         rel = abs(result.objective - obj_ref) / max(abs(obj_ref), 1e-12)

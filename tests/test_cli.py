@@ -512,8 +512,8 @@ print(json.dumps(seen))
 
 
 def test_import_and_the_cli_commands_load_no_scipy(small_setup):
-    # scipy's import is most of a fresh process's start-up; only synth, edge_map
-    # and the per-block l1 solve may load it, and a one-shot command reaches none
+    # scipy's import is most of a fresh process's start-up; only synth and
+    # edge_map may load it, and a one-shot command reaches neither
     tmp, _, cover_path, secret_path = small_setup
     covers, secrets = tmp / "covers", tmp / "secrets"
     covers.mkdir()
