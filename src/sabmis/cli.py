@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import embed_images, embed_subsets, extract_images
+from .codec import _gather_blocks, _stego, _subset_pairs, embed_images, extract_images
 from .errors import DimensionError, FormatError, ParamError, SolverError
 from .measure import StegoParams, make_key, read_key, write_key
-from .metrics import compare, psnr
-from .raster import Raster, quantize_u8, read_pgm, read_srf, write_pgm, write_srf
+from .metrics import _psnr_of_sse, _sse, compare
+from .raster import Raster, _rounded_u8, read_pgm, read_srf, write_pgm, write_srf
 
 IMAGE_SUFFIXES = (".pgm", ".srf")
 
@@ -137,12 +137,23 @@ def _save_report(report: dict, path) -> None:
 def _cmd_bench(args) -> int:
     """Sweep 1..S embedded secrets per cover, averaging PSNR over all
     secret-subset choices, and collect full stego/extraction metrics at the
-    maximum secret count. The sweep embeds each (sub-image, secret) pair once
-    per cover and reuses it across subsets, so a subset's wall time is what
-    the sweep took to produce its stego, not a standalone embed. Restart-safe:
-    covers the report lists as completed are skipped; a cover that errored
-    is recorded but retried on the next run. A report made under another
-    key's seed or parameters is refused, not mixed with this key's covers."""
+    maximum secret count.
+
+    The sweep embeds each (sub-image, secret) pair once per cover. Outside
+    the pairs' rebuilt blocks a stego is the cover bitwise, and each 8-bit
+    stego pixel depends on one pair only, so a subset's squared error is the
+    sum of its pairs' integer SSEs against the 8-bit cover. Each pair is
+    scored once, a subset's PSNR is taken from that sum, and only the
+    full-count subset builds a stego, which feeds the metrics, the solver
+    figures and the extraction. The sums are exact, so each PSNR equals
+    `psnr` on the 8-bit cover and stego. A subset's wall time is what the
+    sweep took to embed the pairs it adds and to score it, not a standalone
+    embed.
+
+    Restart-safe: covers the report lists as completed are skipped; a cover
+    that errored is recorded but retried on the next run. A report made
+    under another key's seed or parameters is refused, not mixed with this
+    key's covers."""
     key = read_key(args.key)
     cover_files = _list_corpus(args.covers)
     secret_files = _list_corpus(args.secrets)[:4]
@@ -150,7 +161,7 @@ def _cmd_bench(args) -> int:
     del params["num_secrets"]  # the sweep runs every count up to it
     report = _load_report(args.report, params)
     secrets = [read_image(f) for f in secret_files]
-    nsec = len(secrets)
+    nsec, b = len(secrets), key.params.b
 
     for cover_file in cover_files:
         name = cover_file.stem
@@ -160,15 +171,24 @@ def _cmd_bench(args) -> int:
         t_start = time.perf_counter()
         try:
             cover = read_image(cover_file)
-            cover_q = quantize_u8(cover)
+            cover_q = _rounded_u8(cover.pixels)
+            sse = {}  # (sub-image, secret index) -> SSE of its 8-bit blocks
             values, walls = {}, {}
             t_embed = time.perf_counter()
-            for combo, key_k, stego, rpt in embed_subsets(cover, secrets, key):
-                k = str(len(combo))
-                walls.setdefault(k, []).append(time.perf_counter() - t_embed)
-                values.setdefault(k, []).append(psnr(cover_q, quantize_u8(stego)))
+            for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
+                total = 0.0
+                for k, (i, blocks, _) in pairs.items():
+                    if (k, i) not in sse:
+                        sse[k, i] = _sse(_rounded_u8(blocks),
+                                         _gather_blocks(cover_q, b, k, len(blocks)))
+                    total += sse[k, i]
+                count = str(len(combo))
+                values.setdefault(count, []).append(_psnr_of_sse(total, cover_q.size))
+                walls.setdefault(count, []).append(time.perf_counter() - t_embed)
                 if len(combo) == nsec:
                     chosen = [secrets[i] for i in combo]
+                    stego, rpt = _stego(cover, b, {k: (blocks, stats)
+                                                   for k, (_, blocks, stats) in pairs.items()})
                     entry["stego_metrics"] = compare(cover, stego).to_dict()
                     entry["solver"] = rpt.to_dict()
                     extracted = extract_images(stego, key_k)
@@ -176,7 +196,10 @@ def _cmd_bench(args) -> int:
                         compare(orig, ext).to_dict()
                         for orig, ext in zip(chosen, extracted)]
                 t_embed = time.perf_counter()
-            entry["psnr_curve"] = {k: sum(v) / len(v) for k, v in values.items()}
+            means = {k: sum(v) / len(v) for k, v in values.items()}
+            # +inf is written "inf", as MetricsReport.to_dict does: RFC 8259
+            # JSON has no Infinity
+            entry["psnr_curve"] = {k: "inf" if math.isinf(m) else m for k, m in means.items()}
             entry["subset_wall_s"] = walls
         except (ParamError, DimensionError, FormatError, SolverError, OSError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -190,7 +213,7 @@ def _cmd_bench(args) -> int:
         lines = ["cover,secrets,psnr_db"]
         for name, entry in sorted(report["covers"].items()):
             for k, value in sorted(entry.get("psnr_curve", {}).items()):
-                lines.append(f"{name},{k},{value:.6f}")
+                lines.append(f"{name},{k},{float(value):.6f}")
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(json.dumps({"report": str(args.report),
                       "covers": len(report["completed"])}))

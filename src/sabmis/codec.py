@@ -41,7 +41,9 @@ is folded into one matrix.
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
 next, so `embed_subsets` sweeps every secret subset of a cover reusing them:
-S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1).
+S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1). The sweep
+itself is `_subset_pairs`, which yields each subset's pairs without a stego;
+`sabmis bench` scores the subsets from those pairs and builds one stego.
 """
 
 from __future__ import annotations
@@ -327,6 +329,29 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
                                for secret, k in zip(secrets, key.assignment)})
 
 
+def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
+                  ) -> Iterator[tuple[tuple[int, ...], StegoKey,
+                                      dict[int, tuple[int, np.ndarray, SubImageStats]]]]:
+    """The subset sweep without the stegos: yields (combo, key_k, pairs) in
+    `embed_subsets` order, where pairs maps each sub-image k that key_k
+    assigns to (i, blocks, stats): the index i in `secrets` of the secret it
+    carries, and `_embed_sub_image`'s rebuilt blocks and stats for that
+    (sub-image, secret) pair, in assignment order. Each pair is embedded on
+    first use and the same arrays are yielded again wherever it recurs."""
+    full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
+    _check_embed_inputs(cover, secrets, full)
+    done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
+    for count in range(1, len(secrets) + 1):
+        key_k = make_key(key.seed, replace(full, num_secrets=count))
+        for combo in itertools.combinations(range(len(secrets)), count):
+            pairs = {}
+            for i, k in zip(combo, key_k.assignment):
+                if (k, i) not in done:
+                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, key.seed)
+                pairs[k] = (i, *done[k, i])
+            yield combo, key_k, pairs
+
+
 def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
                   ) -> Iterator[tuple[tuple[int, ...], StegoKey, Raster, EmbedReport]]:
     """Embed every nonempty subset of 1..4 secrets into one cover.
@@ -338,20 +363,14 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     key's own num_secrets and assignment are not read. Each (sub-image,
     secret) pair is embedded once per call and its rebuilt blocks are
     scattered into every subset's stego that assigns it, so S secrets take
-    S(S+1)/2 sub-image embeds.
+    S(S+1)/2 sub-image embeds. `sabmis bench` runs the same sweep but builds
+    only the full-count subset's stego; it scores the others from the
+    rebuilt blocks alone.
     """
-    full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
-    _check_embed_inputs(cover, secrets, full)
-    done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
-    for count in range(1, len(secrets) + 1):
-        key_k = make_key(key.seed, replace(full, num_secrets=count))
-        for combo in itertools.combinations(range(len(secrets)), count):
-            for i, k in zip(combo, key_k.assignment):
-                if (k, i) not in done:
-                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, key.seed)
-            stego, report = _stego(cover, full.b, {k: done[k, i] for i, k in
-                                                   zip(combo, key_k.assignment)})
-            yield combo, key_k, stego, report
+    for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
+        stego, report = _stego(cover, key.params.b,
+                               {k: (blocks, stats) for k, (_, blocks, stats) in pairs.items()})
+        yield combo, key_k, stego, report
 
 
 def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:

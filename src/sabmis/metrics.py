@@ -12,11 +12,13 @@ PSNR and NCC sum through BLAS dot products. On integer-valued pixels every
 product and partial sum is an integer below 2^53 (at most 255^2 * 1024^2,
 about 6.8e10, for a 1024x1024 pair), so the sums are exact and independent of
 summation order and BLAS threads; on other floats they may differ from a
-pairwise sum by rounding only. `mssim` applies its window (Wang et al., IEEE
-TIP 2004) as banded-matrix products over strips of rows, into strip buffers
-allocated once per call, and builds no full-size windowed map: its working
-set grows with the image width, not its area (2.9 MiB under tracemalloc for a
-1024x1024 pair).
+pairwise sum by rounding only. So on an 8-bit pair that differs only in a few
+regions, the squared error is the sum of the regions' own sums, bitwise, and
+`sabmis bench` takes each subset's PSNR that way. `mssim` applies its window
+(Wang et al., IEEE TIP 2004) as banded-matrix products over strips of rows,
+into strip buffers allocated once per call, and builds no full-size windowed
+map: its working set grows with the image width, not its area (2.9 MiB under
+tracemalloc for a 1024x1024 pair).
 """
 
 from __future__ import annotations
@@ -52,12 +54,22 @@ def _quantized(r: Raster) -> np.ndarray:
     return _rounded_u8(r.pixels)
 
 
-def _psnr(x: np.ndarray, y: np.ndarray) -> float:
+def _sse(x: np.ndarray, y: np.ndarray) -> float:
+    # sum of squared differences, one BLAS dot: exact on integer pixels
     d = (x - y).ravel()
-    mse = float(d @ d) / d.size
+    return float(d @ d)
+
+
+def _psnr_of_sse(sse: float, size: int) -> float:
+    # PSNR of `size` pixels whose squared differences sum to `sse`
+    mse = sse / size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(_PEAK * _PEAK / mse)
+
+
+def _psnr(x: np.ndarray, y: np.ndarray) -> float:
+    return _psnr_of_sse(_sse(x, y), x.size)
 
 
 def psnr(a: Raster, b: Raster) -> float:

@@ -250,53 +250,82 @@ def test_usage_error_exit_code(capsys):
     assert main(["embed"]) == 2  # missing required flags
 
 
-def test_bench_curves_and_restart(tmp_path, capsys):
-    params = StegoParams(N=128, M=64, num_secrets=4)
-    key = make_key(17, params)
-    key_path = tmp_path / "k.skey"
-    write_key(key, key_path)
-    covers = tmp_path / "covers"
-    secrets = tmp_path / "secrets"
-    covers.mkdir()
-    secrets.mkdir()
-    write_pgm(cover_raster(128, 61), covers / "alpha.pgm", depth=8)
-    for i in range(4):
-        write_pgm(secret_raster(64, 70 + i), secrets / f"s{i}.pgm", depth=8)
-    report_path = tmp_path / "report.json"
-    csv_path = tmp_path / "report.csv"
+def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
+    from sabmis import Raster, cli, codec, embed_subsets, psnr, write_srf
+    built, embedded = [], []
+    monkeypatch.setattr(cli, "_stego", lambda *a: built.append(a) or codec._stego(*a))
+    original = codec._embed_sub_image
+    monkeypatch.setattr(codec, "_embed_sub_image", lambda *a: embedded.append(a) or original(*a))
+    # M=40 fills 25 of a sub-image's 64 blocks; the SRF cover holds samples
+    # below 0 and above 255, so the 8-bit scoring clamps
+    for M in (64, 40):
+        params = StegoParams(N=128, M=M, num_secrets=4)
+        key = make_key(17, params)
+        root = tmp_path / f"m{M}"
+        root.mkdir()
+        key_path = root / "k.skey"
+        write_key(key, key_path)
+        covers = root / "covers"
+        secrets = root / "secrets"
+        covers.mkdir()
+        secrets.mkdir()
+        write_pgm(cover_raster(128, 61), covers / "alpha.pgm", depth=8)
+        wild = cover_raster(128, 63).pixels * 2.0 - 120.0
+        assert wild.min() < 0.0 and wild.max() > 255.0
+        write_srf(Raster(wild), covers / "gamma.srf")
+        for i in range(4):
+            write_pgm(secret_raster(M, 70 + i), secrets / f"s{i}.pgm", depth=8)
+        report_path = root / "report.json"
+        csv_path = root / "report.csv"
 
-    rc = run("bench", "--covers", str(covers), "--secrets", str(secrets),
-             "--key", str(key_path), "--report", str(report_path),
-             "--csv", str(csv_path))
-    assert rc == 0
-    capsys.readouterr()
-    report = json.loads(report_path.read_text())
-    assert report["completed"] == ["alpha"]
-    entry = report["covers"]["alpha"]
-    curve = [entry["psnr_curve"][str(k)] for k in (1, 2, 3, 4)]
-    assert all(np.isfinite(curve))
-    assert all(a >= b for a, b in zip(curve, curve[1:]))
-    assert len(entry["extracted_metrics"]) == 4
-    assert "stego_metrics" in entry
-    assert_sub_image_reports(entry["solver"]["sub_images"], 4)
-    # one sweep wall time per secret subset: C(4, k) of them for k secrets
-    walls = entry["subset_wall_s"]
-    assert {k: len(v) for k, v in walls.items()} == {
-        str(k): math.comb(4, k) for k in (1, 2, 3, 4)}
-    assert all(t >= 0.0 for v in walls.values() for t in v)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "cover,secrets,psnr_db"
-    assert len(lines) == 5
+        built.clear()
+        embedded.clear()
+        rc = run("bench", "--covers", str(covers), "--secrets", str(secrets),
+                 "--key", str(key_path), "--report", str(report_path),
+                 "--csv", str(csv_path))
+        assert rc == 0
+        capsys.readouterr()
+        # one stego per cover, and each (sub-image, secret) pair embedded once
+        assert len(built) == 2
+        assert len(embedded) == 2 * 4 * 5 // 2
+        report = json.loads(report_path.read_text())
+        assert report["completed"] == ["alpha", "gamma"]
+        chosen = [cli.read_image(f) for f in sorted(secrets.iterdir())]
+        for name in ("alpha", "gamma"):
+            entry = report["covers"][name]
+            curve = [entry["psnr_curve"][str(k)] for k in (1, 2, 3, 4)]
+            assert all(np.isfinite(curve))
+            assert all(a >= b for a, b in zip(curve, curve[1:]))
+            # each point is the mean PSNR of the 8-bit subset stegos, bitwise
+            cover = cli.read_image(Path(entry["file"]))
+            values = {}
+            for combo, _, stego, _ in embed_subsets(cover, chosen, key):
+                values.setdefault(len(combo), []).append(
+                    psnr(quantize_u8(cover), quantize_u8(stego)))
+            assert curve == [sum(v) / len(v) for v in values.values()]
+            assert len(entry["extracted_metrics"]) == 4
+            assert "stego_metrics" in entry
+            assert_sub_image_reports(entry["solver"]["sub_images"], 4)
+            # one sweep wall time per secret subset: C(4, k) of them for k secrets
+            walls = entry["subset_wall_s"]
+            assert {k: len(v) for k, v in walls.items()} == {
+                str(k): math.comb(4, k) for k in (1, 2, 3, 4)}
+            assert all(t >= 0.0 for v in walls.values() for t in v)
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "cover,secrets,psnr_db"
+        assert len(lines) == 9
 
-    # restart safety: a second cover is processed, the first is not recomputed
-    stamp = entry["wall_clock_s"]
-    write_pgm(cover_raster(128, 62), covers / "beta.pgm", depth=8)
-    rc = run("bench", "--covers", str(covers), "--secrets", str(secrets),
-             "--key", str(key_path), "--report", str(report_path))
-    assert rc == 0
-    report = json.loads(report_path.read_text())
-    assert sorted(report["completed"]) == ["alpha", "beta"]
-    assert report["covers"]["alpha"]["wall_clock_s"] == stamp
+        # restart safety: a new cover is processed, the others are not recomputed
+        stamp = report["covers"]["alpha"]["wall_clock_s"]
+        write_pgm(cover_raster(128, 62), covers / "beta.pgm", depth=8)
+        built.clear()
+        rc = run("bench", "--covers", str(covers), "--secrets", str(secrets),
+                 "--key", str(key_path), "--report", str(report_path))
+        assert rc == 0
+        assert len(built) == 1
+        report = json.loads(report_path.read_text())
+        assert sorted(report["completed"]) == ["alpha", "beta", "gamma"]
+        assert report["covers"]["alpha"]["wall_clock_s"] == stamp
 
 
 def _one_secret_corpus(tmp_path):
@@ -387,7 +416,7 @@ def test_bench_records_a_wrong_size_secret(tmp_path, capsys):
 
 
 def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, monkeypatch):
-    from sabmis import Raster, cli, psnr, read_srf, write_srf
+    from sabmis import Raster, cli, read_srf, write_srf
     params = StegoParams(N=128, M=64, num_secrets=2)
     key = make_key(5, params)
     key_path = tmp_path / "k.skey"
@@ -407,15 +436,17 @@ def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, mo
     report_path = tmp_path / "report.json"
     argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
             "--key", str(key_path), "--report", str(report_path))
-    subsets = []
-    monkeypatch.setattr(cli, "psnr", lambda *a: subsets.append(a) or psnr(*a))
+    # one PSNR per scored subset, each from the sum of its pairs' SSEs
+    scored = []
+    original = cli._psnr_of_sse
+    monkeypatch.setattr(cli, "_psnr_of_sse", lambda *a: scored.append(a) or original(*a))
     # read_image refuses a NaN sample outright; read the cover unchecked so
     # that the failure comes from the embed's own check, partway through the
     # sweep
     monkeypatch.setattr(cli, "read_image", lambda path: (
         read_srf(path) if path.suffix == ".srf" else read_pgm(path)))
     assert run(*argv) == 0
-    assert len(subsets) == 2
+    assert len(scored) == 2
     entry = json.loads(report_path.read_text())["covers"]["c0"]
     assert entry["error"].startswith("SolverError")
     assert "psnr_curve" not in entry and "subset_wall_s" not in entry
@@ -426,6 +457,43 @@ def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, mo
     report = json.loads(report_path.read_text())
     assert report["completed"] == ["c0"]
     assert set(report["covers"]["c0"]["psnr_curve"]) == {"1", "2"}
+
+
+def test_bench_writes_an_infinite_psnr_as_json_and_resumes_a_bare_infinity(tmp_path, capsys):
+    from sabmis import Raster
+
+    def strict(text):
+        def refuse(name):
+            raise ValueError(f"not RFC 8259 JSON: {name}")
+        return json.loads(text, parse_constant=refuse)
+
+    # a constant cover and secret: every 8-bit stego pixel equals the cover's
+    key_path = tmp_path / "k.skey"
+    write_key(make_key(5, SMALL), key_path)
+    covers, secrets = tmp_path / "covers", tmp_path / "secrets"
+    covers.mkdir()
+    secrets.mkdir()
+    write_pgm(Raster(np.full((SMALL.N, SMALL.N), 100.0)), covers / "c0.pgm", depth=8)
+    write_pgm(Raster(np.full((SMALL.M, SMALL.M), 1.0)), secrets / "s0.pgm", depth=8)
+    report_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+    argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
+            "--key", str(key_path), "--report", str(report_path), "--csv", str(csv_path))
+    assert run(*argv) == 0
+    entry = strict(report_path.read_text())["covers"]["c0"]
+    assert entry["psnr_curve"] == {"1": "inf"}
+    assert entry["stego_metrics"]["psnr_db"] == "inf"
+    assert csv_path.read_text().splitlines()[1:] == ["c0,1,inf"]
+
+    # a report written with a bare Infinity still resumes
+    text = report_path.read_text()
+    assert text.count('"1": "inf"') == 1
+    report_path.write_text(text.replace('"1": "inf"', '"1": Infinity'))
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c1.pgm", depth=8)
+    assert run(*argv) == 0
+    report = json.loads(report_path.read_text())
+    assert report["completed"] == ["c0", "c1"]
+    assert math.isfinite(report["covers"]["c1"]["psnr_curve"]["1"])
+    assert csv_path.read_text().splitlines()[1] == "c0,1,inf"
 
 
 def test_non_finite_cover_is_numerical_failure(small_setup, capsys):
