@@ -107,6 +107,15 @@ def _list_corpus(directory) -> list[Path]:
     return files
 
 
+def _report_constant(name: str) -> str:
+    # RFC 8259 JSON has no Infinity, -Infinity or NaN. A bare Infinity, as an
+    # older bench wrote for a lossless subset, resumes as "inf", which is how
+    # the bench writes +inf; no bench value can be -inf or NaN.
+    if name == "Infinity":
+        return "inf"
+    raise ValueError(f"{name} is not a bench value")
+
+
 def _load_report(path, params: dict) -> dict:
     """A fresh report under `params`, or the one to resume under them; any
     other file, a report made under another key included, is refused, not
@@ -115,7 +124,7 @@ def _load_report(path, params: dict) -> dict:
     if not path.exists():
         return {"version": 1, "covers": {}, "completed": [], "params": params}
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_report_constant)
     except ValueError as exc:
         raise FormatError(f"{path}: cannot resume report: {exc}") from None
     if not (isinstance(data, dict) and data.get("version") == 1
@@ -177,8 +186,9 @@ def _cmd_bench(args) -> int:
             t_embed = time.perf_counter()
             for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
                 total = 0.0
-                for k, (i, blocks, _) in pairs.items():
+                for i, k in zip(combo, key_k.assignment):
                     if (k, i) not in sse:
+                        blocks = pairs[k][0]
                         sse[k, i] = _sse(_rounded_u8(blocks),
                                          _gather_blocks(cover_q, b, k, len(blocks)))
                     total += sse[k, i]
@@ -187,8 +197,7 @@ def _cmd_bench(args) -> int:
                 walls.setdefault(count, []).append(time.perf_counter() - t_embed)
                 if len(combo) == nsec:
                     chosen = [secrets[i] for i in combo]
-                    stego, rpt = _stego(cover, b, {k: (blocks, stats)
-                                                   for k, (_, blocks, stats) in pairs.items()})
+                    stego, rpt = _stego(cover, b, pairs)
                     entry["stego_metrics"] = compare(cover, stego).to_dict()
                     entry["solver"] = rpt.to_dict()
                     extracted = extract_images(stego, key_k)

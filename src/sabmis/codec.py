@@ -107,7 +107,6 @@ def _check_rule_vector(y: np.ndarray, p: StegoParams) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=8)
 def _rule(p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The transplant, coefficient by coefficient: for each k < p3, the
     0-based position in the (p1 + m)-long measurement vector that t[k] is
@@ -117,7 +116,7 @@ def _rule(p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Coefficient 0 goes to u-position p1-1 (alpha), 1..c-1 to p1-c .. p1-2
     (beta), c..p3-1 to measurement rows p3 .. 2*p3-c-1, at p1 + row (gamma);
     the donors are u-positions p1-2c-1 .. p1-c-1 and measurement rows
-    c .. p3-1. Kept for the last few params; the arrays are read-only.
+    c .. p3-1.
     """
     p1, p3, c = p.p1, p.p3, p.c
     k = np.arange(p3)
@@ -125,8 +124,6 @@ def _rule(p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     written = np.where(low, np.where(k == 0, p1 - 1, p1 - c - 1 + k), p1 + p3 - c + k)
     donor = np.where(low, p1 - 2 * c - 1 + k, p1 + k)
     strength = np.where(k == 0, p.alpha, np.where(low, p.beta, p.gamma))
-    for a in (written, donor, strength):
-        a.setflags(write=False)
     return written, donor, strength
 
 
@@ -331,13 +328,14 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
 
 def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
                   ) -> Iterator[tuple[tuple[int, ...], StegoKey,
-                                      dict[int, tuple[int, np.ndarray, SubImageStats]]]]:
+                                      dict[int, tuple[np.ndarray, SubImageStats]]]]:
     """The subset sweep without the stegos: yields (combo, key_k, pairs) in
-    `embed_subsets` order, where pairs maps each sub-image k that key_k
-    assigns to (i, blocks, stats): the index i in `secrets` of the secret it
-    carries, and `_embed_sub_image`'s rebuilt blocks and stats for that
-    (sub-image, secret) pair, in assignment order. Each pair is embedded on
-    first use and the same arrays are yielded again wherever it recurs."""
+    `embed_subsets` order. pairs is what `_stego` takes: it maps each
+    sub-image k that key_k assigns, in assignment order, to
+    `_embed_sub_image`'s rebuilt blocks and stats for k and the secret it
+    carries, secrets[i] for (i, k) in zip(combo, key_k.assignment). Each
+    (sub-image, secret) pair is embedded on first use and the same arrays
+    are yielded again wherever it recurs."""
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
     done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
@@ -348,7 +346,7 @@ def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
             for i, k in zip(combo, key_k.assignment):
                 if (k, i) not in done:
                     done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, key.seed)
-                pairs[k] = (i, *done[k, i])
+                pairs[k] = done[k, i]
             yield combo, key_k, pairs
 
 
@@ -368,8 +366,7 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     rebuilt blocks alone.
     """
     for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
-        stego, report = _stego(cover, key.params.b,
-                               {k: (blocks, stats) for k, (_, blocks, stats) in pairs.items()})
+        stego, report = _stego(cover, key.params.b, pairs)
         yield combo, key_k, stego, report
 
 

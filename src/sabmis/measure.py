@@ -8,7 +8,6 @@ obtain bitwise-identical matrices without exchanging them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -203,22 +202,17 @@ def make_key(seed: int, params: StegoParams | None = None, assignment=None) -> S
     return StegoKey(int(seed), params, tuple(assignment))
 
 
-@functools.lru_cache(maxsize=8)
-def _keyed_matrix(seed: int, m: int, p2: int) -> np.ndarray:
-    phi = keyed_normals(seed, m * p2).reshape(m, p2)
-    phi.setflags(write=False)
-    return phi
-
-
 def gen_matrix(key: StegoKey) -> np.ndarray:
     """Regenerate the keyed Gaussian (m, p2) matrix phi that measures the
     v-part of every block spectrum; same key, bitwise-identical matrix.
 
-    The matrix depends only on (seed, m, p2) and is read-only, so the last
-    few are kept and a repeated key returns the same array.
+    The matrix depends only on (seed, m, p2). Each call draws it anew from
+    the seed and returns it read-only.
     """
     p = key.params
-    return _keyed_matrix(key.seed, p.m, p.p2)
+    phi = keyed_normals(key.seed, p.m * p.p2).reshape(p.m, p.p2)
+    phi.setflags(write=False)
+    return phi
 
 
 def measure(s: np.ndarray, phi: np.ndarray) -> np.ndarray:

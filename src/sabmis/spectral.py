@@ -4,7 +4,6 @@ vectors."""
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -52,12 +51,10 @@ def make_zigzag(side: int) -> np.ndarray:
     return perm
 
 
-@functools.lru_cache(maxsize=8)
 def forward_matrix(side: int) -> np.ndarray:
-    """The (side^2, side^2) matrix `sparsify` applies: a row-major side x side
-    block times it is the block's zig-zag-ordered DCT coefficients, and its
-    transpose, which `desparsify` applies, inverts it. Kept for the last few
-    sides; read-only."""
+    """The read-only (side^2, side^2) matrix `sparsify` applies: a row-major
+    side x side block times it is the block's zig-zag-ordered DCT
+    coefficients, and its transpose, which `desparsify` applies, inverts it."""
     fwd = make_dct_basis(side)[:, make_zigzag(side)]
     fwd.setflags(write=False)
     return fwd

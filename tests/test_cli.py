@@ -340,8 +340,13 @@ def _one_secret_corpus(tmp_path):
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00",
                                      b'{"version": 2, "covers": {}, "completed": []}',
-                                     b'{"version": 1, "covers": []}'],
-                         ids=["not-json", "not-utf8", "version-2", "covers-not-a-dict"])
+                                     b'{"version": 1, "covers": []}',
+                                     b'{"version": 1, "covers": {"c0": {"psnr_curve": '
+                                     b'{"1": NaN}}}, "completed": ["c0"]}',
+                                     b'{"version": 1, "covers": {"c0": {"psnr_curve": '
+                                     b'{"1": -Infinity}}}, "completed": ["c0"]}'],
+                         ids=["not-json", "not-utf8", "version-2", "covers-not-a-dict",
+                              "nan", "minus-infinity"])
 def test_bench_refuses_a_report_it_cannot_resume(tmp_path, capsys, content):
     key_path, covers, secrets = _one_secret_corpus(tmp_path)
     write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
@@ -490,8 +495,9 @@ def test_bench_writes_an_infinite_psnr_as_json_and_resumes_a_bare_infinity(tmp_p
     report_path.write_text(text.replace('"1": "inf"', '"1": Infinity'))
     write_pgm(cover_raster(SMALL.N, 51), covers / "c1.pgm", depth=8)
     assert run(*argv) == 0
-    report = json.loads(report_path.read_text())
+    report = strict(report_path.read_text())
     assert report["completed"] == ["c0", "c1"]
+    assert report["covers"]["c0"]["psnr_curve"] == {"1": "inf"}
     assert math.isfinite(report["covers"]["c1"]["psnr_curve"]["1"])
     assert csv_path.read_text().splitlines()[1] == "c0,1,inf"
 
