@@ -1,24 +1,33 @@
 """Image fidelity measures: PSNR, mean SSIM, normalized cross-correlation,
 normalized absolute error, histogram entropy, and Sobel edge maps.
 
-Each measure is an array-level core (`_psnr`, `_mssim`, `_ncc`, `_nae`); the
-public functions apply it to a raster pair. `compare` refuses a NaN or
-infinite sample, quantizes both rasters to 8 bits once into plain arrays, so
-reported numbers always correspond to viewable images, and runs every core on
-that one pair; the individual metric functions evaluate whatever they are
-given.
+Each figure has a core that takes a few sums over the pair (`_psnr_of_sse`,
+`_ncc_of_sums`, `_nae_of_sums`, `_entropy_of_counts`) or, for SSIM, the
+pair's strips of rows (`_mssim`); the public functions feed their core from
+one raster or raster pair. `mssim` applies its window (Wang et al., IEEE TIP
+2004) as banded-matrix products over strips of rows, into strip buffers
+allocated once per call, and builds no full-size windowed map: its working
+set grows with the image width, not its area.
+
+`compare` refuses a NaN or infinite sample, then reads the pair in one walk
+over `mssim`'s strips, so reported numbers always correspond to viewable
+images without a full-size 8-bit copy of either. It rounds each strip into
+one of two strip buffers by its own rule, clamp to [0, 255] then
+floor(v + 0.5): `quantize_u8`'s values up to the sign of zero, which no
+figure reads. The strips feed `mssim`'s windowing, and the rows no later
+strip reads feed the sums and histograms behind PSNR, NCC, NAE and both
+entropies, so each row is counted once. Its working set is about 4 MiB under
+tracemalloc for a 1024x1024 pair, and it too grows with width, not area. The
+individual metric functions evaluate whatever they are given.
 
 PSNR and NCC sum through BLAS dot products. On integer-valued pixels every
 product and partial sum is an integer below 2^53 (at most 255^2 * 1024^2,
 about 6.8e10, for a 1024x1024 pair), so the sums are exact and independent of
-summation order and BLAS threads; on other floats they may differ from a
-pairwise sum by rounding only. So on an 8-bit pair that differs only in a few
-regions, the squared error is the sum of the regions' own sums, bitwise, and
-`sabmis bench` takes each subset's PSNR that way. `mssim` applies its window
-(Wang et al., IEEE TIP 2004) as banded-matrix products over strips of rows,
-into strip buffers allocated once per call, and builds no full-size windowed
-map: its working set grows with the image width, not its area (2.9 MiB under
-tracemalloc for a 1024x1024 pair).
+summation order, strip boundaries and BLAS threads; on other floats they may
+differ from a pairwise sum by rounding only. So `compare`'s figures equal
+the individual functions' on `quantize_u8` views, bitwise, and on an 8-bit
+pair that differs only in a few regions, the squared error is the sum of the
+regions' own sums, bitwise: `sabmis bench` takes each subset's PSNR that way.
 """
 
 from __future__ import annotations
@@ -46,12 +55,12 @@ def _paired(a: Raster, b: Raster) -> tuple[np.ndarray, np.ndarray]:
     return a.pixels, b.pixels
 
 
-def _quantized(r: Raster) -> np.ndarray:
-    # the 8-bit view as a plain array; NaN would fail in the histogram and
-    # +-inf would clamp to a valid-looking 255 or 0
-    if not np.isfinite(r.pixels).all():
+def _finite(x: np.ndarray) -> np.ndarray:
+    # NaN would fail in the histogram and +-inf would clamp to a valid-looking
+    # 255 or 0
+    if not np.isfinite(x).all():
         raise SolverError("image holds non-finite samples")
-    return _rounded_u8(r.pixels)
+    return x
 
 
 def _sse(x: np.ndarray, y: np.ndarray) -> float:
@@ -68,13 +77,10 @@ def _psnr_of_sse(sse: float, size: int) -> float:
     return 10.0 * math.log10(_PEAK * _PEAK / mse)
 
 
-def _psnr(x: np.ndarray, y: np.ndarray) -> float:
-    return _psnr_of_sse(_sse(x, y), x.size)
-
-
 def psnr(a: Raster, b: Raster) -> float:
     """10 * log10(255^2 / MSE) in dB; +inf when the rasters are identical."""
-    return _psnr(*_paired(a, b))
+    x, y = _paired(a, b)
+    return _psnr_of_sse(_sse(x, y), x.size)
 
 
 def _gauss_kernel() -> np.ndarray:
@@ -83,11 +89,21 @@ def _gauss_kernel() -> np.ndarray:
     return g / g.sum()
 
 
-def _mssim(x: np.ndarray, y: np.ndarray) -> float:
-    if min(x.shape) < _SSIM_WINDOW:
+def _strip_rows(height: int) -> list[tuple[int, int]]:
+    # (start, stop) of each strip of rows `_mssim` reads, in order: its
+    # `_SSIM_STRIP` output rows (fewer in the last strip) and the 10 below them
+    reach = _SSIM_WINDOW - 1
+    rows = height - reach
+    return [(r, min(r + _SSIM_STRIP, rows) + reach) for r in range(0, rows, _SSIM_STRIP)]
+
+
+def _mssim(shape: tuple[int, int], strips) -> float:
+    # mean SSIM of a pair of `shape`, read from `strips`: its (x, y) rows
+    # as `_strip_rows` bounds them, each strip a C-ordered pair of arrays
+    if min(shape) < _SSIM_WINDOW:
         raise DimensionError(f"images must be at least {_SSIM_WINDOW} pixels per side")
-    reach, width = _SSIM_WINDOW - 1, x.shape[1]
-    rows, cols = x.shape[0] - reach, width - reach
+    reach, width = _SSIM_WINDOW - 1, shape[1]
+    rows, cols = shape[0] - reach, width - reach
     n = _SSIM_STRIP
     # band[i, i:i + 11] holds the weights, so band[:t, :t + 10] windows t rows
     band, i = np.zeros((n, n + reach)), np.arange(n)[:, None]
@@ -101,9 +117,8 @@ def _mssim(x: np.ndarray, y: np.ndarray) -> float:
     win = np.empty(4 * tall * cols)                 # ... and along the rows
     prod = np.empty(tall * cols)                    # mu_x mu_y
     total = 0.0
-    for r in range(0, rows, n):
-        t = min(n, rows - r)
-        xs, ys = x[r:r + t + reach], y[r:r + t + reach]
+    for xs, ys in strips:
+        t = len(xs) - reach
         sq, xy = sums[:2 * xs.size].reshape(2, *xs.shape)
         np.multiply(xs, xs, out=sq)
         sq += np.multiply(ys, ys, out=xy)
@@ -149,45 +164,48 @@ def mssim(a: Raster, b: Raster) -> float:
     the windowed strip and the formula's one extra map live in buffers
     allocated once per call, so no full-size map is ever built.
     """
-    return _mssim(*_paired(a, b))
+    x, y = _paired(a, b)
+    return _mssim(x.shape, ((x[r:e], y[r:e]) for r, e in _strip_rows(len(x))))
 
 
-def _ncc(x: np.ndarray, y: np.ndarray) -> float:
-    x, y = x.ravel(), y.ravel()
-    denom = float(x @ x)
-    if denom == 0.0:
+def _ncc_of_sums(xy: float, xx: float) -> float:
+    # NCC of a pair whose products sum to `xy` and reference squares to `xx`
+    if xx == 0.0:
         raise ParamError("NCC is undefined for an all-zero reference")
-    return float(x @ y) / denom
+    return xy / xx
 
 
 def ncc(a: Raster, b: Raster) -> float:
     """sum(a * b) / sum(a^2); asymmetric, the first raster is the reference."""
-    return _ncc(*_paired(a, b))
+    x, y = (p.ravel() for p in _paired(a, b))
+    return _ncc_of_sums(float(x @ y), float(x @ x))
 
 
-def _nae(x: np.ndarray, y: np.ndarray) -> float:
-    denom = float(np.abs(x).sum())
-    if denom == 0.0:
+def _nae_of_sums(sad: float, total: float) -> float:
+    # NAE of a pair whose absolute differences sum to `sad` and reference
+    # magnitudes to `total`
+    if total == 0.0:
         raise ParamError("NAE is undefined for an all-zero reference")
-    d = x - y
-    return float(np.abs(d, out=d).sum()) / denom
+    return sad / total
 
 
 def nae(a: Raster, b: Raster) -> float:
     """sum(|a - b|) / sum(|a|); asymmetric, the first raster is the reference."""
-    return _nae(*_paired(a, b))
+    x, y = _paired(a, b)
+    d = x - y
+    return _nae_of_sums(float(np.abs(d, out=d).sum()), float(np.abs(x).sum()))
 
 
-def _histogram_entropy(q: np.ndarray) -> float:
-    # q holds already-quantized pixels, integers in [0, 255]
-    counts = np.bincount(q.astype(np.int64).ravel(), minlength=256)
-    prob = counts[counts > 0] / q.size
+def _entropy_of_counts(counts: np.ndarray, size: int) -> float:
+    # entropy of a 256-bin histogram of `size` pixels
+    prob = counts[counts > 0] / size
     return float(-(prob * np.log2(prob)).sum())
 
 
 def entropy(a: Raster) -> float:
     """Shannon entropy in bits of the 256-bin histogram of the quantized pixels."""
-    return _histogram_entropy(_quantized(a))
+    q = _rounded_u8(_finite(a.pixels))
+    return _entropy_of_counts(np.bincount(q.astype(np.uint8).ravel(), minlength=256), q.size)
 
 
 def edge_map(a: Raster, threshold: float = 0.2) -> Raster:
@@ -226,11 +244,43 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _rounded_strips(x: np.ndarray, y: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+    # `_mssim`'s strips of the pair, each rounded into one of two strip
+    # buffers by compare's rule. The rows no later strip reads, a strip's
+    # first `_SSIM_STRIP` and every row of the last, add x.x, x.y, sum x,
+    # sum (x - y)^2 and sum |x - y| to `sums` and their levels to `counts`.
+    bounds = _strip_rows(len(x))
+    qx, qy = np.empty((2, bounds[0][1], x.shape[1]))   # the first strip is the tallest
+    diff = np.empty(qx.size)
+    for start, stop in bounds:
+        xs, ys = qx[:stop - start], qy[:stop - start]
+        for src, q in ((x, xs), (y, ys)):
+            np.clip(src[start:stop], 0.0, _PEAK, out=q)
+            q += 0.5
+            np.floor(q, out=q)
+        own = stop - start if stop == len(x) else _SSIM_STRIP
+        xo, yo = xs[:own].ravel(), ys[:own].ravel()
+        d = np.subtract(xo, yo, out=diff[:xo.size])
+        sums += (xo @ xo, xo @ yo, xo.sum(), d @ d, np.abs(d, out=d).sum())
+        counts[0] += np.bincount(xo.astype(np.uint8), minlength=256)
+        counts[1] += np.bincount(yo.astype(np.uint8), minlength=256)
+        yield xs, ys
+
+
 def compare(ref: Raster, test: Raster) -> MetricsReport:
     """Full report on the 8-bit-quantized pair, matching what a viewer would see.
 
+    Rounds by clamping to [0, 255] and then taking floor(v + 0.5), strip by
+    strip, so no full-size copy is made: `quantize_u8`'s values up to the
+    sign of zero, which no figure reads. Each figure equals `psnr`, `mssim`,
+    `ncc`, `nae` or `entropy` on `quantize_u8` views, bitwise.
+
     Raises SolverError if either raster holds a NaN or infinite sample."""
-    _paired(ref, test)
-    qx, qy = _quantized(ref), _quantized(test)
-    return MetricsReport(_psnr(qx, qy), _mssim(qx, qy), _ncc(qx, qy), _nae(qx, qy),
-                         _histogram_entropy(qx), _histogram_entropy(qy))
+    x, y = map(_finite, _paired(ref, test))
+    sums = np.zeros(5)
+    counts = np.zeros((2, 256), dtype=np.int64)
+    ssim = _mssim(x.shape, _rounded_strips(x, y, sums, counts))
+    xx, xy, xsum, sse, sad = sums.tolist()
+    return MetricsReport(_psnr_of_sse(sse, x.size), ssim, _ncc_of_sums(xy, xx),
+                         _nae_of_sums(sad, xsum), _entropy_of_counts(counts[0], x.size),
+                         _entropy_of_counts(counts[1], x.size))

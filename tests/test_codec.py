@@ -86,7 +86,7 @@ def test_rule_writes_and_donors_are_disjoint(c):
     assert all(1 <= i <= p.p1 + p.m for i in written | donors)
 
 
-def test_rule_index_arrays_are_kept_and_read_only():
+def test_rule_index_arrays_repeat_and_match_the_rule_sets():
     from sabmis import codec
     p = StegoParams(c=6)
     first = codec._rule(p)

@@ -89,7 +89,7 @@ def test_gen_matrix_is_deterministic():
     assert a.shape == (320, 32)
 
 
-def test_gen_matrix_returns_the_same_matrix_for_a_repeated_key():
+def test_gen_matrix_returns_an_equal_read_only_matrix_for_the_same_seed_and_shape():
     key = make_key(7)
     first = gen_matrix(key)
     # the matrix depends on (seed, m, p2) only, not on the rest of the key

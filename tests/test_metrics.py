@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, ParamError, Raster, SolverError, compare,
-                    edge_map, entropy, mssim, nae, ncc, psnr, textured_raster)
+from sabmis import (DimensionError, MetricsReport, ParamError, Raster, SolverError,
+                    compare, edge_map, entropy, mssim, nae, ncc, psnr, quantize_u8,
+                    textured_raster)
 
 from reference import mssim_windows
 
@@ -69,19 +70,30 @@ def test_mssim_is_exactly_symmetric():
         assert mssim(a, b) == mssim(b, a)
 
 
-def test_mssim_working_set_stays_bounded():
-    # full-size windowed maps of a 1024x1024 pair take about 63 MiB
+def _traced_peak_on_a_1024_pair(measure):
     rng = np.random.default_rng(12)
     x = rng.integers(0, 256, (1024, 1024)).astype(np.float64)
     y = np.clip(x + rng.integers(-20, 21, x.shape), 0, 255).astype(np.float64)
     a, b = Raster(x), Raster(y)
     tracemalloc.start()
     try:
-        mssim(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
+        measure(a, b)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_mssim_working_set_stays_bounded():
+    # full-size windowed maps of a 1024x1024 pair take about 63 MiB
+    peak = _traced_peak_on_a_1024_pair(mssim)
     assert peak < 16 * 2**20
+
+
+def test_compare_working_set_stays_bounded():
+    # one full-size float map of a 1024x1024 pair takes 8 MiB, so compare
+    # may hold no 8-bit copy of either image, nor any full-size temporary
+    peak = _traced_peak_on_a_1024_pair(compare)
+    assert peak < 8 * 2**20
 
 
 def test_mssim_rejects_tiny_images():
@@ -196,6 +208,46 @@ def test_compare_and_entropy_refuse_a_non_finite_sample(bad, side):
             compare(*pair)
         with pytest.raises(SolverError, match="non-finite"):
             entropy(Raster(pixels))
+
+
+# heights 11, 42, 43, 74 and 75: one strip, exactly one full strip, a full
+# strip and a 1-row tail, two full strips, and two full strips and a tail
+@pytest.mark.parametrize("height", [11, 42, 43, 74, 75])
+@pytest.mark.parametrize("width", [11, 200])
+def test_compare_counts_each_row_once(height, width):
+    rng = np.random.default_rng(height * 1000 + width)
+    x = rng.uniform(0.0, 255.0, (height, width))
+    y = x + rng.normal(0.0, 6.0, x.shape)
+    for p in (x, y):
+        # in every row: ties, values in (-0.5, 0) and values above 255
+        p[:, 0::5] = rng.integers(-1, 257, p[:, 0::5].shape) + 0.5
+        p[:, 1::5] = -rng.uniform(0.0, 0.5, p[:, 1::5].shape)
+        p[:, 2::5] = rng.uniform(255.0, 400.0, p[:, 2::5].shape)
+    a, b = Raster(x), Raster(y)
+    qa, qb = quantize_u8(a), quantize_u8(b)
+    assert compare(a, b) == MetricsReport(psnr(qa, qb), mssim(qa, qb), ncc(qa, qb),
+                                          nae(qa, qb), entropy(qa), entropy(qb))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["ref", "test"])
+def test_compare_refuses_a_non_finite_sample_before_checking_the_size(bad, side):
+    small = np.random.default_rng(16).uniform(0.0, 255.0, (10, 10))
+    pixels = small.copy()
+    pixels[3, 7] = bad
+    pair = (pixels, small) if side == "ref" else (small, pixels)
+    with pytest.raises(SolverError, match="non-finite"):
+        compare(Raster(pair[0]), Raster(pair[1]))
+
+
+def test_compare_checks_the_size_before_the_reference():
+    for shape in ((10, 10), (10, 40), (40, 10)):
+        with pytest.raises(DimensionError):
+            compare(Raster(np.zeros(shape)), Raster(np.ones(shape)))
+    # an all-zero reference once quantized, -0.3 included
+    for zero in (0.0, -0.3):
+        with pytest.raises(ParamError, match="all-zero reference"):
+            compare(Raster(np.full((11, 11), zero)), Raster(np.ones((11, 11))))
 
 
 def _integer_pair(shape, low, high, seed):

@@ -161,7 +161,7 @@ def test_stacked_blocks_match_row_by_row_calls():
 
 
 @pytest.mark.parametrize("side", [2, 3, 8])
-def test_forward_matrix_is_the_scanned_basis_kept_and_read_only(side):
+def test_forward_matrix_is_the_scanned_basis_and_read_only(side):
     from sabmis.spectral import forward_matrix
     fwd = forward_matrix(side)
     assert np.array_equal(fwd, make_dct_basis(side)[:, make_zigzag(side)])
