@@ -7,9 +7,7 @@ produced (a natural-resolution image upsampled 2x), which is also the regime
 this hiding scheme is built for: the parity sub-images must be smooth at
 block scale or their measurement tails drown the payload.
 
-The smoothing filter comes from scipy, imported on first use rather than
-with the package: scipy's import costs about 0.3 s per fresh process, and
-hiding and recovering secrets never calls these generators.
+The periodic Gaussian smoothing is bitwise equal to scipy's `gaussian_filter(mode="wrap")`.
 """
 
 from __future__ import annotations
@@ -25,6 +23,22 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / x.std()
 
 
+def _smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    # scipy's kernel down axis 0, then down axis 0 of the transpose; each sum adds
+    # the tap pairs outermost first after the centre, so it rounds as scipy's C loop
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (w / w.sum())[r:]
+    for _ in range(2):
+        p = np.pad(x, ((r, r), (0, 0)), mode="wrap")
+        n = len(x)
+        x = p[r:r + n] * w[0]
+        for j in range(r, 0, -1):
+            x += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[j]
+        x = x.T
+    return x
+
+
 def textured_raster(side: int, seed: int, smoothness: float = 10.0, octaves: int = 3,
                     low: float = 4.0, high: float = 251.0) -> Raster:
     """Band-limited noise field normalized to [low, high].
@@ -34,15 +48,12 @@ def textured_raster(side: int, seed: int, smoothness: float = 10.0, octaves: int
     """
     if octaves not in (1, 2, 3):
         raise ParamError(f"octaves must be 1, 2 or 3, got {octaves!r}")
-    # imported here: ~0.3 s per fresh process that the hide/recover path never needs
-    from scipy.ndimage import gaussian_filter
-
     rng = np.random.default_rng(seed)
     weights = (1.0, 0.4, 0.15)
     img = np.zeros((side, side))
     for o in range(octaves):
         sigma = max(1.0, smoothness / (3.0 ** o))
-        img += weights[o] * gaussian_filter(rng.standard_normal((side, side)), sigma, mode="wrap")
+        img += weights[o] * _smooth(rng.standard_normal((side, side)), sigma)
     lo, hi = float(img.min()), float(img.max())
     img = (img - lo) / (hi - lo) * (high - low) + low
     return Raster(img)
@@ -57,13 +68,10 @@ def cover_raster(side: int, seed: int) -> Raster:
     """
     if side % 2:
         raise DimensionError(f"cover side must be even, got {side}")
-    # imported here: ~0.3 s per fresh process that the hide/recover path never needs
-    from scipy.ndimage import gaussian_filter
-
     half = side // 2
     rng = np.random.default_rng(seed)
-    img = 0.55 * _unit(gaussian_filter(rng.standard_normal((half, half)), 12.0, mode="wrap"))
-    img += _unit(gaussian_filter(rng.standard_normal((half, half)), 4.0, mode="wrap"))
+    img = 0.55 * _unit(_smooth(rng.standard_normal((half, half)), 12.0))
+    img += _unit(_smooth(rng.standard_normal((half, half)), 4.0))
     img = (img - img.min()) / (img.max() - img.min()) * 247.0 + 4.0
     return Raster(np.kron(img, np.ones((2, 2))))
 

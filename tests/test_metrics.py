@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter, sobel
 
 from sabmis import (DimensionError, MetricsReport, ParamError, Raster, SolverError,
                     compare, edge_map, entropy, mssim, nae, ncc, psnr, quantize_u8,
@@ -155,6 +156,32 @@ def test_edge_map_vertical_step():
     cols = np.unique(np.nonzero(m.pixels)[1])
     assert set(cols) <= {3, 4}
     assert len(cols) > 0
+
+
+def _scipy_edge_map(x, threshold):
+    mag = np.hypot(sobel(x, axis=1, mode="reflect"), sobel(x, axis=0, mode="reflect"))
+    peak = float(mag.max())
+    if peak == 0.0:
+        return np.zeros_like(mag)
+    return (mag >= threshold * peak).astype(np.float64)
+
+
+def _with_infinities(shape, seed):
+    x = np.random.default_rng(seed).uniform(0.0, 255.0, shape)
+    x[0, 0], x[4, 5], x[5, 5] = np.inf, np.inf, -np.inf
+    return x
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(3).uniform(0.0, 255.0, (3, 3)),
+    np.kron(np.random.default_rng(4).integers(0, 4, (4, 5)) * 60.0, np.ones((6, 6))),
+    np.random.default_rng(17).uniform(0.0, 255.0, (17, 40)),
+    np.random.default_rng(256).standard_normal((256, 256)),
+    _with_infinities((10, 12), 10),
+], ids=["3x3", "flat-regions", "17x40", "256x256", "infinite"])
+def test_edge_map_equals_scipys_sobel_bitwise(x, threshold):
+    assert np.array_equal(edge_map(Raster(x), threshold).pixels, _scipy_edge_map(x, threshold))
 
 
 def test_edge_map_rejects_tiny_input():
@@ -314,7 +341,6 @@ def test_compare_reports_are_pinned():
 def _edged_cover(side, seed):
     # smooth background plus high-contrast discs: a cover with genuine edges,
     # built at half resolution and pixel-replicated like the other stand-ins
-    from scipy.ndimage import gaussian_filter
     rng = np.random.default_rng(seed)
     half = side // 2
     img = 40.0 + 30.0 * gaussian_filter(rng.standard_normal((half, half)), 10.0,
