@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -245,3 +251,32 @@ def test_problem_validation():
         with pytest.raises(exc, match=match):
             solve_lasso(*args, **kwargs)
 
+
+_L1_PROBE = """
+import json, sys
+import numpy as np
+from sabmis import (StegoParams, default_lambda, embed_rule, gen_matrix, make_key, measure,
+                    reconstruct_block, solve_lasso)
+
+p = StegoParams(N=64, M=32, num_secrets=1)
+phi = gen_matrix(make_key(3, p))
+rng = np.random.default_rng(0)
+ys = rng.standard_normal((4, p.m))
+assert solve_lasso(phi, ys, default_lambda(phi, ys)).converged.all()
+carriers = embed_rule(measure(rng.standard_normal((4, p.b ** 2)), phi),
+                      rng.standard_normal((4, p.l ** 2)), p)
+assert reconstruct_block(carriers, phi, p)[1].converged.all()
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_the_l1_path_loads_no_scipy():
+    # the solver factors (phi^T phi + rho I) with numpy, so the paper's
+    # per-block rebuild costs a fresh process no scipy import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _L1_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
