@@ -56,7 +56,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParamError, SolverError
-from .measure import StegoKey, StegoParams, gen_matrix, make_key, measure
+from .measure import StegoKey, StegoParams, keyed_normals, make_key, measure
 from .raster import Raster, _parity
 from .solver import SolverResult, default_lambda, solve_lasso
 from .spectral import (_tiles, assemble_blocks, desparsify, forward_matrix,
@@ -204,7 +204,9 @@ def _key_factors(seed: int, p: StegoParams
     reads (b^2, p3): a block times it gives, for each k < p3, the value at
     the position `_rule` writes k to minus the value at its donor, read from
     the block's measurement vector; row i of `measure(forward_matrix(b), phi)`
-    is the measurement vector of the unit block with pixel i set. payload
+    is the measurement vector of the unit block with pixel i set. The rule
+    touches measurement rows c .. 2*p3-c-1 only, so phi here is
+    `gen_matrix`'s first 2*p3 - c rows, drawn without the rest. payload
     (l^2, p3): a secret block times it is its first p3 coefficients times
     their strengths, what the rule writes into those gaps. change (p3, b^2)
     is pinv(reads): reads has full column rank p3 (`StegoParams`), so
@@ -220,7 +222,8 @@ def _key_factors(seed: int, p: StegoParams
     read-only.
     """
     written, donor, strength = _rule(p)
-    x = measure(forward_matrix(p.b), gen_matrix(make_key(seed, p)))
+    rows = 2 * p.p3 - p.c
+    x = measure(forward_matrix(p.b), keyed_normals(seed, rows * p.p2).reshape(rows, p.p2))
     reads = x[:, written] - x[:, donor]
     payload = forward_matrix(p.l)[:, : p.p3] * strength
     change = np.linalg.pinv(reads)
@@ -292,10 +295,8 @@ def _stego(cover: Raster, b: int,
     """Stego and report of one secret subset: one copy of the cover with each
     sub-image k's rebuilt blocks, `embedded[k]`, scattered in.
 
-    The working copy is freed before the caller sees the stego: in the
-    subset sweep a second full-size array kept alive while the caller
-    quantizes and compares each stego cost sweep-256 about 14% (perfbench,
-    one BLAS thread).
+    The stego adopts that copy rather than copying it again, so no second
+    full-size array is made.
     """
     out = cover.pixels.copy()
     for k, (blocks, _) in embedded.items():

@@ -12,13 +12,12 @@ set grows with the image width, not its area.
 `compare` refuses a NaN or infinite sample, then reads the pair in one walk
 over `mssim`'s strips, so reported numbers always correspond to viewable
 images without a full-size 8-bit copy of either. It rounds each strip into
-one of two strip buffers by its own rule, clamp to [0, 255] then
-floor(v + 0.5): `quantize_u8`'s values up to the sign of zero, which no
-figure reads. The strips feed `mssim`'s windowing, and the rows no later
-strip reads feed the sums and histograms behind PSNR, NCC, NAE and both
-entropies, so each row is counted once. Its working set is about 4 MiB under
-tracemalloc for a 1024x1024 pair, and it too grows with width, not area. The
-individual metric functions evaluate whatever they are given.
+one of two strip buffers by `quantize_u8`'s rule. The strips feed `mssim`'s
+windowing, and the rows no later strip reads feed the sums and histograms
+behind PSNR, NCC, NAE and both entropies, so each row is counted once. Its
+working set is about 4 MiB under tracemalloc for a 1024x1024 pair, and it
+too grows with width, not area. The individual metric functions evaluate
+whatever they are given.
 
 PSNR and NCC sum through BLAS dot products. On integer-valued pixels every
 product and partial sum is an integer below 2^53 (at most 255^2 * 1024^2,
@@ -253,7 +252,7 @@ class MetricsReport:
 
 def _rounded_strips(x: np.ndarray, y: np.ndarray, sums: np.ndarray, counts: np.ndarray):
     # `_mssim`'s strips of the pair, each rounded into one of two strip
-    # buffers by compare's rule. The rows no later strip reads, a strip's
+    # buffers by `_rounded_u8`. The rows no later strip reads, a strip's
     # first `_SSIM_STRIP` and every row of the last, add x.x, x.y, sum x,
     # sum (x - y)^2 and sum |x - y| to `sums` and their levels to `counts`.
     bounds = _strip_rows(len(x))
@@ -261,10 +260,8 @@ def _rounded_strips(x: np.ndarray, y: np.ndarray, sums: np.ndarray, counts: np.n
     diff = np.empty(qx.size)
     for start, stop in bounds:
         xs, ys = qx[:stop - start], qy[:stop - start]
-        for src, q in ((x, xs), (y, ys)):
-            np.clip(src[start:stop], 0.0, _PEAK, out=q)
-            q += 0.5
-            np.floor(q, out=q)
+        _rounded_u8(x[start:stop], out=xs)
+        _rounded_u8(y[start:stop], out=ys)
         own = stop - start if stop == len(x) else _SSIM_STRIP
         xo, yo = xs[:own].ravel(), ys[:own].ravel()
         d = np.subtract(xo, yo, out=diff[:xo.size])
@@ -277,10 +274,9 @@ def _rounded_strips(x: np.ndarray, y: np.ndarray, sums: np.ndarray, counts: np.n
 def compare(ref: Raster, test: Raster) -> MetricsReport:
     """Full report on the 8-bit-quantized pair, matching what a viewer would see.
 
-    Rounds by clamping to [0, 255] and then taking floor(v + 0.5), strip by
-    strip, so no full-size copy is made: `quantize_u8`'s values up to the
-    sign of zero, which no figure reads. Each figure equals `psnr`, `mssim`,
-    `ncc`, `nae` or `entropy` on `quantize_u8` views, bitwise.
+    Rounds strip by strip by `quantize_u8`'s rule, so no full-size copy is
+    made. Each figure equals `psnr`, `mssim`, `ncc`, `nae` or `entropy` on
+    `quantize_u8` views, bitwise.
 
     Raises SolverError if either raster holds a NaN or infinite sample."""
     x, y = map(_finite, _paired(ref, test))

@@ -63,10 +63,13 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
 
 
-def _rounded_u8(x: np.ndarray) -> np.ndarray:
-    # samples rounded half away from zero and clamped to [0, 255], in one new array
-    q = round_half_away(x)
-    return np.clip(q, 0.0, 255.0, out=q)
+def _rounded_u8(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 8-bit levels of float64 samples, into `out` or one new array: for every
+    # input, rounding half away from zero and then clamping to [0, 255], but
+    # no zero is negative; NaN stays NaN
+    q = np.clip(x, 0.0, 255.0, out=out)
+    q += 0.5
+    return np.floor(q, out=q)
 
 
 def quantize_u8(r: Raster) -> Raster:

@@ -314,6 +314,31 @@ def test_extractor_is_kept_per_key_and_read_only():
     assert (info.misses, info.hits) == (1, 1)
 
 
+PREFIX_KEYS = [(0xC0FFEE, StegoParams()), (3, StegoParams(N=256, M=128)),
+               (11, StegoParams(p1=16, p2=48, m=49, c=6, p3=24)),
+               (12, StegoParams(c=6)), (13, StegoParams(p3=8)),
+               (2 ** 64 - 1, StegoParams(p3=40)), (14, StegoParams(m=33, p3=20)),
+               (15, StegoParams(p1=33, p2=31, c=7))]  # an odd count of draws
+
+
+@pytest.mark.parametrize("seed, p", PREFIX_KEYS,
+                         ids=["default", "n256", "near-square", "c6", "p3-8", "max-seed",
+                              "m33", "odd-draws"])
+def test_key_factors_equal_those_of_the_full_matrix(seed, p):
+    # the factors draw only phi's first 2 p3 - c rows, the last the rule
+    # touches; built from the whole of gen_matrix they are bitwise the same
+    from sabmis import codec
+    from sabmis.spectral import forward_matrix
+    written, donor, strength = codec._rule(p)
+    x = measure(forward_matrix(p.b), gen_matrix(make_key(seed, p)))
+    reads = x[:, written] - x[:, donor]
+    secret = forward_matrix(p.l)[:, : p.p3]
+    full = (reads, secret * strength, np.linalg.pinv(reads),
+            (reads / strength) @ secret.T)
+    for got, want in zip(codec._key_factors(seed, p), full, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_factorization_is_kept_per_key(monkeypatch):
     # the one factorization, the pseudo-inverse of the rule's (b^2, p3)
     # reads, is taken once per key and reused by every later embed and

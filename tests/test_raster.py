@@ -208,9 +208,34 @@ def test_in_place_rounding_is_bitwise_the_plain_formula():
     bits = np.dtype(np.uint64)
     assert np.array_equal(round_half_away(x).view(bits), plain(x).view(bits))
     assert np.signbit(round_half_away(np.array([-0.0, -0.4]))).all()
-    assert np.array_equal(quantize_u8(Raster(x)).pixels.view(bits),
-                          np.clip(plain(x), 0.0, 255.0).view(bits))
+    q = quantize_u8(Raster(x)).pixels
+    assert np.array_equal(q.view(bits), np.floor(np.clip(x, 0, 255) + 0.5).view(bits))
+    assert np.array_equal(q, np.clip(plain(x), 0.0, 255.0))
     assert round_half_away(-2.5) == -3.0 and np.ndim(round_half_away(2.5)) == 0
+
+
+def test_every_8_bit_view_rounds_by_one_rule(tmp_path):
+    # quantize_u8, the 8-bit PGM payload, entropy and compare all take the
+    # levels of rounding half away from zero and then clamping
+    from sabmis import MetricsReport, compare, entropy, mssim, nae, ncc, psnr
+
+    def levels(x):
+        return np.clip(np.copysign(np.floor(np.abs(x) + 0.5), x), 0, 255)
+
+    rng = np.random.default_rng(11)
+    edges = [0.5, -0.5, 254.5, 255.5, -0.0, -0.4, -0.49999999999999994,
+             -7.3, -1e6, 255.49, 300.7, 1e6]
+    x = np.concatenate([edges, rng.uniform(-40, 300, 13 * 17 - len(edges))]).reshape(13, 17)
+    y = x + rng.normal(0.0, 5.0, x.shape)
+    q = quantize_u8(Raster(x)).pixels
+    assert np.array_equal(q, levels(x)) and not np.signbit(q).any()
+    write_pgm(Raster(x), tmp_path / "x.pgm")
+    payload = levels(x).astype(np.uint8).tobytes()
+    assert (tmp_path / "x.pgm").read_bytes() == b"P5\n17 13\n255\n" + payload
+    lx, ly = Raster(levels(x)), Raster(levels(y))
+    assert entropy(Raster(x)) == entropy(lx)
+    assert compare(Raster(x), Raster(y)) == MetricsReport(
+        psnr(lx, ly), mssim(lx, ly), ncc(lx, ly), nae(lx, ly), entropy(lx), entropy(ly))
 
 
 def test_textured_raster_refuses_octaves_outside_one_to_three():
