@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import _gather_blocks, _stego, _subset_pairs, embed_images, extract_images
+from .codec import _carrier_rows, _stego, _subset_pairs, embed_images, extract_images
 from .errors import DimensionError, FormatError, ParamError, SolverError
 from .measure import StegoParams, make_key, read_key, write_key
 from .metrics import _psnr_of_sse, _sse, compare
@@ -170,7 +170,7 @@ def _cmd_bench(args) -> int:
     del params["num_secrets"]  # the sweep runs every count up to it
     report = _load_report(args.report, params)
     secrets = [read_image(f) for f in secret_files]
-    nsec, b = len(secrets), key.params.b
+    nsec = len(secrets)
 
     for cover_file in cover_files:
         name = cover_file.stem
@@ -188,16 +188,15 @@ def _cmd_bench(args) -> int:
                 total = 0.0
                 for i, k in zip(combo, key_k.assignment):
                     if (k, i) not in sse:
-                        blocks = pairs[k][0]
-                        sse[k, i] = _sse(_rounded_u8(blocks),
-                                         _gather_blocks(cover_q, b, k, len(blocks)))
+                        sse[k, i] = _sse(_rounded_u8(pairs[k][0]),
+                                         _carrier_rows(cover_q, k, key.params))
                     total += sse[k, i]
                 count = str(len(combo))
                 values.setdefault(count, []).append(_psnr_of_sse(total, cover_q.size))
                 walls.setdefault(count, []).append(time.perf_counter() - t_embed)
                 if len(combo) == nsec:
                     chosen = [secrets[i] for i in combo]
-                    stego, rpt = _stego(cover, b, pairs)
+                    stego, rpt = _stego(cover, key.params, pairs)
                     entry["stego_metrics"] = compare(cover, stego).to_dict()
                     entry["solver"] = rpt.to_dict()
                     extracted = extract_images(stego, key_k)

@@ -21,16 +21,19 @@ change exists for every valid key. The stego raster is never quantized
 inside the pipeline; 8-bit export is an explicit step in the raster module.
 
 Both pipelines address an assigned parity sub-image's b x b blocks through
-one strided view of the full raster, built from the same two layout helpers
-that `subsample` and `partition_blocks` use: the raster module's parity view
-and the spectral module's block tiling. `_gather_blocks` copies its first
-secret_blocks blocks out as (count, b^2) rows, and `_scatter_blocks` writes
-such rows back through the view. Neither pipeline splits the raster into
-sub-image rasters; `subsample`, `partition_blocks` and the spectral round
-trip remain the definitions the gather and the per-block functions are
-checked against.
-The embed rebuilds the gathered blocks and scatters them into one copy of
-the cover, so everything else passes through bitwise.
+one strided block grid over the full raster, built from the same two layout
+helpers that `subsample` and `partition_blocks` use: the raster module's
+parity view and the spectral module's block tiling. They walk its first
+secret_blocks blocks in chunks of whole block rows, about 512 blocks each
+(`_chunks`), so every array a chunk touches stays cache-sized:
+`_gather_blocks` copies one chunk out as (count, b^2) rows, and
+`_scatter_blocks` writes such rows back through a grid. Neither pipeline
+splits the raster into sub-image rasters or holds a sub-image's blocks as
+one array; `subsample`, `partition_blocks` and the spectral round trip
+remain the definitions the chunk helpers and the per-block functions are
+checked against. The embed rebuilds each chunk in place in one copy of the
+cover, so everything else passes through bitwise, and the extract writes
+each chunk's rows straight into the secret raster's l x l blocks.
 
 Every step of both pipelines is linear, and one per-key cache,
 `_key_factors`, serves both. The sender applies the rule's three factors as
@@ -42,14 +45,17 @@ The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
 next, so `embed_subsets` sweeps every secret subset of a cover reusing them:
 S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1). The sweep
-itself is `_subset_pairs`, which yields each subset's pairs without a stego;
-`sabmis bench` scores the subsets from those pairs and builds one stego.
+itself is `_subset_pairs`, which embeds each (sub-image, secret) pair into a
+private copy of the block rows that carry it and yields each subset's pairs
+without a stego; `sabmis bench` scores the subsets from those pairs and builds one
+stego.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -234,25 +240,56 @@ def _key_factors(seed: int, p: StegoParams
     return out
 
 
-def _gather_blocks(pixels: np.ndarray, b: int, k: int, count: int) -> np.ndarray:
-    """The first `count` b x b blocks of parity sub-image k of an N x N
-    raster, in row-major block order, as (count, b*b) rows: what
-    `partition_blocks(subsample(r)[k - 1], b)` holds, in one copy."""
-    grid = _tiles(_parity(pixels, k), b)
-    rows = -(-count // grid.shape[0])  # block rows holding the first `count` blocks
-    return grid[:rows].reshape(-1, b * b)[:count]
+# blocks per chunk: a (512, 64) float64 array is 256 KiB, small enough for a
+# core's L2 cache, and long enough that each product gives the bits of one
+# over a whole sub-image (on OpenBLAS 0.3.31, chunks under 64 blocks moved
+# the stego's last bits)
+_CHUNK_BLOCKS = 512
 
 
-def _scatter_blocks(pixels: np.ndarray, b: int, k: int, blocks: np.ndarray) -> None:
-    """Write (count, b*b) rows over the first `count` blocks of parity
-    sub-image k of `pixels`, in place: the inverse of `_gather_blocks`."""
-    grid = _tiles(_parity(pixels, k), b)
-    g = grid.shape[0]
-    full, rest = divmod(blocks.shape[0], g)  # whole block rows, then a partial one
+def _chunks(p: StegoParams) -> list[tuple[int, int]]:
+    """(start, stop) ranges over a sub-image's first secret_blocks blocks,
+    each about _CHUNK_BLOCKS long. Each starts on a whole block row both of
+    the cover sub-image's N/(2b)-wide block grid and of the secret's
+    M/l-wide one, which `_gather_blocks` and `_scatter_blocks` take. The
+    last chunk takes the remainder, so no chunk is shorter than the step
+    unless all the blocks are."""
+    row = math.lcm(p.N // (2 * p.b), p.M // p.l)
+    step = row * max(1, _CHUNK_BLOCKS // row)
+    count = p.secret_blocks
+    last = max(1, count // step) - 1
+    return [(i * step, count if i == last else (i + 1) * step) for i in range(last + 1)]
+
+
+def _carrier_rows(pixels: np.ndarray, k: int, p: StegoParams) -> np.ndarray:
+    """The block rows of parity sub-image k that hold its first
+    secret_blocks b x b blocks, as a (rows, N/(2b), b, b) block grid view
+    of an N x N raster's pixels."""
+    grid = _tiles(_parity(pixels, k), p.b)
+    return grid[: -(-p.secret_blocks // grid.shape[1])]
+
+
+def _gather_blocks(grid: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Blocks start .. stop - 1 of a (rows, cols, b, b) block grid, in
+    row-major block order, as (stop - start, b*b) rows; start is a whole
+    block row, a multiple of cols. On a grid that is one C-ordered array,
+    such as the subset sweep's private copies, the rows are a view of it;
+    on a grid over a raster they are one copy of the whole block rows they
+    lie in."""
+    cols, b = grid.shape[1], grid.shape[2]
+    return grid[start // cols : -(-stop // cols)].reshape(-1, b * b)[: stop - start]
+
+
+def _scatter_blocks(grid: np.ndarray, start: int, blocks: np.ndarray) -> None:
+    """Write (count, b*b) rows over blocks start .. start + count - 1 of a
+    block grid, in place: the inverse of `_gather_blocks`."""
+    cols, b = grid.shape[1], grid.shape[2]
+    row = start // cols
+    full, rest = divmod(blocks.shape[0], cols)  # whole block rows, then a partial one
     tiles = blocks.reshape(-1, b, b)
-    grid[:full] = tiles[: full * g].reshape(full, g, b, b)
+    grid[row : row + full] = tiles[: full * cols].reshape(full, cols, b, b)
     if rest:
-        grid[full, :rest] = tiles[full * g :]
+        grid[row + full, :rest] = tiles[full * cols :]
 
 
 def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
@@ -267,40 +304,46 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
                 f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
 
 
-def _embed_sub_image(pixels: np.ndarray, k: int, secret: Raster, p: StegoParams,
-                     seed: int) -> tuple[np.ndarray, SubImageStats]:
-    """Embed one secret into parity sub-image k of the cover pixels under one
-    key's params and seed. Returns the sub-image's first secret_blocks
-    blocks rebuilt, as (count, b*b) rows, and their stats. With the cover
-    blocks x and the secret blocks z as rows, the rebuilt blocks are
-    x + (z @ payload - x @ reads) @ change (`_key_factors`), and the stats'
+def _embed_sub_image(grid: np.ndarray, k: int, secret: Raster, p: StegoParams,
+                     seed: int) -> SubImageStats:
+    """Embed one secret into parity sub-image k, in place on `grid`, the
+    sub-image's `_carrier_rows` or a copy of them, under one key's params
+    and seed, and return the stats. The first secret_blocks blocks are
+    rebuilt chunk by chunk (`_chunks`): with the chunk's cover blocks x and
+    secret blocks z as rows, they become x + (z @ payload - x @ reads) @
+    change (`_key_factors`), written back over the chunk. The stats'
     write_residual is what they read on the p3 - c written measurement rows
     minus what the rule wrote there. A NaN or infinite sample in those cover
     blocks or in the secret raises SolverError, since it would pass into the
-    stego unnoticed."""
+    stego unnoticed; the grid may then hold some rebuilt chunks."""
     reads, payload, change, _ = _key_factors(seed, p)
-    secret_rows = partition_blocks(secret, p.l).reshape(-1, p.l * p.l)
-    blocks = _gather_blocks(pixels, p.b, k, secret_rows.shape[0])
-    with np.errstate(invalid="ignore", over="ignore"):  # refused just below
-        wrote = secret_rows @ payload
-        blocks += (wrote - blocks @ reads) @ change
-    if not np.isfinite(blocks).all():
-        raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
-    miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
-    return blocks, SubImageStats(k, float(np.abs(miss).max(initial=0.0)))
+    secret_grid = _tiles(secret.pixels, p.l)
+    residual = 0.0
+    for start, stop in _chunks(p):
+        blocks = _gather_blocks(grid, start, stop)
+        with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+            wrote = _gather_blocks(secret_grid, start, stop) @ payload
+            blocks += (wrote - blocks @ reads) @ change
+        if not np.isfinite(blocks).all():
+            raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
+        miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
+        residual = max(residual, float(np.abs(miss).max(initial=0.0)))
+        _scatter_blocks(grid, start, blocks)
+    return SubImageStats(k, residual)
 
 
-def _stego(cover: Raster, b: int,
+def _stego(cover: Raster, p: StegoParams,
            embedded: dict[int, tuple[np.ndarray, SubImageStats]]) -> tuple[Raster, EmbedReport]:
-    """Stego and report of one secret subset: one copy of the cover with each
-    sub-image k's rebuilt blocks, `embedded[k]`, scattered in.
+    """Stego and report of one secret subset: one copy of the cover with
+    each sub-image k's `_carrier_rows` assigned whole from `embedded[k]`,
+    their rebuilt copy.
 
     The stego adopts that copy rather than copying it again, so no second
     full-size array is made.
     """
     out = cover.pixels.copy()
-    for k, (blocks, _) in embedded.items():
-        _scatter_blocks(out, b, k, blocks)
+    for k, (rows, _) in embedded.items():
+        _carrier_rows(out, k, p)[...] = rows
     stats = tuple(sub_stats for _, sub_stats in embedded.values())
     return Raster._adopt(out), EmbedReport(stats)
 
@@ -309,22 +352,25 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
                  key: StegoKey) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
 
-    Per assigned sub-image: gather its first secret_blocks b x b blocks
-    straight from the cover and apply the rule's per-key factors: what the
+    Per assigned sub-image: walk its first secret_blocks b x b blocks in
+    chunks of whole block rows, straight through the sub-image's view of
+    one copy of the cover, and apply the rule's per-key factors: what the
     rule writes from the secret, minus what it reads from the blocks, times
     the pseudo-inverse of the reads. Each block then reads exactly what the
     rule writes, on the u-part and the measurement rows alike, by the
     smallest change that does so, which on the u-part splits each low gap
     between the written position and its donor. The paper's l1 rebuild,
     `reconstruct_block(embed_rule(measure(...)))`, keeps `embed_rule`'s
-    u-part instead, and loses the measurement rows' reads. The blocks are
-    scattered into one copy of the cover, so unassigned sub-images and cover
-    blocks beyond the secret's block count pass through bitwise untouched.
+    u-part instead, and loses the measurement rows' reads. Unassigned
+    sub-images and cover blocks beyond the secret's block count pass
+    through bitwise untouched.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)
-    return _stego(cover, p.b, {k: _embed_sub_image(cover.pixels, k, secret, p, key.seed)
-                               for secret, k in zip(secrets, key.assignment)})
+    out = cover.pixels.copy()
+    stats = tuple(_embed_sub_image(_carrier_rows(out, k, p), k, secret, p, key.seed)
+                  for secret, k in zip(secrets, key.assignment))
+    return Raster._adopt(out), EmbedReport(stats)
 
 
 def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
@@ -332,21 +378,23 @@ def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
                                       dict[int, tuple[np.ndarray, SubImageStats]]]]:
     """The subset sweep without the stegos: yields (combo, key_k, pairs) in
     `embed_subsets` order. pairs is what `_stego` takes: it maps each
-    sub-image k that key_k assigns, in assignment order, to
-    `_embed_sub_image`'s rebuilt blocks and stats for k and the secret it
-    carries, secrets[i] for (i, k) in zip(combo, key_k.assignment). Each
-    (sub-image, secret) pair is embedded on first use and the same arrays
-    are yielded again wherever it recurs."""
+    sub-image k that key_k assigns, in assignment order, to a copy of its
+    `_carrier_rows` with the secret it carries embedded, secrets[i] for
+    (i, k) in zip(combo, key_k.assignment), and `_embed_sub_image`'s stats.
+    Each (sub-image, secret) pair is embedded on first use, into a private
+    copy of the cover's carrier rows, and the same arrays are yielded again
+    wherever it recurs."""
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
-    done = {}  # (sub-image, secret index) -> (rebuilt blocks, stats)
+    done = {}  # (sub-image, secret index) -> (rebuilt carrier rows, stats)
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
         for combo in itertools.combinations(range(len(secrets)), count):
             pairs = {}
             for i, k in zip(combo, key_k.assignment):
                 if (k, i) not in done:
-                    done[k, i] = _embed_sub_image(cover.pixels, k, secrets[i], full, key.seed)
+                    rows = _carrier_rows(cover.pixels, k, full).copy()
+                    done[k, i] = rows, _embed_sub_image(rows, k, secrets[i], full, key.seed)
                 pairs[k] = done[k, i]
             yield combo, key_k, pairs
 
@@ -360,14 +408,14 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     num_secrets = k, and stego and report are bitwise what
     `embed_images(cover, [secrets[i] for i in combo], key_k)` returns. The
     key's own num_secrets and assignment are not read. Each (sub-image,
-    secret) pair is embedded once per call and its rebuilt blocks are
-    scattered into every subset's stego that assigns it, so S secrets take
+    secret) pair is embedded once per call and its rebuilt carrier rows are
+    assigned into every subset's stego that assigns it, so S secrets take
     S(S+1)/2 sub-image embeds. `sabmis bench` runs the same sweep but builds
     only the full-count subset's stego; it scores the others from the
-    rebuilt blocks alone.
+    rebuilt carrier rows alone.
     """
     for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
-        stego, report = _stego(cover, key.params.b, pairs)
+        stego, report = _stego(cover, key.params, pairs)
         yield combo, key_k, stego, report
 
 
@@ -378,17 +426,25 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     pixels: re-sparsifying an assigned sub-image's blocks, recomputing the
     measurement rows the rule touches with the regenerated matrix, the
     inverse transplant rule and the secret's inverse DCT. So each secret is
-    one product of the sub-image's first secret_blocks blocks, gathered
-    straight from the stego, with a per-key (b^2, l^2) matrix. Coefficients
-    beyond p3 stay zero, so extracted secrets are low-pass approximations.
+    one product of the sub-image's first secret_blocks blocks, read straight
+    from the stego in chunks of whole block rows, with a per-key (b^2, l^2)
+    matrix, each chunk's rows written straight into the secret's l x l
+    blocks. Coefficients beyond p3 stay zero, so extracted secrets are
+    low-pass approximations. The secrets' grids are views of one buffer,
+    which lives as long as any of them.
     """
     p = key.params
     if stego.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
     *_, fold = _key_factors(key.seed, p)
-    out = []
-    for k in key.assignment:
-        rows = _gather_blocks(stego.pixels, p.b, k, p.secret_blocks) @ fold
-        out.append(assemble_blocks(rows.reshape(-1, p.l, p.l), p.M, p.M))
-    return out
+    # one buffer for all the secrets: glibc's malloc raises its mmap
+    # threshold to the largest mapped block it frees, so a later extract
+    # reuses this block's pages, where a block per secret was mapped and
+    # page-faulted afresh on every call (2,144 minor faults at 1024²)
+    secrets = np.empty((len(key.assignment), p.M, p.M))
+    for secret, k in zip(secrets, key.assignment):
+        grid, secret_grid = _carrier_rows(stego.pixels, k, p), _tiles(secret, p.l)
+        for start, stop in _chunks(p):
+            _scatter_blocks(secret_grid, start, _gather_blocks(grid, start, stop) @ fold)
+    return [Raster._adopt(secret) for secret in secrets]

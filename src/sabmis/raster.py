@@ -7,6 +7,7 @@ Parity sub-sampling splits an even-sized raster into four quarter rasters.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -174,31 +175,46 @@ def write_pgm(r: Raster, path, depth: int = 8) -> None:
 
 
 def write_srf(r: Raster, path) -> None:
-    """Write the lossless float container: bit-exact round trip of the samples."""
+    """Write the lossless float container: bit-exact round trip of the samples.
+
+    The header, then the samples' own little-endian buffer: no byte copy of
+    the payload on a little-endian host."""
     head = SRF_MAGIC + b"\n" + f"{r.width} {r.height}".encode("ascii") + b"\n"
-    Path(path).write_bytes(head + r.pixels.astype("<f8").tobytes())
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(np.ascontiguousarray(r.pixels, dtype="<f8").data)
 
 
 def read_srf(path) -> Raster:
-    data = Path(path).read_bytes()
-    if data[:4] != SRF_MAGIC or data[4:5] != b"\n":
-        raise FormatError(f"bad magic {data[:5]!r}: not an SRF v1 file")
-    nl = data.find(b"\n", 5)
-    if nl < 0:
-        raise FormatError("SRF dimensions line missing")
-    parts = data[5:nl].split()
-    if len(parts) != 2:
-        raise FormatError(f"SRF dimensions line malformed: {data[5:nl]!r}")
-    try:
-        width, height = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError(f"non-numeric SRF dimensions {parts!r}") from None
-    if width <= 0 or height <= 0:
-        raise FormatError(f"invalid SRF dimensions {width}x{height}")
-    have, need = len(data) - (nl + 1), 8 * width * height
-    if have < need:
-        raise FormatError(f"truncated payload: expected {need} bytes, got {have}")
-    if have > need:
-        raise FormatError(f"size mismatch: {have - need} trailing bytes")
-    px = np.frombuffer(data, dtype="<f8", offset=nl + 1).astype(np.float64)
-    return Raster._adopt(px.reshape(height, width))
+    """Read the lossless float container. The header is parsed and the
+    payload size checked against the file's before the samples are read
+    straight into the new grid."""
+    with open(path, "rb") as fh:
+        magic = fh.read(5)
+        if magic[:4] != SRF_MAGIC or magic[4:5] != b"\n":
+            raise FormatError(f"bad magic {magic!r}: not an SRF v1 file")
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise FormatError("SRF dimensions line missing")
+        dims = line[:-1]
+        parts = dims.split()
+        if len(parts) != 2:
+            raise FormatError(f"SRF dimensions line malformed: {dims!r}")
+        try:
+            width, height = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"non-numeric SRF dimensions {parts!r}") from None
+        if width <= 0 or height <= 0:
+            raise FormatError(f"invalid SRF dimensions {width}x{height}")
+        have, need = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * width * height
+        if have < need:
+            raise FormatError(f"truncated payload: expected {need} bytes, got {have}")
+        if have > need:
+            raise FormatError(f"size mismatch: {have - need} trailing bytes")
+        px = np.empty((height, width), dtype="<f8")
+        got = fh.readinto(memoryview(px).cast("B"))
+    if got != need:  # the file shrank since its size was read
+        raise FormatError(f"truncated payload: expected {need} bytes, got {got}")
+    if not px.dtype.isnative:  # a big-endian host keeps the file's order until here
+        px = px.astype(np.float64)
+    return Raster._adopt(px)

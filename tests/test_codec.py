@@ -246,43 +246,88 @@ def test_extract_rejects_zero_strengths(strength):
             replace(SMALL, **{strength: zero})
 
 
-@pytest.mark.parametrize("p", [TRACE, SMALL], ids=["trace", "small"])
+@pytest.mark.parametrize("p", [TRACE, SMALL, StegoParams(N=128, M=40, num_secrets=1)],
+                         ids=["trace", "small", "m40-partial-row"])
 def test_block_gather_matches_partition_blocks(p, monkeypatch):
+    # the chunk helpers over a cover sub-image's b x b grid and a secret's
+    # l x l grid (the trace key has l != b): every chunk of the walk, and
+    # chunks that start on a later block row and end inside one, including
+    # the M=40 walk's partial last row (25 blocks of an 8-block-wide grid)
     import tracemalloc
 
     from sabmis import assemble_blocks, codec, inverse_subsample, partition_blocks
-    grids = []  # every block grid the codec builds, to check what the scatter writes through
+    from sabmis.raster import _parity
+    grids = []  # every block grid the test builds, to check what the scatter writes through
     tiles = codec._tiles
     monkeypatch.setattr(codec, "_tiles", lambda *a: grids.append(tiles(*a)) or grids[-1])
-    r = cover_raster(p.N, 3)
-    for k in range(1, 5):
-        ref = partition_blocks(subsample(r)[k - 1], p.b).reshape(-1, p.b * p.b)
-        for count in (1, len(ref) - 1, p.secret_blocks, len(ref)):
+    r, secret = cover_raster(p.N, 3), secret_raster(p.M, 4)
+    walk = codec._chunks(p)
+    layouts = [(r, p.b, lambda px, k=k: _parity(px, k), k) for k in range(1, 5)]
+    layouts.append((secret, p.l, lambda px: px, 0))  # the secret's own grid
+    for base, side, view, k in layouts:
+        sub = subsample(base)[k - 1] if k else base
+        ref = partition_blocks(sub, side).reshape(-1, side * side)
+        w = sub.width // side
+        later = [(start, stop) for start, stop in
+                 ((w, w + 1), (w, 2 * w + 1), (2 * w, len(ref) - 1), (w, len(ref)))
+                 if start < stop <= len(ref)]
+        for start, stop in walk + later:
             tracemalloc.start()
             try:
-                got = codec._gather_blocks(r.pixels, p.b, k, count)
+                got = codec._gather_blocks(codec._tiles(view(base.pixels), side), start, stop)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert np.array_equal(got, ref[:count])
-            assert not np.shares_memory(got, r.pixels)
-            # one copy; the slack is the array objects' own few hundred bytes
-            assert peak < 1.5 * ref.nbytes + 1024
+            assert np.array_equal(got, ref[start:stop])
+            assert not np.shares_memory(got, base.pixels)
+            # one copy, of the whole block rows that hold the chunk; the
+            # slack is the array objects' own few hundred bytes
+            rows = -(-stop // w) - start // w
+            assert peak < 1.5 * rows * w * got.itemsize * side * side + 1024
             # the scatter is the gather's exact inverse, and writes exactly
-            # the pixels the sub-image round trip writes
-            out = r.pixels.copy()
-            codec._scatter_blocks(out, p.b, k, got)
+            # the pixels the blocks' round trip writes
+            out = base.pixels.copy()
+            codec._scatter_blocks(codec._tiles(view(out), side), start, got)
             # a grid that silently copied would drop the writes
             assert np.shares_memory(grids[-1], out)
-            assert np.array_equal(out, r.pixels)
-            codec._scatter_blocks(out, p.b, k, got + 1)
-            subs = list(subsample(r))
-            blocks = partition_blocks(subs[k - 1], p.b)
-            blocks[:count] += 1
-            subs[k - 1] = assemble_blocks(blocks, subs[k - 1].height, subs[k - 1].width)
-            expected = inverse_subsample(subs).pixels
-            assert np.array_equal(out != r.pixels, expected != r.pixels)
+            assert np.array_equal(out, base.pixels)
+            codec._scatter_blocks(codec._tiles(view(out), side), start, got + 1)
+            blocks = partition_blocks(sub, side)
+            blocks[start:stop] += 1
+            back = assemble_blocks(blocks, sub.height, sub.width)
+            if k:
+                subs = list(subsample(base))
+                subs[k - 1] = back
+                expected = inverse_subsample(subs).pixels
+            else:
+                expected = back.pixels
+            assert np.array_equal(out != base.pixels, expected != base.pixels)
             assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("p", [TRACE, SMALL, StegoParams(N=128, M=40), StegoParams(N=128, M=48),
+                               StegoParams(N=256, M=120), StegoParams(N=512, M=144),
+                               StegoParams()],
+                         ids=["trace", "small", "m40", "m48", "m120", "m144", "default"])
+@pytest.mark.parametrize("chunk_blocks", [1, 64, 512])
+def test_chunks_walk_whole_block_rows_of_both_grids(p, chunk_blocks, monkeypatch):
+    # the walk covers the first secret_blocks blocks once, in order, and each
+    # chunk starts on a block row of the cover sub-image's grid and of the
+    # secret's, whatever the chunk length. The last chunk takes the
+    # remainder: products much shorter than the whole can move the last
+    # bits, and M=144 at N=512 would leave 36 of 324 blocks to a last chunk
+    import math
+
+    from sabmis import codec
+    monkeypatch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+    g, gm = p.N // (2 * p.b), p.M // p.l
+    walk = codec._chunks(p)
+    assert [start for start, _ in walk] == [0] + [stop for _, stop in walk[:-1]]
+    assert walk[-1][1] == p.secret_blocks
+    assert all(start % g == 0 and start % gm == 0 and stop > start for start, stop in walk)
+    step = max(chunk_blocks // math.lcm(g, gm), 1) * math.lcm(g, gm)
+    assert all(stop - start == step for start, stop in walk[:-1])
+    assert min(step, p.secret_blocks) <= walk[-1][1] - walk[-1][0] < 2 * step
 
 
 def test_extractor_is_kept_per_key_and_read_only():
@@ -545,6 +590,96 @@ def test_extract_matches_per_block_reference(p):
     ref = coeffs_to_raster(np.stack(rows), p)
     got = extract_images(stego, key)[0]
     assert np.abs(got.pixels - ref.pixels).max() <= 1e-12 / p.alpha
+
+
+def _whole_array_embed(cover, secrets, key):
+    # the embed's formula on each assigned sub-image's blocks at once, built
+    # from the public layout helpers: the stego and each write_residual
+    from sabmis import assemble_blocks, codec, inverse_subsample, partition_blocks
+    p = key.params
+    reads, payload, change, _ = codec._key_factors(key.seed, p)
+    subs, residuals = list(subsample(cover)), []
+    for secret, k in zip(secrets, key.assignment):
+        blocks = partition_blocks(subs[k - 1], p.b)
+        x = blocks.reshape(-1, p.b * p.b)[: p.secret_blocks]
+        wrote = partition_blocks(secret, p.l).reshape(-1, p.l * p.l) @ payload
+        x += (wrote - x @ reads) @ change
+        residuals.append(np.abs(x @ reads[:, p.c :] - wrote[:, p.c :]).max(initial=0.0))
+        subs[k - 1] = assemble_blocks(blocks, subs[k - 1].height, subs[k - 1].width)
+    return inverse_subsample(subs), residuals
+
+
+def _whole_array_extract(stego, key):
+    from sabmis import assemble_blocks, codec, partition_blocks
+    p = key.params
+    *_, fold = codec._key_factors(key.seed, p)
+    out = []
+    for k in key.assignment:
+        x = partition_blocks(subsample(stego)[k - 1], p.b).reshape(-1, p.b * p.b)
+        rows = x[: p.secret_blocks] @ fold
+        out.append(assemble_blocks(rows.reshape(-1, p.l, p.l), p.M, p.M))
+    return out
+
+
+@pytest.mark.parametrize("p", REFERENCE_PARAMS + [TRACE, StegoParams()],
+                         ids=REFERENCE_IDS + ["trace", "default"])
+def test_chunked_pipelines_match_the_whole_array_formula(p):
+    # the default key at N=1024 walks eight chunks per sub-image; each chunk
+    # runs the same products on fewer rows, so the floats agree to rounding
+    # (no bits are pinned: they depend on the BLAS kernel a product runs)
+    key = make_key(19, p)
+    cover = cover_raster(p.N, 42)
+    secrets = [secret_raster(p.M, 43 + i) for i in range(p.num_secrets)]
+    stego, report = embed_images(cover, secrets, key)
+    ref, residuals = _whole_array_embed(cover, secrets, key)
+    assert np.abs(stego.pixels - ref.pixels).max() <= 1e-12
+    assert np.array_equal(quantize_u8(stego).pixels, quantize_u8(ref).pixels)
+    for stats, residual in zip(report.sub_images, residuals, strict=True):
+        assert stats.write_residual <= 1e-9 and residual <= 1e-9
+    for got, want in zip(extract_images(stego, key), _whole_array_extract(stego, key),
+                         strict=True):
+        assert np.abs(got.pixels - want.pixels).max() <= 1e-12
+        assert np.array_equal(quantize_u8(got).pixels, quantize_u8(want).pixels)
+
+
+def _traced_peak(run):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def paper_inputs():
+    # the acceptance suite's paper-scale fixture: 1024x1024 cover, four
+    # 512x512 secrets, the default key
+    key = make_key(0xC0FFEE)
+    cover = quantize_u8(cover_raster(1024, 1101))
+    secrets = [quantize_u8(secret_raster(512, s)) for s in (2201, 2202, 2203, 2204)]
+    return key, cover, secrets
+
+
+def test_embed_working_set_stays_bounded(paper_inputs):
+    # the stego is the one full-size array (8 MiB); the chunk walk adds a
+    # few 256 KiB chunk arrays, where whole sub-image block copies and their
+    # products took 8 MiB more
+    from sabmis import codec
+    key, cover, secrets = paper_inputs
+    codec._key_factors(key.seed, key.params)  # the per-key factors are not the embed's
+    peak = _traced_peak(lambda: embed_images(cover, secrets, key))
+    assert peak < 8 * 2**20 + 2 * 2**20
+
+
+def test_extract_working_set_stays_bounded(paper_inputs):
+    # the four secrets take 8 MiB; each chunk's rows go straight into them
+    from sabmis import codec
+    key, cover, secrets = paper_inputs
+    codec._key_factors(key.seed, key.params)
+    peak = _traced_peak(lambda: extract_images(cover, key))
+    assert peak < 8 * 2**20 + 2**20
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS[1:] + [StegoParams(N=128, M=64, num_secrets=2)],

@@ -117,6 +117,29 @@ def test_read_srf_holds_the_file_and_the_grid_but_no_payload_copy(tmp_path):
     assert peak < r.pixels.nbytes + path.stat().st_size + 2**20
 
 
+def test_srf_io_holds_no_byte_copy_of_the_file(tmp_path):
+    # the write streams the header and then the samples' own little-endian
+    # buffer, and the read fills the new grid straight from the file, so
+    # neither holds the 8 MiB payload as bytes; the file's bytes stay the
+    # format's: the header, then the samples as little-endian doubles
+    import tracemalloc
+
+    r = Raster(np.random.default_rng(12).standard_normal((1024, 1024)) * 300.0)
+    path = tmp_path / "a.srf"
+    peaks = []
+    for io in (lambda: write_srf(r, path), lambda: read_srf(path)):
+        tracemalloc.start()
+        try:
+            out = io()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert path.read_bytes() == b"SRF1\n1024 1024\n" + r.pixels.astype("<f8").tobytes()
+    assert np.array_equal(out.pixels, r.pixels) and out.pixels.dtype == np.float64
+    assert peaks[0] < 2**16
+    assert peaks[1] < r.pixels.nbytes + 2**16
+
+
 def test_subsample_2x2_example():
     q = subsample(Raster([[1.0, 3.0], [2.0, 4.0]]))
     assert len(q) == 4
