@@ -3,18 +3,20 @@ normalized absolute error, histogram entropy, and Sobel edge maps.
 
 Each figure has a core that takes a few sums over the pair (`_psnr_of_sse`,
 `_ncc_of_sums`, `_nae_of_sums`, `_entropy_of_counts`) or, for SSIM, the
-pair's strips of rows (`_mssim`); the public functions feed their core from
-one raster or raster pair. `mssim` applies its window (Wang et al., IEEE TIP
-2004) as banded-matrix products over strips of rows, into strip buffers
-allocated once per call, and builds no full-size windowed map: its working
-set grows with the image width, not its area.
+pair's rows, filled strip by strip (`_mssim`); the public functions feed
+their core from one raster or raster pair. `_mssim` applies its window (Wang
+et al., IEEE TIP 2004) as banded-matrix products over strips of rows. One
+strip buffer holds x, y, x^2 + y^2 and xy; consecutive strips share 10
+rows, which the buffer carries over, so each row is filled and squared once.
+Each strip is windowed in one batched product down the columns and one along
+the rows, plus one for a ragged last column tile. No full-size windowed map
+is built: the working set grows with the image width, not its area.
 
 `compare` refuses a NaN or infinite sample, then reads the pair in one walk
-over `mssim`'s strips, so reported numbers always correspond to viewable
-images without a full-size 8-bit copy of either. It rounds each strip into
-one of two strip buffers by `quantize_u8`'s rule. The strips feed `mssim`'s
-windowing, and the rows no later strip reads feed the sums and histograms
-behind PSNR, NCC, NAE and both entropies, so each row is counted once. Its
+over `_mssim`'s strips, so reported numbers always correspond to viewable
+images without a full-size 8-bit copy of either. It rounds each row once,
+by `quantize_u8`'s rule, straight into the strip buffer, and adds it there
+to the sums and histograms behind PSNR, NCC, NAE and both entropies. Its
 working set is about 4 MiB under tracemalloc for a 1024x1024 pair, and it
 too grows with width, not area. The individual metric functions evaluate
 whatever they are given.
@@ -36,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, ParamError, SolverError
 from .raster import Raster, _rounded_u8
@@ -46,6 +49,7 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_STRIP = 32      # output rows per strip and output columns per tile in mssim
+_SSIM_SUB = 8         # output rows per product of a strip's windowing down the columns
 
 
 def _paired(a: Raster, b: Raster) -> tuple[np.ndarray, np.ndarray]:
@@ -88,48 +92,59 @@ def _gauss_kernel() -> np.ndarray:
     return g / g.sum()
 
 
-def _strip_rows(height: int) -> list[tuple[int, int]]:
-    # (start, stop) of each strip of rows `_mssim` reads, in order: its
-    # `_SSIM_STRIP` output rows (fewer in the last strip) and the 10 below them
-    reach = _SSIM_WINDOW - 1
-    rows = height - reach
-    return [(r, min(r + _SSIM_STRIP, rows) + reach) for r in range(0, rows, _SSIM_STRIP)]
-
-
-def _mssim(shape: tuple[int, int], strips) -> float:
-    # mean SSIM of a pair of `shape`, read from `strips`: its (x, y) rows
-    # as `_strip_rows` bounds them, each strip a C-ordered pair of arrays
+def _mssim(shape: tuple[int, int], fill) -> float:
+    # mean SSIM of a pair of `shape`, whose rows `fill(start, stop, xs, ys)`
+    # writes into the C-ordered (stop - start, width) arrays xs and ys; it is
+    # called once per row, in order
     if min(shape) < _SSIM_WINDOW:
         raise DimensionError(f"images must be at least {_SSIM_WINDOW} pixels per side")
-    reach, width = _SSIM_WINDOW - 1, shape[1]
-    rows, cols = shape[0] - reach, width - reach
+    reach, (height, width) = _SSIM_WINDOW - 1, shape
+    rows, cols = height - reach, width - reach
     n = _SSIM_STRIP
-    # band[i, i:i + 11] holds the weights, so band[:t, :t + 10] windows t rows
+    # band[i, i:i + 11] holds the weights, so band[:t, :t + 10] windows t rows;
+    # it is Toeplitz, so band[:h, :h + 10] windows every h-row sub-strip
     band, i = np.zeros((n, n + reach)), np.arange(n)[:, None]
     band[i, i + np.arange(_SSIM_WINDOW)] = _gauss_kernel()
     c1 = (_SSIM_K1 * _PEAK) ** 2
     c2 = (_SSIM_K2 * _PEAK) ** 2
-    # flat buffers for the tallest strip; a shorter one uses their leading part
+    # buffers for the tallest strip; a shorter one uses their leading part.
+    # buf holds the strip's x, y, x^2 + y^2 and xy rows, and keeps its last
+    # 10 rows for the next strip, which reads them too
     tall = min(n, rows)
-    sums = np.empty(2 * (tall + reach) * width)     # x^2 + y^2 and xy
+    buf = np.empty((4, tall + reach, width))
     down = np.empty(4 * tall * width)               # the four maps windowed down
     win = np.empty(4 * tall * cols)                 # ... and along the rows
     prod = np.empty(tall * cols)                    # mu_x mu_y
+    f = buf.itemsize
     total = 0.0
-    for xs, ys in strips:
-        t = len(xs) - reach
-        sq, xy = sums[:2 * xs.size].reshape(2, *xs.shape)
+    for r in range(0, rows, n):
+        t = min(n, rows - r)
+        kept = reach if r else 0        # rows the last strip read too
+        if kept:
+            buf[:, :kept] = buf[:, n:n + kept]
+        xs, ys, sq, xy = buf[:, kept:t + reach]
+        fill(r + kept, r + t + reach, xs, ys)
         np.multiply(xs, xs, out=sq)
         sq += np.multiply(ys, ys, out=xy)
         np.multiply(xs, ys, out=xy)
+        # down the columns: all four maps in one product over sub-strips of h
+        # rows. 8-row sub-strips give the bits of the strip's whole band, but
+        # a ragged last one does not (OpenBLAS takes another kernel for it),
+        # so a strip that _SSIM_SUB does not divide keeps its whole band
+        h = _SSIM_SUB if t % _SSIM_SUB == 0 else t
         d = down[:4 * t * width].reshape(4, t, width)
-        for src, out in zip((xs, ys, sq, xy), d):
-            np.matmul(band[:t, :t + reach], src, out=out)
+        b, o = buf.strides, d.strides
+        subs = as_strided(buf, (4, t // h, h + reach, width), (b[0], h * b[1], b[1], f))
+        outs = as_strided(d, (4, t // h, h, width), (o[0], h * o[1], o[1], f))
+        np.matmul(band[:h, :h + reach], subs, out=outs)
+        # along the rows: every whole n-column tile in one product, then the rest
         d = d.reshape(4 * t, width)
         w = win[:4 * t * cols].reshape(4 * t, cols)
-        for c in range(0, cols, n):
-            u = min(n, cols - c)
-            np.matmul(d[:, c:c + u + reach], band[:u, :u + reach].T, out=w[:, c:c + u])
+        c = cols - cols % n
+        tiles = as_strided(d, (c // n, 4 * t, n + reach), (n * f, d.strides[0], f))
+        outs = as_strided(w, (c // n, 4 * t, n), (n * f, w.strides[0], f))
+        np.matmul(tiles, band.T, out=outs)
+        np.matmul(d[:, c:], band[:cols - c, :width - c].T, out=w[:, c:])
         mu_x, mu_y, sq, xy = w.reshape(4, t, cols)
         # the SSIM formula in place, in the operation order of
         # (2 mu_xy + c1) (2 (xy - mu_xy) + c2) / ((mu_sq + c1) (sq - mu_sq + c2))
@@ -155,16 +170,24 @@ def _mssim(shape: tuple[int, int], strips) -> float:
 def mssim(a: Raster, b: Raster) -> float:
     """Mean local SSIM over all full 11x11 windows (Gaussian weights, sigma 1.5).
 
-    Walks strips of `_SSIM_STRIP` output rows. Each strip windows x, y,
-    x^2 + y^2 and xy (only var_x + var_y enters the formula) down the columns
-    with one banded-matrix product per map, then along the rows tile by tile
-    with the same band, evaluates the SSIM formula in place and adds its values
-    to a running sum. x and y are windowed where they lie; the other two maps,
-    the windowed strip and the formula's one extra map live in buffers
-    allocated once per call, so no full-size map is ever built.
+    Walks strips of `_SSIM_STRIP` output rows. Each strip copies the rows of
+    x and y it does not share with the previous strip into one strip buffer,
+    beside x^2 + y^2 and xy (only var_x + var_y enters the formula). It
+    windows all four maps down the columns in one batched banded-matrix
+    product over 8-row sub-strips (one sub-strip of all its rows when 8 does
+    not divide them), then along the rows in one batched product over
+    32-column tiles with the same band, evaluates the SSIM formula in place
+    and adds its values to a running sum. The strip buffer, the windowed
+    strip and the formula's one extra map are allocated once per call, so no
+    full-size map is ever built.
     """
     x, y = _paired(a, b)
-    return _mssim(x.shape, ((x[r:e], y[r:e]) for r, e in _strip_rows(len(x))))
+
+    def fill(start, stop, xs, ys):
+        np.copyto(xs, x[start:stop])
+        np.copyto(ys, y[start:stop])
+
+    return _mssim(x.shape, fill)
 
 
 def _ncc_of_sums(xy: float, xx: float) -> float:
@@ -250,27 +273,6 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _rounded_strips(x: np.ndarray, y: np.ndarray, sums: np.ndarray, counts: np.ndarray):
-    # `_mssim`'s strips of the pair, each rounded into one of two strip
-    # buffers by `_rounded_u8`. The rows no later strip reads, a strip's
-    # first `_SSIM_STRIP` and every row of the last, add x.x, x.y, sum x,
-    # sum (x - y)^2 and sum |x - y| to `sums` and their levels to `counts`.
-    bounds = _strip_rows(len(x))
-    qx, qy = np.empty((2, bounds[0][1], x.shape[1]))   # the first strip is the tallest
-    diff = np.empty(qx.size)
-    for start, stop in bounds:
-        xs, ys = qx[:stop - start], qy[:stop - start]
-        _rounded_u8(x[start:stop], out=xs)
-        _rounded_u8(y[start:stop], out=ys)
-        own = stop - start if stop == len(x) else _SSIM_STRIP
-        xo, yo = xs[:own].ravel(), ys[:own].ravel()
-        d = np.subtract(xo, yo, out=diff[:xo.size])
-        sums += (xo @ xo, xo @ yo, xo.sum(), d @ d, np.abs(d, out=d).sum())
-        counts[0] += np.bincount(xo.astype(np.uint8), minlength=256)
-        counts[1] += np.bincount(yo.astype(np.uint8), minlength=256)
-        yield xs, ys
-
-
 def compare(ref: Raster, test: Raster) -> MetricsReport:
     """Full report on the 8-bit-quantized pair, matching what a viewer would see.
 
@@ -280,9 +282,20 @@ def compare(ref: Raster, test: Raster) -> MetricsReport:
 
     Raises SolverError if either raster holds a NaN or infinite sample."""
     x, y = map(_finite, _paired(ref, test))
+    # x.x, x.y, sum x, sum (x - y)^2 and sum |x - y|, and each image's levels
     sums = np.zeros(5)
     counts = np.zeros((2, 256), dtype=np.int64)
-    ssim = _mssim(x.shape, _rounded_strips(x, y, sums, counts))
+    diff = np.empty(min(len(x), _SSIM_STRIP + _SSIM_WINDOW - 1) * x.shape[1])
+
+    def fill(start, stop, xs, ys):
+        xo = _rounded_u8(x[start:stop], out=xs).ravel()
+        yo = _rounded_u8(y[start:stop], out=ys).ravel()
+        d = np.subtract(xo, yo, out=diff[:xo.size])
+        sums[:] += (xo @ xo, xo @ yo, xo.sum(), d @ d, np.abs(d, out=d).sum())
+        counts[0] += np.bincount(xo.astype(np.uint8), minlength=256)
+        counts[1] += np.bincount(yo.astype(np.uint8), minlength=256)
+
+    ssim = _mssim(x.shape, fill)
     xx, xy, xsum, sse, sad = sums.tolist()
     return MetricsReport(_psnr_of_sse(sse, x.size), ssim, _ncc_of_sums(xy, xx),
                          _nae_of_sums(sad, xsum), _entropy_of_counts(counts[0], x.size),
