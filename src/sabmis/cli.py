@@ -238,18 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     kg = sub.add_parser("keygen", help="write a key file")
     kg.add_argument("--seed", type=int, required=True, help="unsigned 64-bit generator seed")
     kg.add_argument("--out", required=True, help="key file path")
-    kg.add_argument("--cover-size", type=int, default=1024, metavar="N")
-    kg.add_argument("--secret-size", type=int, default=512, metavar="M")
-    kg.add_argument("--block", type=int, default=8, help="block side for cover and secrets")
-    kg.add_argument("--p1", type=int, default=32, help="large-coefficient slots per block")
-    kg.add_argument("--m-factor", type=float, default=10.0,
+    ref = StegoParams()  # the reference configuration, with b = l
+    kg.add_argument("--cover-size", type=int, default=ref.N, metavar="N")
+    kg.add_argument("--secret-size", type=int, default=ref.M, metavar="M")
+    kg.add_argument("--block", type=int, default=ref.b, help="block side for cover and secrets")
+    kg.add_argument("--p1", type=int, default=ref.p1, help="large-coefficient slots per block")
+    kg.add_argument("--m-factor", type=float, default=ref.m / ref.p2,
                     help="measurement count as a multiple of p2")
-    kg.add_argument("--p3", type=int, default=32, help="embedded coefficients per secret block")
-    kg.add_argument("--alpha", type=float, default=0.01)
-    kg.add_argument("--beta", type=float, default=0.1)
-    kg.add_argument("--gamma", type=float, default=1.0)
-    kg.add_argument("--c", type=int, default=8, dest="c", help="donor offset (6 or 8 in practice)")
-    kg.add_argument("--num-secrets", type=int, default=4)
+    kg.add_argument("--p3", type=int, default=ref.p3, help="embedded coefficients per secret block")
+    kg.add_argument("--alpha", type=float, default=ref.alpha)
+    kg.add_argument("--beta", type=float, default=ref.beta)
+    kg.add_argument("--gamma", type=float, default=ref.gamma)
+    kg.add_argument("--c", type=int, default=ref.c, dest="c", help="donor offset (6 or 8 in practice)")
+    kg.add_argument("--num-secrets", type=int, default=ref.num_secrets)
     kg.set_defaults(func=_cmd_keygen)
 
     em = sub.add_parser("embed", help="hide secrets in a cover image")

@@ -24,16 +24,17 @@ Both pipelines address an assigned parity sub-image's b x b blocks through
 one strided block grid over the full raster, built from the same two layout
 helpers that `subsample` and `partition_blocks` use: the raster module's
 parity view and the spectral module's block tiling. They walk its first
-secret_blocks blocks in chunks of whole block rows, about 512 blocks each
-(`_chunks`), so every array a chunk touches stays cache-sized:
-`_gather_blocks` copies one chunk out as (count, b^2) rows, and
-`_scatter_blocks` writes such rows back through a grid. Neither pipeline
-splits the raster into sub-image rasters or holds a sub-image's blocks as
-one array; `subsample`, `partition_blocks` and the spectral round trip
-remain the definitions the chunk helpers and the per-block functions are
-checked against. The embed rebuilds each chunk in place in one copy of the
-cover, so everything else passes through bitwise, and the extract writes
-each chunk's rows straight into the secret raster's l x l blocks.
+secret_blocks blocks in chunks of whole block rows, about 512 blocks each,
+so every array a chunk touches stays cache-sized. `_chunks` alone maps a
+chunk onto the grids: it gives each chunk's block count and its block rows
+in the cover sub-image's grid and in the secret's. Neither pipeline splits
+the raster into sub-image rasters or holds a sub-image's blocks as one
+array; `subsample`, `partition_blocks` and the spectral round trip remain
+the definitions the walk and the per-block functions are checked against.
+The embed copies each chunk's block rows out, rebuilds the chunk's blocks in
+place and assigns the rows back, in one copy of the cover, so everything
+else passes through bitwise; the extract writes each chunk's product
+straight into the secret raster's block rows.
 
 Every step of both pipelines is linear, and one per-key cache,
 `_key_factors`, serves both. The sender applies the rule's three factors as
@@ -247,18 +248,26 @@ def _key_factors(seed: int, p: StegoParams
 _CHUNK_BLOCKS = 512
 
 
-def _chunks(p: StegoParams) -> list[tuple[int, int]]:
-    """(start, stop) ranges over a sub-image's first secret_blocks blocks,
-    each about _CHUNK_BLOCKS long. Each starts on a whole block row both of
-    the cover sub-image's N/(2b)-wide block grid and of the secret's
-    M/l-wide one, which `_gather_blocks` and `_scatter_blocks` take. The
+def _chunks(p: StegoParams) -> list[tuple[int, slice, slice]]:
+    """The walk over a sub-image's first secret_blocks blocks, in chunks of
+    about _CHUNK_BLOCKS blocks: (count, cover_rows, secret_rows) per chunk,
+    its block count and the block rows that hold it in the cover sub-image's
+    N/(2b)-wide block grid and in the secret's M/l-wide one. Each chunk
+    starts on a whole block row of both grids and, but for the last chunk's
+    cover rows, ends on one, so the secret rows hold exactly its blocks. The
     last chunk takes the remainder, so no chunk is shorter than the step
     unless all the blocks are."""
-    row = math.lcm(p.N // (2 * p.b), p.M // p.l)
+    g, gm = p.N // (2 * p.b), p.M // p.l
+    row = math.lcm(g, gm)
     step = row * max(1, _CHUNK_BLOCKS // row)
-    count = p.secret_blocks
-    last = max(1, count // step) - 1
-    return [(i * step, count if i == last else (i + 1) * step) for i in range(last + 1)]
+    total = p.secret_blocks
+    last = max(1, total // step) - 1
+    walk = []
+    for start in range(0, last * step + 1, step):
+        stop = total if start == last * step else start + step
+        walk.append((stop - start, slice(start // g, -(-stop // g)),
+                     slice(start // gm, stop // gm)))
+    return walk
 
 
 def _carrier_rows(pixels: np.ndarray, k: int, p: StegoParams) -> np.ndarray:
@@ -269,34 +278,11 @@ def _carrier_rows(pixels: np.ndarray, k: int, p: StegoParams) -> np.ndarray:
     return grid[: -(-p.secret_blocks // grid.shape[1])]
 
 
-def _gather_blocks(grid: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Blocks start .. stop - 1 of a (rows, cols, b, b) block grid, in
-    row-major block order, as (stop - start, b*b) rows; start is a whole
-    block row, a multiple of cols. On a grid that is one C-ordered array,
-    such as the subset sweep's private copies, the rows are a view of it;
-    on a grid over a raster they are one copy of the whole block rows they
-    lie in."""
-    cols, b = grid.shape[1], grid.shape[2]
-    return grid[start // cols : -(-stop // cols)].reshape(-1, b * b)[: stop - start]
-
-
-def _scatter_blocks(grid: np.ndarray, start: int, blocks: np.ndarray) -> None:
-    """Write (count, b*b) rows over blocks start .. start + count - 1 of a
-    block grid, in place: the inverse of `_gather_blocks`."""
-    cols, b = grid.shape[1], grid.shape[2]
-    row = start // cols
-    full, rest = divmod(blocks.shape[0], cols)  # whole block rows, then a partial one
-    tiles = blocks.reshape(-1, b, b)
-    grid[row : row + full] = tiles[: full * cols].reshape(full, cols, b, b)
-    if rest:
-        grid[row + full, :rest] = tiles[full * cols :]
-
-
 def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
     if cover.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"cover must be {p.N}x{p.N} per key, got {cover.height}x{cover.width}")
-    if not 1 <= len(secrets) <= 4 or len(secrets) != p.num_secrets:
+    if len(secrets) != p.num_secrets:
         raise ParamError(f"expected {p.num_secrets} secret images per key, got {len(secrets)}")
     for idx, s in enumerate(secrets, start=1):
         if s.pixels.shape != (p.M, p.M):
@@ -311,7 +297,9 @@ def _embed_sub_image(grid: np.ndarray, k: int, secret: Raster, p: StegoParams,
     and seed, and return the stats. The first secret_blocks blocks are
     rebuilt chunk by chunk (`_chunks`): with the chunk's cover blocks x and
     secret blocks z as rows, they become x + (z @ payload - x @ reads) @
-    change (`_key_factors`), written back over the chunk. The stats'
+    change (`_key_factors`), rebuilt in a copy of the chunk's block rows
+    that is then assigned back whole, so blocks past the chunk in a partial
+    last row go back as they were read. The stats'
     write_residual is what they read on the p3 - c written measurement rows
     minus what the rule wrote there. A NaN or infinite sample in those cover
     blocks or in the secret raises SolverError, since it would pass into the
@@ -319,16 +307,17 @@ def _embed_sub_image(grid: np.ndarray, k: int, secret: Raster, p: StegoParams,
     reads, payload, change, _ = _key_factors(seed, p)
     secret_grid = _tiles(secret.pixels, p.l)
     residual = 0.0
-    for start, stop in _chunks(p):
-        blocks = _gather_blocks(grid, start, stop)
+    for count, cover_rows, secret_rows in _chunks(p):
+        rows = grid[cover_rows].reshape(-1, p.b * p.b)
+        blocks = rows[:count]
         with np.errstate(invalid="ignore", over="ignore"):  # refused just below
-            wrote = _gather_blocks(secret_grid, start, stop) @ payload
+            wrote = secret_grid[secret_rows].reshape(count, -1) @ payload
             blocks += (wrote - blocks @ reads) @ change
         if not np.isfinite(blocks).all():
             raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
         miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
         residual = max(residual, float(np.abs(miss).max(initial=0.0)))
-        _scatter_blocks(grid, start, blocks)
+        grid[cover_rows] = rows.reshape(-1, *grid.shape[1:])
     return SubImageStats(k, residual)
 
 
@@ -445,6 +434,7 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     secrets = np.empty((len(key.assignment), p.M, p.M))
     for secret, k in zip(secrets, key.assignment):
         grid, secret_grid = _carrier_rows(stego.pixels, k, p), _tiles(secret, p.l)
-        for start, stop in _chunks(p):
-            _scatter_blocks(secret_grid, start, _gather_blocks(grid, start, stop) @ fold)
+        for count, cover_rows, secret_rows in _chunks(p):
+            blocks = grid[cover_rows].reshape(-1, p.b * p.b)[:count]
+            secret_grid[secret_rows] = (blocks @ fold).reshape(-1, *secret_grid.shape[1:])
     return [Raster._adopt(secret) for secret in secrets]

@@ -132,18 +132,18 @@ def _mssim(shape: tuple[int, int], fill) -> float:
         # a ragged last one does not (OpenBLAS takes another kernel for it),
         # so a strip that _SSIM_SUB does not divide keeps its whole band
         h = _SSIM_SUB if t % _SSIM_SUB == 0 else t
-        d = down[:4 * t * width].reshape(4, t, width)
-        b, o = buf.strides, d.strides
-        subs = as_strided(buf, (4, t // h, h + reach, width), (b[0], h * b[1], b[1], f))
-        outs = as_strided(d, (4, t // h, h, width), (o[0], h * o[1], o[1], f))
-        np.matmul(band[:h, :h + reach], subs, out=outs)
+        d = down[:4 * t * width]
+        b = buf.strides
+        subs = as_strided(buf, (4, t // h, h + reach, width), (b[0], h * b[1], b[1], f),
+                          writeable=False)
+        np.matmul(band[:h, :h + reach], subs, out=d.reshape(4, t // h, h, width))
         # along the rows: every whole n-column tile in one product, then the rest
         d = d.reshape(4 * t, width)
         w = win[:4 * t * cols].reshape(4 * t, cols)
         c = cols - cols % n
-        tiles = as_strided(d, (c // n, 4 * t, n + reach), (n * f, d.strides[0], f))
-        outs = as_strided(w, (c // n, 4 * t, n), (n * f, w.strides[0], f))
-        np.matmul(tiles, band.T, out=outs)
+        tiles = as_strided(d, (c // n, 4 * t, n + reach), (n * f, d.strides[0], f),
+                           writeable=False)
+        np.matmul(tiles, band.T, out=w[:, :c].reshape(4 * t, c // n, n).swapaxes(0, 1))
         np.matmul(d[:, c:], band[:cols - c, :width - c].T, out=w[:, c:])
         mu_x, mu_y, sq, xy = w.reshape(4, t, cols)
         # the SSIM formula in place, in the operation order of

@@ -251,7 +251,10 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
-    from sabmis import Raster, cli, codec, embed_subsets, psnr, write_srf
+    from dataclasses import replace
+    from itertools import combinations
+
+    from sabmis import Raster, cli, codec, embed_images, psnr, write_srf
     built, embedded = [], []
     monkeypatch.setattr(cli, "_stego", lambda *a: built.append(a) or codec._stego(*a))
     original = codec._embed_sub_image
@@ -296,13 +299,17 @@ def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
             curve = [entry["psnr_curve"][str(k)] for k in (1, 2, 3, 4)]
             assert all(np.isfinite(curve))
             assert all(a >= b for a, b in zip(curve, curve[1:]))
-            # each point is the mean PSNR of the 8-bit subset stegos, bitwise
+            # each point is the mean PSNR of the 8-bit subset stegos, bitwise,
+            # each built by a standalone embed under its count's key, which
+            # shares no sweep code with bench
             cover = cli.read_image(Path(entry["file"]))
-            values = {}
-            for combo, _, stego, _ in embed_subsets(cover, chosen, key):
-                values.setdefault(len(combo), []).append(
-                    psnr(quantize_u8(cover), quantize_u8(stego)))
-            assert curve == [sum(v) / len(v) for v in values.values()]
+            values = [[] for _ in range(4)]
+            for count in (1, 2, 3, 4):
+                key_k = make_key(17, replace(params, num_secrets=count))
+                for combo in combinations(range(4), count):
+                    stego, _ = embed_images(cover, [chosen[i] for i in combo], key_k)
+                    values[count - 1].append(psnr(quantize_u8(cover), quantize_u8(stego)))
+            assert curve == [sum(v) / len(v) for v in values]
             assert len(entry["extracted_metrics"]) == 4
             assert "stego_metrics" in entry
             assert_sub_image_reports(entry["solver"]["sub_images"], 4)

@@ -246,62 +246,85 @@ def test_extract_rejects_zero_strengths(strength):
             replace(SMALL, **{strength: zero})
 
 
-@pytest.mark.parametrize("p", [TRACE, SMALL, StegoParams(N=128, M=40, num_secrets=1)],
-                         ids=["trace", "small", "m40-partial-row"])
+@pytest.mark.parametrize("p", [TRACE, SMALL, StegoParams(N=128, M=40, num_secrets=1),
+                               StegoParams(N=512, M=160, num_secrets=1)],
+                         ids=["trace", "small", "m40-partial-row", "m160-two-chunks"])
 def test_block_gather_matches_partition_blocks(p, monkeypatch):
-    # the chunk helpers over a cover sub-image's b x b grid and a secret's
-    # l x l grid (the trace key has l != b): every chunk of the walk, and
-    # chunks that start on a later block row and end inside one, including
-    # the M=40 walk's partial last row (25 blocks of an 8-block-wide grid)
+    # each chunk's block rows, as `_chunks` gives them, over a cover
+    # sub-image's b x b carrier rows and a secret's l x l grid (the trace key
+    # has l != b), at several chunk lengths: M=40 walks one chunk that ends
+    # inside a block row (25 blocks of an 8-block-wide grid), and M=160 at
+    # N=512 two chunks at 64, the last ending inside one (400 of 32 a row)
     import tracemalloc
 
     from sabmis import assemble_blocks, codec, inverse_subsample, partition_blocks
-    from sabmis.raster import _parity
-    grids = []  # every block grid the test builds, to check what the scatter writes through
-    tiles = codec._tiles
-    monkeypatch.setattr(codec, "_tiles", lambda *a: grids.append(tiles(*a)) or grids[-1])
-    r, secret = cover_raster(p.N, 3), secret_raster(p.M, 4)
-    walk = codec._chunks(p)
-    layouts = [(r, p.b, lambda px, k=k: _parity(px, k), k) for k in range(1, 5)]
-    layouts.append((secret, p.l, lambda px: px, 0))  # the secret's own grid
-    for base, side, view, k in layouts:
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def assembled(base, k, blocks, side):
+        # the raster whose sub-image k (or, for k = 0, whose own grid) has these blocks
         sub = subsample(base)[k - 1] if k else base
-        ref = partition_blocks(sub, side).reshape(-1, side * side)
-        w = sub.width // side
-        later = [(start, stop) for start, stop in
-                 ((w, w + 1), (w, 2 * w + 1), (2 * w, len(ref) - 1), (w, len(ref)))
-                 if start < stop <= len(ref)]
-        for start, stop in walk + later:
-            tracemalloc.start()
-            try:
-                got = codec._gather_blocks(codec._tiles(view(base.pixels), side), start, stop)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert np.array_equal(got, ref[start:stop])
-            assert not np.shares_memory(got, base.pixels)
-            # one copy, of the whole block rows that hold the chunk; the
-            # slack is the array objects' own few hundred bytes
-            rows = -(-stop // w) - start // w
-            assert peak < 1.5 * rows * w * got.itemsize * side * side + 1024
-            # the scatter is the gather's exact inverse, and writes exactly
-            # the pixels the blocks' round trip writes
-            out = base.pixels.copy()
-            codec._scatter_blocks(codec._tiles(view(out), side), start, got)
-            # a grid that silently copied would drop the writes
-            assert np.shares_memory(grids[-1], out)
-            assert np.array_equal(out, base.pixels)
-            codec._scatter_blocks(codec._tiles(view(out), side), start, got + 1)
-            blocks = partition_blocks(sub, side)
-            blocks[start:stop] += 1
-            back = assemble_blocks(blocks, sub.height, sub.width)
-            if k:
-                subs = list(subsample(base))
-                subs[k - 1] = back
-                expected = inverse_subsample(subs).pixels
-            else:
-                expected = back.pixels
-            assert np.array_equal(out != base.pixels, expected != base.pixels)
+        back = assemble_blocks(blocks, sub.height, sub.width)
+        if not k:
+            return back.pixels
+        subs = list(subsample(base))
+        subs[k - 1] = back
+        return inverse_subsample(subs).pixels
+
+    r, secret = cover_raster(p.N, 3), secret_raster(p.M, 4)
+    secret_ref = partition_blocks(secret, p.l)
+    for chunk_blocks in (1, 64, 512):
+        monkeypatch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
+        walk = codec._chunks(p)
+        starts = np.cumsum([0] + [count for count, *_ in walk])
+        for k in range(1, 5):
+            ref = partition_blocks(subsample(r)[k - 1], p.b)
+            # the last chunk's cover rows end where the carrier rows do
+            assert walk[-1][1].stop == codec._carrier_rows(r.pixels, k, p).shape[0]
+            for start, (count, cover_rows, _) in zip(starts, walk):
+                grid = codec._carrier_rows(r.pixels, k, p)
+                rows, peak = traced(lambda: grid[cover_rows].reshape(-1, p.b * p.b))
+                assert np.array_equal(rows[:count], ref[start:start + count].reshape(count, -1))
+                assert not np.shares_memory(rows, r.pixels)
+                # one copy, of the whole block rows that hold the chunk; the
+                # slack is the array objects' own few hundred bytes
+                assert rows.shape[0] < count + grid.shape[1]
+                assert peak < 1.5 * rows.nbytes + 1024
+                # the pipeline's write-back: the rebuilt first count rows and
+                # the rest of the last block row as they were read go back
+                # whole, so exactly the chunk's blocks change
+                out = r.pixels.copy()
+                grid = codec._carrier_rows(out, k, p)
+                assert np.shares_memory(grid, out)  # a copy would drop the writes
+                rows = grid[cover_rows].reshape(-1, p.b * p.b)
+                grid[cover_rows] = rows.reshape(-1, *grid.shape[1:])
+                assert np.array_equal(out, r.pixels)
+                rows[:count] += 1
+                grid[cover_rows] = rows.reshape(-1, *grid.shape[1:])
+                blocks = ref.copy()
+                blocks[start:start + count] += 1
+                expected = assembled(r, k, blocks, p.b)
+                assert np.array_equal(out != r.pixels, expected != r.pixels)
+                assert np.array_equal(out, expected)
+        for start, (count, _, secret_rows) in zip(starts, walk):
+            # the secret rows hold exactly the chunk's secret blocks, and the
+            # extract's write changes exactly their pixels
+            grid = codec._tiles(secret.pixels, p.l)
+            rows, peak = traced(lambda: grid[secret_rows].reshape(count, -1))
+            assert np.array_equal(rows, secret_ref[start:start + count].reshape(count, -1))
+            assert peak < 1.5 * rows.nbytes + 1024
+            out = secret.pixels.copy()
+            grid = codec._tiles(out, p.l)
+            grid[secret_rows] = (rows + 1).reshape(-1, *grid.shape[1:])
+            blocks = secret_ref.copy()
+            blocks[start:start + count] += 1
+            expected = assembled(secret, 0, blocks, p.l)
+            assert np.array_equal(out != secret.pixels, expected != secret.pixels)
             assert np.array_equal(out, expected)
 
 
@@ -313,21 +336,31 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
 def test_chunks_walk_whole_block_rows_of_both_grids(p, chunk_blocks, monkeypatch):
     # the walk covers the first secret_blocks blocks once, in order, and each
     # chunk starts on a block row of the cover sub-image's grid and of the
-    # secret's, whatever the chunk length. The last chunk takes the
-    # remainder: products much shorter than the whole can move the last
-    # bits, and M=144 at N=512 would leave 36 of 324 blocks to a last chunk
+    # secret's, whatever the chunk length, and holds exactly its blocks'
+    # rows of both. The last chunk takes the remainder: products much
+    # shorter than the whole can move the last bits, and M=144 at N=512
+    # would leave 36 of 324 blocks to a last chunk
     import math
 
     from sabmis import codec
     monkeypatch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
     g, gm = p.N // (2 * p.b), p.M // p.l
     walk = codec._chunks(p)
-    assert [start for start, _ in walk] == [0] + [stop for _, stop in walk[:-1]]
-    assert walk[-1][1] == p.secret_blocks
-    assert all(start % g == 0 and start % gm == 0 and stop > start for start, stop in walk)
+    counts = [count for count, *_ in walk]
+    assert all(count > 0 for count in counts) and sum(counts) == p.secret_blocks
+    start = 0
+    for count, cover_rows, secret_rows in walk:
+        assert start % g == 0 and start % gm == 0
+        assert (cover_rows.start, cover_rows.stop, cover_rows.step) == (
+            start // g, -(-(start + count) // g), None)
+        assert (secret_rows.start, secret_rows.stop, secret_rows.step) == (
+            start // gm, (start + count) // gm, None)
+        assert (start + count) % gm == 0  # the secret rows hold exactly the chunk
+        start += count
     step = max(chunk_blocks // math.lcm(g, gm), 1) * math.lcm(g, gm)
-    assert all(stop - start == step for start, stop in walk[:-1])
-    assert min(step, p.secret_blocks) <= walk[-1][1] - walk[-1][0] < 2 * step
+    assert all(count == step for count in counts[:-1])
+    assert min(step, p.secret_blocks) <= counts[-1] < 2 * step
+    assert walk[-1][1].stop == -(-p.secret_blocks // g)
 
 
 def test_extractor_is_kept_per_key_and_read_only():
@@ -621,10 +654,13 @@ def _whole_array_extract(stego, key):
     return out
 
 
-@pytest.mark.parametrize("p", REFERENCE_PARAMS + [TRACE, StegoParams()],
-                         ids=REFERENCE_IDS + ["trace", "default"])
+@pytest.mark.parametrize("p", REFERENCE_PARAMS + [TRACE, StegoParams(),
+                                                  StegoParams(N=1024, M=480, num_secrets=1)],
+                         ids=REFERENCE_IDS + ["trace", "default", "m480-partial-last-row"])
 def test_chunked_pipelines_match_the_whole_array_formula(p):
-    # the default key at N=1024 walks eight chunks per sub-image; each chunk
+    # the default key at N=1024 walks eight chunks per sub-image, and M=480
+    # three, the last ending 16 blocks into a block row, so the blocks past
+    # it go back as they were read; each chunk
     # runs the same products on fewer rows, so the floats agree to rounding
     # (no bits are pinned: they depend on the BLAS kernel a product runs)
     key = make_key(19, p)
