@@ -24,17 +24,22 @@ Both pipelines address an assigned parity sub-image's b x b blocks through
 one strided block grid over the full raster, built from the same two layout
 helpers that `subsample` and `partition_blocks` use: the raster module's
 parity view and the spectral module's block tiling. They walk its first
-secret_blocks blocks in chunks of whole block rows, about 512 blocks each,
+secret_blocks blocks in chunks of whole block rows, about 256 blocks each,
 so every array a chunk touches stays cache-sized. `_chunks` alone maps a
 chunk onto the grids: it gives each chunk's block count and its block rows
-in the cover sub-image's grid and in the secret's. Neither pipeline splits
-the raster into sub-image rasters or holds a sub-image's blocks as one
-array; `subsample`, `partition_blocks` and the spectral round trip remain
-the definitions the walk and the per-block functions are checked against.
-The embed copies each chunk's block rows out, rebuilds the chunk's blocks in
-place and assigns the rows back, in one copy of the cover, so everything
-else passes through bitwise; the extract writes each chunk's product
-straight into the secret raster's block rows.
+in the cover sub-image's grid and in the secret's. The walk goes band by
+band: block row j of all four sub-images lies in the same 2b raster rows,
+so each chunk is done in every assigned sub-image before the next, and each
+band of the raster is read while it is still in cache. Neither pipeline
+splits the raster into sub-image rasters or holds a sub-image's blocks as
+one array; `subsample`, `partition_blocks` and the spectral round trip
+remain the definitions the walk and the per-block functions are checked
+against. The embed copies each chunk's block rows out of the cover,
+rebuilds the chunk's blocks and assigns the rows whole into an unfilled
+stego; `_new_stego` alone decides which cover pixels no chunk writes and
+copies those, bitwise, so at paper scale the cover is never copied. The
+extract writes each chunk's product straight into the secret raster's
+block rows.
 
 Every step of both pipelines is linear, and one per-key cache,
 `_key_factors`, serves both. The sender applies the rule's three factors as
@@ -58,7 +63,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -241,11 +246,13 @@ def _key_factors(seed: int, p: StegoParams
     return out
 
 
-# blocks per chunk: a (512, 64) float64 array is 256 KiB, small enough for a
-# core's L2 cache, and long enough that each product gives the bits of one
-# over a whole sub-image (on OpenBLAS 0.3.31, chunks under 64 blocks moved
-# the stego's last bits)
-_CHUNK_BLOCKS = 512
+# blocks per chunk: a (256, 64) float64 array is 128 KiB. The embed's
+# products run faster on it than on 512 rows (on one AVX-512 core, per 16,384
+# rows: 1.8 against 2.6 ms for (., 64) @ (64, 32), 1.9 against 2.5 ms for
+# (., 32) @ (32, 64)), and each product still gives the bits of one over a
+# whole sub-image (on OpenBLAS 0.3.31, chunks under 64 blocks moved the
+# stego's last bits)
+_CHUNK_BLOCKS = 256
 
 
 def _chunks(p: StegoParams) -> list[tuple[int, slice, slice]]:
@@ -290,47 +297,77 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
                 f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
 
 
+def _embed_walk(jobs: Sequence[tuple[np.ndarray, np.ndarray, Raster, int]],
+                p: StegoParams, seed: int) -> tuple[SubImageStats, ...]:
+    """Embed each job's secret into its parity sub-image k under one key's
+    params and seed, and return the stats in job order. A job is (source,
+    destination, secret, k): two of the sub-image's `_carrier_rows` grids,
+    the one its cover blocks are read from and the one the rebuilt block
+    rows are assigned to (they may be the same grid). The walk runs over
+    `_chunks` outside and the jobs inside, so each band of the cover is
+    read once for every sub-image that shares it. With the chunk's cover
+    blocks x and secret blocks z as rows, the first secret_blocks blocks
+    become x + (z @ payload - x @ reads) @ change (`_key_factors`), rebuilt
+    in a copy of the chunk's block rows that is then assigned whole, so
+    blocks past the chunk in a partial last row go out as they were read.
+    A job's write_residual is what its blocks read on the p3 - c written
+    measurement rows minus what the rule wrote there. A NaN or infinite
+    sample in those cover blocks or in the secret raises SolverError,
+    naming the first sub-image found in walk order, since it would pass
+    into the stego unnoticed; the destinations may then hold some rebuilt
+    chunks."""
+    reads, payload, change, _ = _key_factors(seed, p)
+    secret_grids = [_tiles(secret.pixels, p.l) for _, _, secret, _ in jobs]
+    residuals = [0.0] * len(jobs)
+    for count, cover_rows, secret_rows in _chunks(p):
+        for j, (source, dest, _, k) in enumerate(jobs):
+            rows = source[cover_rows].reshape(-1, p.b * p.b)
+            blocks = rows[:count]
+            with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+                wrote = secret_grids[j][secret_rows].reshape(count, -1) @ payload
+                blocks += (wrote - blocks @ reads) @ change
+            if not np.isfinite(blocks).all():
+                raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
+            miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
+            residuals[j] = max(residuals[j], float(np.abs(miss).max(initial=0.0)))
+            dest[cover_rows] = rows.reshape(-1, *dest.shape[1:])
+    return tuple(SubImageStats(k, residual)
+                 for (*_, k), residual in zip(jobs, residuals))
+
+
 def _embed_sub_image(grid: np.ndarray, k: int, secret: Raster, p: StegoParams,
                      seed: int) -> SubImageStats:
     """Embed one secret into parity sub-image k, in place on `grid`, the
-    sub-image's `_carrier_rows` or a copy of them, under one key's params
-    and seed, and return the stats. The first secret_blocks blocks are
-    rebuilt chunk by chunk (`_chunks`): with the chunk's cover blocks x and
-    secret blocks z as rows, they become x + (z @ payload - x @ reads) @
-    change (`_key_factors`), rebuilt in a copy of the chunk's block rows
-    that is then assigned back whole, so blocks past the chunk in a partial
-    last row go back as they were read. The stats'
-    write_residual is what they read on the p3 - c written measurement rows
-    minus what the rule wrote there. A NaN or infinite sample in those cover
-    blocks or in the secret raises SolverError, since it would pass into the
-    stego unnoticed; the grid may then hold some rebuilt chunks."""
-    reads, payload, change, _ = _key_factors(seed, p)
-    secret_grid = _tiles(secret.pixels, p.l)
-    residual = 0.0
-    for count, cover_rows, secret_rows in _chunks(p):
-        rows = grid[cover_rows].reshape(-1, p.b * p.b)
-        blocks = rows[:count]
-        with np.errstate(invalid="ignore", over="ignore"):  # refused just below
-            wrote = secret_grid[secret_rows].reshape(count, -1) @ payload
-            blocks += (wrote - blocks @ reads) @ change
-        if not np.isfinite(blocks).all():
-            raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
-        miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
-        residual = max(residual, float(np.abs(miss).max(initial=0.0)))
-        grid[cover_rows] = rows.reshape(-1, *grid.shape[1:])
-    return SubImageStats(k, residual)
+    sub-image's `_carrier_rows` or a copy of them: `_embed_walk` with one
+    job, whose source and destination are both `grid`."""
+    return _embed_walk([(grid, grid, secret, k)], p, seed)[0]
+
+
+def _new_stego(cover: np.ndarray, assigned: Container[int], p: StegoParams) -> np.ndarray:
+    """An unfilled stego for the assigned parity sub-images: a new N x N
+    array holding, bitwise, the cover pixels no embed writes, which are
+    every unassigned sub-image whole and, in each assigned one, the pixel
+    rows below its `_carrier_rows`. The carrier rows are left for the
+    caller to assign; at paper scale they are the whole raster, and no
+    cover pixel is copied."""
+    out = np.empty_like(cover)
+    carried = _carrier_rows(cover, 1, p).shape[0] * p.b
+    for k in range(1, 5):
+        start = carried if k in assigned else 0
+        _parity(out, k)[start:] = _parity(cover, k)[start:]
+    return out
 
 
 def _stego(cover: Raster, p: StegoParams,
            embedded: dict[int, tuple[np.ndarray, SubImageStats]]) -> tuple[Raster, EmbedReport]:
-    """Stego and report of one secret subset: one copy of the cover with
-    each sub-image k's `_carrier_rows` assigned whole from `embedded[k]`,
-    their rebuilt copy.
+    """Stego and report of one secret subset: `_new_stego` with each
+    sub-image k's `_carrier_rows` assigned whole from `embedded[k]`, their
+    rebuilt copy.
 
-    The stego adopts that copy rather than copying it again, so no second
+    The stego adopts that array rather than copying it again, so no second
     full-size array is made.
     """
-    out = cover.pixels.copy()
+    out = _new_stego(cover.pixels, embedded, p)
     for k, (rows, _) in embedded.items():
         _carrier_rows(out, k, p)[...] = rows
     stats = tuple(sub_stats for _, sub_stats in embedded.values())
@@ -341,24 +378,28 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
                  key: StegoKey) -> tuple[Raster, EmbedReport]:
     """Hide 1..4 secret rasters inside a cover raster.
 
-    Per assigned sub-image: walk its first secret_blocks b x b blocks in
-    chunks of whole block rows, straight through the sub-image's view of
-    one copy of the cover, and apply the rule's per-key factors: what the
+    Walk the assigned sub-images' first secret_blocks b x b blocks band by
+    band, in chunks of whole block rows: each chunk is read straight from
+    the cover's sub-image views and rebuilt in every assigned sub-image
+    before the next chunk. Apply the rule's per-key factors to it: what the
     rule writes from the secret, minus what it reads from the blocks, times
     the pseudo-inverse of the reads. Each block then reads exactly what the
     rule writes, on the u-part and the measurement rows alike, by the
     smallest change that does so, which on the u-part splits each low gap
     between the written position and its donor. The paper's l1 rebuild,
     `reconstruct_block(embed_rule(measure(...)))`, keeps `embed_rule`'s
-    u-part instead, and loses the measurement rows' reads. Unassigned
-    sub-images and cover blocks beyond the secret's block count pass
-    through bitwise untouched.
+    u-part instead, and loses the measurement rows' reads. The rebuilt
+    block rows are assigned into a new stego that holds, copied bitwise,
+    only the cover pixels no chunk writes: unassigned sub-images and the
+    block rows beyond the secret's block count. When several sub-images
+    hold non-finite samples, the SolverError names the first one in walk
+    order: the earliest chunk, then assignment order within it.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)
-    out = cover.pixels.copy()
-    stats = tuple(_embed_sub_image(_carrier_rows(out, k, p), k, secret, p, key.seed)
-                  for secret, k in zip(secrets, key.assignment))
+    out = _new_stego(cover.pixels, key.assignment, p)
+    stats = _embed_walk([(_carrier_rows(cover.pixels, k, p), _carrier_rows(out, k, p), secret, k)
+                         for secret, k in zip(secrets, key.assignment)], p, key.seed)
     return Raster._adopt(out), EmbedReport(stats)
 
 
@@ -416,11 +457,11 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     measurement rows the rule touches with the regenerated matrix, the
     inverse transplant rule and the secret's inverse DCT. So each secret is
     one product of the sub-image's first secret_blocks blocks, read straight
-    from the stego in chunks of whole block rows, with a per-key (b^2, l^2)
-    matrix, each chunk's rows written straight into the secret's l x l
-    blocks. Coefficients beyond p3 stay zero, so extracted secrets are
-    low-pass approximations. The secrets' grids are views of one buffer,
-    which lives as long as any of them.
+    from the stego in chunks of whole block rows, band by band as the embed
+    walks them, with a per-key (b^2, l^2) matrix, each chunk's rows written
+    straight into the secret's l x l blocks. Coefficients beyond p3 stay
+    zero, so extracted secrets are low-pass approximations. The secrets'
+    grids are views of one buffer, which lives as long as any of them.
     """
     p = key.params
     if stego.pixels.shape != (p.N, p.N):
@@ -432,9 +473,10 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     # reuses this block's pages, where a block per secret was mapped and
     # page-faulted afresh on every call (2,144 minor faults at 1024²)
     secrets = np.empty((len(key.assignment), p.M, p.M))
-    for secret, k in zip(secrets, key.assignment):
-        grid, secret_grid = _carrier_rows(stego.pixels, k, p), _tiles(secret, p.l)
-        for count, cover_rows, secret_rows in _chunks(p):
+    grids = [(_carrier_rows(stego.pixels, k, p), _tiles(secret, p.l))
+             for secret, k in zip(secrets, key.assignment)]
+    for count, cover_rows, secret_rows in _chunks(p):
+        for grid, secret_grid in grids:
             blocks = grid[cover_rows].reshape(-1, p.b * p.b)[:count]
             secret_grid[secret_rows] = (blocks @ fold).reshape(-1, *secret_grid.shape[1:])
     return [Raster._adopt(secret) for secret in secrets]

@@ -180,6 +180,43 @@ def test_embed_leaves_unassigned_sub_images_untouched():
         assert not np.array_equal(stego.pixels[touched], cover.pixels[touched])
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("N, M", [(128, 40), (1024, 480)], ids=["m40", "m480"])
+def test_embed_passes_every_other_pixel_through_bitwise(N, M, count):
+    # the stego starts unfilled, so a region the embed forgot would hold
+    # garbage, not the cover: every pixel outside the rebuilt blocks must be
+    # the cover's bit for bit, non-finite ones too. M=40 ends one block into
+    # the fourth of a sub-image's eight block rows, and M=480 leaves 56 of
+    # 512 pixel rows past its 57 carrier rows, the last one partial
+    from sabmis import inverse_subsample
+    p = StegoParams(N=N, M=M, num_secrets=count)
+    key = make_key(9, p)
+    secrets = [secret_raster(M, 22 + i) for i in range(count)]
+    g = p.N // 2 // p.b
+    carried = np.zeros((p.N // 2, p.N // 2), dtype=bool)
+    for i in range(p.secret_blocks):
+        row, col = divmod(i, g)
+        carried[row * p.b : (row + 1) * p.b, col * p.b : (col + 1) * p.b] = True
+    rows = -(-p.secret_blocks // g) * p.b
+    pixels = cover_raster(p.N, 21).pixels.copy()
+    for k in range(1, 5):
+        sub = pixels[(k - 1) % 2 :: 2, (k - 1) // 2 :: 2]
+        if k in key.assignment:
+            sub[rows, -1] = np.nan  # past the carrier rows
+            sub[rows - 1, -1] = -np.inf  # past the last rebuilt block in its row
+        else:
+            sub[0, 0], sub[-1, -1] = np.nan, np.inf
+    cover = Raster(pixels)
+    stegos = [(key, embed_images(cover, secrets, key)[0])]
+    stegos += [(key_k, stego) for _, key_k, stego, _ in embed_subsets(cover, secrets, key)]
+    for key_k, stego in stegos:
+        subs = [carried if k in key_k.assignment else np.zeros_like(carried)
+                for k in range(1, 5)]
+        touched = inverse_subsample([Raster(m.astype(float)) for m in subs]).pixels == 1.0
+        assert stego.pixels[~touched].tobytes() == cover.pixels[~touched].tobytes()
+        assert np.isfinite(stego.pixels[touched]).all()
+
+
 def test_embed_capacity_scales_with_secret_count():
     p = StegoParams(N=128, M=64, num_secrets=4)
     key = make_key(10, p)
@@ -254,7 +291,8 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
     # sub-image's b x b carrier rows and a secret's l x l grid (the trace key
     # has l != b), at several chunk lengths: M=40 walks one chunk that ends
     # inside a block row (25 blocks of an 8-block-wide grid), and M=160 at
-    # N=512 two chunks at 64, the last ending inside one (400 of 32 a row)
+    # N=512 two chunks at 64 and at 256, the last ending inside one (400 of
+    # 32 a row)
     import tracemalloc
 
     from sabmis import assemble_blocks, codec, inverse_subsample, partition_blocks
@@ -278,7 +316,7 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
 
     r, secret = cover_raster(p.N, 3), secret_raster(p.M, 4)
     secret_ref = partition_blocks(secret, p.l)
-    for chunk_blocks in (1, 64, 512):
+    for chunk_blocks in (1, 64, 256, 512):
         monkeypatch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
         walk = codec._chunks(p)
         starts = np.cumsum([0] + [count for count, *_ in walk])
@@ -332,7 +370,7 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
                                StegoParams(N=256, M=120), StegoParams(N=512, M=144),
                                StegoParams()],
                          ids=["trace", "small", "m40", "m48", "m120", "m144", "default"])
-@pytest.mark.parametrize("chunk_blocks", [1, 64, 512])
+@pytest.mark.parametrize("chunk_blocks", [1, 64, 256, 512])
 def test_chunks_walk_whole_block_rows_of_both_grids(p, chunk_blocks, monkeypatch):
     # the walk covers the first secret_blocks blocks once, in order, and each
     # chunk starts on a block row of the cover sub-image's grid and of the
@@ -699,9 +737,9 @@ def paper_inputs():
 
 
 def test_embed_working_set_stays_bounded(paper_inputs):
-    # the stego is the one full-size array (8 MiB); the chunk walk adds a
-    # few 256 KiB chunk arrays, where whole sub-image block copies and their
-    # products took 8 MiB more
+    # the stego is the one full-size array (8 MiB), and no copy of the cover
+    # precedes it; the band-by-band walk adds a few 128 KiB chunk arrays,
+    # where whole sub-image block copies and their products took 8 MiB more
     from sabmis import codec
     key, cover, secrets = paper_inputs
     codec._key_factors(key.seed, key.params)  # the per-key factors are not the embed's
@@ -763,6 +801,7 @@ def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
 def test_embed_refuses_non_finite_samples_it_rebuilds():
     # with no solve to stop it, a NaN or infinite sample in an assigned
     # sub-image's carrier blocks or in a secret would pass into the stego
+    from sabmis import codec
     key = make_key(3, SMALL)
     k = key.assignment[0]
     cover, secret = cover_raster(SMALL.N, 29), secret_raster(SMALL.M, 31)
@@ -773,6 +812,35 @@ def test_embed_refuses_non_finite_samples_it_rebuilds():
     for bad_pair in ((Raster(bad_cover), secret), (cover, Raster(bad_secret))):
         with pytest.raises(SolverError, match="non-finite"):
             embed_images(bad_pair[0], [bad_pair[1]], key)
+    # every (chunk, sub-image) is checked: N=512/M=160 walks two chunks, and
+    # a bad sample in the last assigned sub-image's last rebuilt block, or in
+    # its secret's last pixel, is refused in that sub-image's name
+    p = StegoParams(N=512, M=160)
+    key = make_key(3, p)
+    assert len(codec._chunks(p)) == 2
+    cover = cover_raster(p.N, 29)
+    secrets = [secret_raster(p.M, 31 + i) for i in range(p.num_secrets)]
+
+    def bad_block(pixels, k, block):
+        # the first pixel of sub-image k's given b x b block
+        row, col = divmod(block, p.N // (2 * p.b))
+        pixels[(k - 1) % 2 + 2 * p.b * row, (k - 1) // 2 + 2 * p.b * col] = np.nan
+
+    first, last = key.assignment[0], key.assignment[-1]
+    bad_cover = cover.pixels.copy()
+    bad_block(bad_cover, last, p.secret_blocks - 1)
+    bad_secret = secrets[-1].pixels.copy()
+    bad_secret[-1, -1] = np.inf
+    for bad_pair in ((Raster(bad_cover), secrets), (cover, secrets[:-1] + [Raster(bad_secret)])):
+        with pytest.raises(SolverError, match=f"sub-image {last} of the cover"):
+            embed_images(*bad_pair, key)
+    # the walk goes band first: a bad sample in the first sub-image's last
+    # chunk is found after one in the last sub-image's first chunk
+    bad_cover[:] = cover.pixels
+    bad_block(bad_cover, first, p.secret_blocks - 1)
+    bad_block(bad_cover, last, 0)
+    with pytest.raises(SolverError, match=f"sub-image {last} of the cover"):
+        embed_images(Raster(bad_cover), secrets, key)
 
 
 def test_embed_path_is_frozen():
