@@ -55,10 +55,12 @@ def test_mssim_inverted_image_scores_low():
 # strip and exactly one whole tile; (74, 74): two strips, 10 rows carried once,
 # two whole tiles; (24, 43): 14 output rows, not a whole number of 8-row
 # sub-strips; (107, 75): four strips, rows carried three times, and a 1-row
-# last strip
+# last strip; (52, 300): a full strip, windowed along the rows with the
+# C-ordered band, then a 10-row strip with the transposed one, across nine
+# whole tiles
 @pytest.mark.parametrize("shape", [(11, 11), (23, 31), (40, 17), (43, 43), (75, 140),
                                    (11, 200), (200, 11), (42, 42), (74, 74), (24, 43),
-                                   (107, 75)])
+                                   (107, 75), (52, 300)])
 def test_mssim_matches_the_window_by_window_loop(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     x = rng.integers(0, 256, shape).astype(np.float64)
@@ -71,7 +73,7 @@ def test_mssim_matches_the_window_by_window_loop(shape):
 def test_mssim_is_exactly_symmetric():
     rng = np.random.default_rng(11)
     for shape in ((11, 11), (43, 43), (75, 140), (11, 200), (200, 11), (42, 42), (74, 74),
-                  (24, 43), (107, 75)):
+                  (24, 43), (107, 75), (52, 300)):
         a = Raster(rng.integers(0, 256, shape).astype(np.float64))
         b = Raster(rng.uniform(0.0, 255.0, shape))
         assert mssim(a, b) == mssim(b, a)
@@ -308,12 +310,13 @@ def test_psnr_ncc_nae_equal_their_exact_integer_values(shape, low, high):
     assert nae(a, b) == int(np.abs(x - y).sum()) / int(np.abs(x).sum())
 
 
-# compare(...).to_dict() for four pairs: the 43x43 pair recorded before the
+# compare(...).to_dict() for five pairs: the 43x43 pair recorded before the
 # report moved to array-level cores on one quantized pair, the extracted
 # secret when the embed became the exact write, the stego when the write
-# became the pseudo-inverse of the rule's reads, and the 107x75 pair before
-# mssim carried each strip's overlap rows and batched its products; each must
-# stay bitwise equal
+# became the pseudo-inverse of the rule's reads, the 107x75 pair before
+# mssim carried each strip's overlap rows and batched its products, and the
+# 45x77 pair before mssim's full strips took a C-ordered band along the rows;
+# each must stay bitwise equal
 PINNED_REPORTS = {
     "cover 1101 / stego": {
         "psnr_db": 51.96365698693419, "mssim": 0.9961242639875758,
@@ -331,6 +334,10 @@ PINNED_REPORTS = {
         "psnr_db": 26.735665263617857, "mssim": 0.986978163857527,
         "ncc": 0.9983123295009514, "nae": 0.0727931070271193,
         "entropy_ref": 7.9767393414869225, "entropy_test": 7.922017343389258},
+    "45x77": {
+        "psnr_db": 26.690037451124745, "mssim": 0.9868477173032941,
+        "ncc": 0.9995288174455444, "nae": 0.07235142118863049,
+        "entropy_ref": 7.937755526613189, "entropy_test": 7.8902583206637615},
 }
 
 
@@ -346,8 +353,10 @@ def test_compare_reports_are_pinned():
            "secret 2201 / extracted": compare(secrets[0], extract_images(stego, key)[0])}
     # 43x43: one full strip plus a one-row strip, and a one-column last tile;
     # 107x75: three full strips plus a one-row strip, two whole tiles and a
-    # one-column last tile
-    for seed, shape in ((43, (43, 43)), (107, (107, 75))):
+    # one-column last tile; 45x77: one full strip plus a three-row strip, two
+    # whole tiles and a three-column last tile. Its mssim moves, under SkylakeX
+    # kernels, if the three-row strip's tiles take the C-ordered band
+    for seed, shape in ((43, (43, 43)), (107, (107, 75)), (31, (45, 77))):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.0, 255.0, shape)
         y = x + rng.normal(0.0, 12.0, x.shape)
