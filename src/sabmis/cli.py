@@ -79,8 +79,14 @@ def _cmd_embed(args) -> int:
 def _cmd_extract(args) -> int:
     key = read_key(args.key)
     stego = read_image(args.stego)
+    # a finite stego whose samples are near the float limit can overflow the
+    # extraction's product; every secret is checked before any is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        secrets = extract_images(stego, key)
+    if not all(np.isfinite(secret.pixels).all() for secret in secrets):
+        raise SolverError(f"{args.stego}: extraction overflows to non-finite samples")
     files = []
-    for i, secret in enumerate(extract_images(stego, key), start=1):
+    for i, secret in enumerate(secrets, start=1):
         path = f"{args.out_prefix}{i}.pgm"
         write_pgm(secret, path, depth=8)
         files.append(path)
@@ -156,8 +162,8 @@ def _cmd_bench(args) -> int:
     full-count subset builds a stego, which feeds the metrics, the solver
     figures and the extraction. The sums are exact, so each PSNR equals
     `psnr` on the 8-bit cover and stego. A subset's wall time is what the
-    sweep took to embed the pairs it adds and to score it, not a standalone
-    embed.
+    sweep took from the subset before it, not a standalone embed: the first
+    subset of each count holds all of that count's embeds.
 
     Restart-safe: covers the report lists as completed are skipped; a cover
     that errored is recorded but retried on the next run. A report made

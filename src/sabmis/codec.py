@@ -50,11 +50,11 @@ is folded into one matrix.
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
 next, so `embed_subsets` sweeps every secret subset of a cover reusing them:
-S secrets take S(S+1)/2 sub-image embeds instead of S*2^(S-1). The sweep
-itself is `_subset_pairs`, which embeds each (sub-image, secret) pair into a
-private copy of the block rows that carry it and yields each subset's pairs
-without a stego; `sabmis bench` scores the subsets from those pairs and builds one
-stego.
+S secrets take S(S+1)/2 sub-image embeds in S walks instead of S*2^(S-1).
+The sweep itself is `_subset_pairs`, which embeds each count's new
+sub-image with every secret it can carry into new carrier rows and yields
+each subset's pairs without a stego; `sabmis bench` scores the subsets from
+those pairs and builds one stego.
 """
 
 from __future__ import annotations
@@ -297,13 +297,13 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
                 f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
 
 
-def _embed_walk(jobs: Sequence[tuple[np.ndarray, np.ndarray, Raster, int]],
+def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]],
                 p: StegoParams, seed: int) -> tuple[SubImageStats, ...]:
-    """Embed each job's secret into its parity sub-image k under one key's
-    params and seed, and return the stats in job order. A job is (source,
-    destination, secret, k): two of the sub-image's `_carrier_rows` grids,
-    the one its cover blocks are read from and the one the rebuilt block
-    rows are assigned to (they may be the same grid). The walk runs over
+    """Embed each job's secret into parity sub-image k of the N x N cover
+    pixels under one key's params and seed, and return the stats in job
+    order. A job is (dest, secret, k): dest is a (rows, N/(2b), b, b) grid
+    shaped like the sub-image's `_carrier_rows`, and the rebuilt block rows
+    are assigned to it; the cover is only read. The walk runs over
     `_chunks` outside and the jobs inside, so each band of the cover is
     read once for every sub-image that shares it. With the chunk's cover
     blocks x and secret blocks z as rows, the first secret_blocks blocks
@@ -317,14 +317,15 @@ def _embed_walk(jobs: Sequence[tuple[np.ndarray, np.ndarray, Raster, int]],
     into the stego unnoticed; the destinations may then hold some rebuilt
     chunks."""
     reads, payload, change, _ = _key_factors(seed, p)
-    secret_grids = [_tiles(secret.pixels, p.l) for _, _, secret, _ in jobs]
+    grids = [(_carrier_rows(cover, k, p), _tiles(secret.pixels, p.l)) for _, secret, k in jobs]
     residuals = [0.0] * len(jobs)
     for count, cover_rows, secret_rows in _chunks(p):
-        for j, (source, dest, _, k) in enumerate(jobs):
+        for j, ((dest, _, k), (source, secret_grid)) in enumerate(zip(jobs, grids)):
+            # a copy, as a block's pixels lie two apart in the parity view
             rows = source[cover_rows].reshape(-1, p.b * p.b)
             blocks = rows[:count]
             with np.errstate(invalid="ignore", over="ignore"):  # refused just below
-                wrote = secret_grids[j][secret_rows].reshape(count, -1) @ payload
+                wrote = secret_grid[secret_rows].reshape(count, -1) @ payload
                 blocks += (wrote - blocks @ reads) @ change
             if not np.isfinite(blocks).all():
                 raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
@@ -333,14 +334,6 @@ def _embed_walk(jobs: Sequence[tuple[np.ndarray, np.ndarray, Raster, int]],
             dest[cover_rows] = rows.reshape(-1, *dest.shape[1:])
     return tuple(SubImageStats(k, residual)
                  for (*_, k), residual in zip(jobs, residuals))
-
-
-def _embed_sub_image(grid: np.ndarray, k: int, secret: Raster, p: StegoParams,
-                     seed: int) -> SubImageStats:
-    """Embed one secret into parity sub-image k, in place on `grid`, the
-    sub-image's `_carrier_rows` or a copy of them: `_embed_walk` with one
-    job, whose source and destination are both `grid`."""
-    return _embed_walk([(grid, grid, secret, k)], p, seed)[0]
 
 
 def _new_stego(cover: np.ndarray, assigned: Container[int], p: StegoParams) -> np.ndarray:
@@ -398,8 +391,8 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     p = key.params
     _check_embed_inputs(cover, secrets, p)
     out = _new_stego(cover.pixels, key.assignment, p)
-    stats = _embed_walk([(_carrier_rows(cover.pixels, k, p), _carrier_rows(out, k, p), secret, k)
-                         for secret, k in zip(secrets, key.assignment)], p, key.seed)
+    jobs = [(_carrier_rows(out, k, p), secret, k) for secret, k in zip(secrets, key.assignment)]
+    stats = _embed_walk(cover.pixels, jobs, p, key.seed)
     return Raster._adopt(out), EmbedReport(stats)
 
 
@@ -408,25 +401,26 @@ def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
                                       dict[int, tuple[np.ndarray, SubImageStats]]]]:
     """The subset sweep without the stegos: yields (combo, key_k, pairs) in
     `embed_subsets` order. pairs is what `_stego` takes: it maps each
-    sub-image k that key_k assigns, in assignment order, to a copy of its
-    `_carrier_rows` with the secret it carries embedded, secrets[i] for
-    (i, k) in zip(combo, key_k.assignment), and `_embed_sub_image`'s stats.
-    Each (sub-image, secret) pair is embedded on first use, into a private
-    copy of the cover's carrier rows, and the same arrays are yielded again
-    wherever it recurs."""
+    sub-image k that key_k assigns, in assignment order, to its
+    `_carrier_rows` rebuilt with the secret it carries, secrets[i] for
+    (i, k) in zip(combo, key_k.assignment), and `_embed_walk`'s stats.
+    Count k assigns count k-1's sub-images and key_k.assignment[-1], which
+    its subsets give secrets k-1 .. S-1 only; one walk embeds those before
+    its first subset, each into new carrier rows, and its subsets look the
+    pairs up, yielding the same arrays wherever a pair recurs."""
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
+    shape = _carrier_rows(cover.pixels, 1, full).shape
     done = {}  # (sub-image, secret index) -> (rebuilt carrier rows, stats)
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
+        last = key_k.assignment[-1]
+        jobs = [(np.empty(shape), secrets[i], last) for i in range(count - 1, len(secrets))]
+        stats = _embed_walk(cover.pixels, jobs, full, key.seed)
+        for i, (rows, _, _), sub_stats in zip(range(count - 1, len(secrets)), jobs, stats):
+            done[last, i] = rows, sub_stats
         for combo in itertools.combinations(range(len(secrets)), count):
-            pairs = {}
-            for i, k in zip(combo, key_k.assignment):
-                if (k, i) not in done:
-                    rows = _carrier_rows(cover.pixels, k, full).copy()
-                    done[k, i] = rows, _embed_sub_image(rows, k, secrets[i], full, key.seed)
-                pairs[k] = done[k, i]
-            yield combo, key_k, pairs
+            yield combo, key_k, {k: done[k, i] for i, k in zip(combo, key_k.assignment)}
 
 
 def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
@@ -438,11 +432,13 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     num_secrets = k, and stego and report are bitwise what
     `embed_images(cover, [secrets[i] for i in combo], key_k)` returns. The
     key's own num_secrets and assignment are not read. Each (sub-image,
-    secret) pair is embedded once per call and its rebuilt carrier rows are
-    assigned into every subset's stego that assigns it, so S secrets take
-    S(S+1)/2 sub-image embeds. `sabmis bench` runs the same sweep but builds
-    only the full-count subset's stego; it scores the others from the
-    rebuilt carrier rows alone.
+    secret) pair is embedded once per call, before its count's first
+    subset, and its rebuilt carrier rows go into every subset's stego that
+    assigns it: S secrets take S(S+1)/2 sub-image embeds in S walks, and a
+    non-finite secret raises SolverError before any subset is yielded.
+    `sabmis bench` runs the same sweep but builds only the full-count
+    subset's stego; it scores the others from the rebuilt carrier rows
+    alone.
     """
     for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
         stego, report = _stego(cover, key.params, pairs)

@@ -231,9 +231,10 @@ def nae(a: Raster, b: Raster) -> float:
 
 
 def _entropy_of_counts(counts: np.ndarray, size: int) -> float:
-    # entropy of a 256-bin histogram of `size` pixels
+    # entropy of a 256-bin histogram of `size` pixels; 0.0 - s, not -s, so
+    # that one level reads +0.0
     prob = counts[counts > 0] / size
-    return float(-(prob * np.log2(prob)).sum())
+    return float(0.0 - (prob * np.log2(prob)).sum())
 
 
 def entropy(a: Raster) -> float:

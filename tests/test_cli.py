@@ -257,8 +257,8 @@ def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
     from sabmis import Raster, cli, codec, embed_images, psnr, write_srf
     built, embedded = [], []
     monkeypatch.setattr(cli, "_stego", lambda *a: built.append(a) or codec._stego(*a))
-    original = codec._embed_sub_image
-    monkeypatch.setattr(codec, "_embed_sub_image", lambda *a: embedded.append(a) or original(*a))
+    original = codec._embed_walk
+    monkeypatch.setattr(codec, "_embed_walk", lambda *a: embedded.append(a[:2]) or original(*a))
     # M=40 fills 25 of a sub-image's 64 blocks; the SRF cover holds samples
     # below 0 and above 255, so the 8-bit scoring clamps
     for M in (64, 40):
@@ -288,9 +288,13 @@ def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
                  "--csv", str(csv_path))
         assert rc == 0
         capsys.readouterr()
-        # one stego per cover, and each (sub-image, secret) pair embedded once
+        # one stego per cover, and each (sub-image, secret) pair embedded
+        # once, in one walk per secret count, none into the cover's own rows
         assert len(built) == 2
-        assert len(embedded) == 2 * 4 * 5 // 2
+        assert len(embedded) == 2 * 4
+        assert sum(len(jobs) for _, jobs in embedded) == 2 * 4 * 5 // 2
+        assert not any(np.shares_memory(rows, pixels)
+                       for pixels, jobs in embedded for rows, *_ in jobs)
         report = json.loads(report_path.read_text())
         assert report["completed"] == ["alpha", "gamma"]
         chosen = [cli.read_image(f) for f in sorted(secrets.iterdir())]
@@ -540,6 +544,27 @@ def test_extract_refuses_a_non_finite_stego(small_setup, capsys):
     assert rc == 4
     assert "non-finite" in capsys.readouterr().err
     assert not list(tmp.glob("x*"))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_extract_refuses_a_stego_whose_extraction_overflows(tmp_path, capsys, count):
+    # samples near the float limit in the last assigned sub-image are finite,
+    # so the stego is read, but its extraction overflows: no secret is
+    # written, not even a first one that extracts cleanly
+    from sabmis import Raster, write_srf
+    key = make_key(7, StegoParams(N=64, M=32, num_secrets=count))
+    key_path = tmp_path / "k.skey"
+    write_key(key, key_path)
+    pixels = np.full((64, 64), 100.0)
+    k = key.assignment[-1]
+    pixels[(k - 1) % 2 :: 2, (k - 1) // 2 :: 2] = 1e308
+    stego = tmp_path / "huge.srf"
+    write_srf(Raster(pixels), stego)
+    rc = run("extract", "--stego", str(stego), "--key", str(key_path),
+             "--out-prefix", str(tmp_path / "x"))
+    assert rc == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_metrics_refuses_a_non_finite_image(small_setup, capsys):

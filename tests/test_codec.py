@@ -238,12 +238,21 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
     key = make_key(13, StegoParams(N=128, M=64))
     cover = cover_raster(128, 26)
     secrets = [secret_raster(64, 40 + i) for i in range(count)]
-    calls = []
-    original = codec._embed_sub_image
-    monkeypatch.setattr(codec, "_embed_sub_image",
-                        lambda *a: calls.append(a[1]) or original(*a))
+    walks = []
+    original = codec._embed_walk
+    monkeypatch.setattr(codec, "_embed_walk",
+                        lambda *a: walks.append(a[:2]) or original(*a))
     swept = list(embed_subsets(cover, secrets, key))
-    assert len(calls) == count * (count + 1) // 2
+    # one walk per count c, on the one sub-image count c adds to count c-1's
+    # assignment, with secrets c-1 .. count-1, none into the cover's own rows
+    assert len(walks) == count
+    assert sum(len(jobs) for _, jobs in walks) == count * (count + 1) // 2
+    for c, (pixels, jobs) in enumerate(walks, start=1):
+        last = make_key(13, StegoParams(N=128, M=64, num_secrets=c)).assignment[-1]
+        assert pixels is cover.pixels
+        assert [k for *_, k in jobs] == [last] * (count - c + 1)
+        assert [id(secret) for _, secret, _ in jobs] == [id(s) for s in secrets[c - 1:]]
+        assert not any(np.shares_memory(rows, cover.pixels) for rows, *_ in jobs)
     assert [combo for combo, *_ in swept] == [
         c for k in range(1, count + 1) for c in combinations(range(count), k)]
     for combo, key_k, stego, report in swept:
@@ -252,6 +261,19 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
         assert key_k.assignment == ref_key.assignment
         assert np.array_equal(stego.pixels, ref_stego.pixels)
         assert report.to_dict() == ref_report.to_dict()
+
+
+def test_embed_subsets_refuses_a_non_finite_secret_before_its_first_subset():
+    # the first walk embeds every secret, so a NaN in the last one stops the
+    # sweep before the first one-secret subset is yielded
+    key = make_key(13, StegoParams(N=128, M=64))
+    cover = cover_raster(128, 26)
+    secrets = [secret_raster(64, 40 + i) for i in range(4)]
+    pixels = secrets[3].pixels.copy()
+    pixels[5, 9] = np.nan
+    secrets[3] = Raster(pixels)
+    with pytest.raises(SolverError, match="non-finite"):
+        next(embed_subsets(cover, secrets, key))
 
 
 def test_embed_validates_sizes_and_counts():

@@ -140,6 +140,15 @@ def test_entropy_constant_image_is_zero():
     assert entropy(Raster(np.full((16, 16), 7.0))) == 0.0
 
 
+def test_a_flat_image_has_an_entropy_of_plus_zero():
+    # one histogram level sums to +0.0, whose negation would print as -0.0
+    flat = Raster(np.full((16, 16), 7.0))
+    report = compare(flat, flat)
+    for value in (entropy(flat), report.entropy_ref, report.entropy_test):
+        assert math.copysign(1.0, value) == 1.0
+    assert "-0.0" not in report.to_json()
+
+
 def test_entropy_uniform_histogram_is_eight_bits():
     values = np.arange(256.0).reshape(16, 16)
     assert entropy(Raster(values)) == pytest.approx(8.0, abs=1e-12)
