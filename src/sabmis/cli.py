@@ -22,7 +22,7 @@ from .codec import _carrier_rows, _stego, _subset_pairs, embed_images, extract_i
 from .errors import DimensionError, FormatError, ParamError, SolverError
 from .measure import StegoParams, make_key, read_key, write_key
 from .metrics import _psnr_of_sse, _sse, compare
-from .raster import Raster, _rounded_u8, read_pgm, read_srf, write_pgm, write_srf
+from .raster import Raster, _levels, read_pgm, read_srf, write_pgm, write_srf
 
 IMAGE_SUFFIXES = (".pgm", ".srf")
 
@@ -124,8 +124,8 @@ def _report_constant(name: str) -> str:
 
 def _load_report(path, params: dict) -> dict:
     """A fresh report under `params`, or the one to resume under them; any
-    other file, a report made under another key included, is refused, not
-    overwritten."""
+    other file, a report made under another key or recording none included,
+    is refused, not overwritten."""
     path = Path(path)
     if not path.exists():
         return {"version": 1, "covers": {}, "completed": [], "params": params}
@@ -137,7 +137,9 @@ def _load_report(path, params: dict) -> dict:
             and isinstance(data.get("covers"), dict)
             and isinstance(data.get("completed"), list)):
         raise FormatError(f"{path}: not a version 1 bench report")
-    if data.setdefault("params", params) != params:
+    if "params" not in data:
+        raise FormatError(f"{path}: cannot resume a bench report that records no key")
+    if data["params"] != params:
         raise FormatError(f"{path}: cannot resume a bench report made under another key "
                           f"(report has {data['params']})")
     return data
@@ -167,10 +169,17 @@ def _cmd_bench(args) -> int:
 
     Restart-safe: covers the report lists as completed are skipped; a cover
     that errored is recorded but retried on the next run. A report made
-    under another key's seed or parameters is refused, not mixed with this
-    key's covers."""
+    under another key's seed or parameters, or recording none, is refused,
+    not mixed with this key's covers. The report keys covers by file stem,
+    so a cover directory holding two covers of one stem is refused before
+    the report is read."""
     key = read_key(args.key)
-    cover_files = _list_corpus(args.covers)
+    cover_files: dict[str, Path] = {}
+    for cover_file in _list_corpus(args.covers):
+        other = cover_files.setdefault(cover_file.stem, cover_file)
+        if other != cover_file:
+            raise ParamError(f"covers {other} and {cover_file} share the stem "
+                             f"{cover_file.stem!r}: a bench report keys covers by file stem")
     secret_files = _list_corpus(args.secrets)[:4]
     params = {"seed": key.seed, **dataclasses.asdict(key.params)}
     del params["num_secrets"]  # the sweep runs every count up to it
@@ -178,15 +187,14 @@ def _cmd_bench(args) -> int:
     secrets = [read_image(f) for f in secret_files]
     nsec = len(secrets)
 
-    for cover_file in cover_files:
-        name = cover_file.stem
+    for name, cover_file in cover_files.items():
         if name in report["completed"]:
             continue
         entry: dict = {"file": str(cover_file)}
         t_start = time.perf_counter()
         try:
             cover = read_image(cover_file)
-            cover_q = _rounded_u8(cover.pixels)
+            cover_q = _levels(cover.pixels)
             sse = {}  # (sub-image, secret index) -> SSE of its 8-bit blocks
             values, walls = {}, {}
             t_embed = time.perf_counter()
@@ -194,7 +202,7 @@ def _cmd_bench(args) -> int:
                 total = 0.0
                 for i, k in zip(combo, key_k.assignment):
                     if (k, i) not in sse:
-                        sse[k, i] = _sse(_rounded_u8(pairs[k][0]),
+                        sse[k, i] = _sse(_levels(pairs[k][0]),
                                          _carrier_rows(cover_q, k, key.params))
                     total += sse[k, i]
                 count = str(len(combo))

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, ParamError, SolverError
-from .raster import Raster, _rounded_u8
+from .raster import Raster, _levels
 
 _PEAK = 255.0
 _SSIM_WINDOW = 11
@@ -239,7 +239,7 @@ def _entropy_of_counts(counts: np.ndarray, size: int) -> float:
 
 def entropy(a: Raster) -> float:
     """Shannon entropy in bits of the 256-bin histogram of the quantized pixels."""
-    q = _rounded_u8(_finite(a.pixels))
+    q = _levels(_finite(a.pixels))
     return _entropy_of_counts(np.bincount(q.astype(np.uint8).ravel(), minlength=256), q.size)
 
 
@@ -301,8 +301,8 @@ def compare(ref: Raster, test: Raster) -> MetricsReport:
     diff = np.empty(min(len(x), _SSIM_STRIP + _SSIM_WINDOW - 1) * x.shape[1])
 
     def fill(start, stop, xs, ys):
-        xo = _rounded_u8(x[start:stop], out=xs).ravel()
-        yo = _rounded_u8(y[start:stop], out=ys).ravel()
+        xo = _levels(x[start:stop], out=xs).ravel()
+        yo = _levels(y[start:stop], out=ys).ravel()
         d = np.subtract(xo, yo, out=diff[:xo.size])
         sums[:] += (xo @ xo, xo @ yo, xo.sum(), d @ d, np.abs(d, out=d).sum())
         counts[0] += np.bincount(xo.astype(np.uint8), minlength=256)

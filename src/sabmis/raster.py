@@ -64,18 +64,18 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
 
 
-def _rounded_u8(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # 8-bit levels of float64 samples, into `out` or one new array: for every
-    # input, rounding half away from zero and then clamping to [0, 255], but
-    # no zero is negative; NaN stays NaN
-    q = np.clip(x, 0.0, 255.0, out=out)
+def _levels(x: np.ndarray, top: float = 255.0, out: np.ndarray | None = None) -> np.ndarray:
+    # levels 0..top of float64 samples, into `out` or one new array: for every
+    # input, rounding half away from zero, then clamping to [0, top], but no
+    # zero is negative; NaN stays NaN
+    q = np.clip(x, 0.0, top, out=out)
     q += 0.5
     return np.floor(q, out=q)
 
 
 def quantize_u8(r: Raster) -> Raster:
     """Round and clamp samples to integers in [0, 255]; idempotent."""
-    return Raster._adopt(_rounded_u8(r.pixels))
+    return Raster._adopt(_levels(r.pixels))
 
 
 def _parity(pixels: np.ndarray, k: int) -> np.ndarray:
@@ -160,16 +160,14 @@ def read_pgm(path) -> Raster:
 
 
 def write_pgm(r: Raster, path, depth: int = 8) -> None:
-    """Write binary PGM; samples are rounded half-away-from-zero, then clamped."""
-    if depth == 8:
-        maxval = 255
-        body = _rounded_u8(r.pixels).astype(np.uint8).tobytes()
-    elif depth == 16:
-        maxval = 65535
-        scaled = round_half_away(r.pixels * (65535.0 / 255.0))
-        body = np.clip(scaled, 0, 65535).astype(">u2").tobytes()
-    else:
+    """Write binary PGM, maxval 255 (depth 8) or 65535 (depth 16): samples
+    are scaled to [0, maxval], clamped to it and rounded half up, as in every
+    8-bit view."""
+    if depth not in (8, 16):
         raise ValueError(f"depth must be 8 or 16, got {depth}")
+    maxval = (1 << depth) - 1
+    scaled = r.pixels * (maxval / 255.0)  # x * 1.0 is x; 65535 / 255 is 257 exactly
+    body = _levels(scaled, maxval, out=scaled).astype(f">u{depth // 8}").tobytes()
     header = f"P5\n{r.width} {r.height}\n{maxval}\n".encode("ascii")
     Path(path).write_bytes(header + body)
 

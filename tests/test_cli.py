@@ -398,6 +398,51 @@ def test_bench_refuses_a_report_made_under_another_key(tmp_path, capsys, seed, p
     assert json.loads(report_path.read_text())["completed"] == ["c0", "c1"]
 
 
+def test_bench_refuses_a_report_that_records_no_key(tmp_path, capsys):
+    from dataclasses import replace
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
+    report_path = tmp_path / "report.json"
+    argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
+            "--key", str(key_path), "--report", str(report_path))
+    assert run(*argv) == 0
+    report = json.loads(report_path.read_text())
+    del report["params"]
+    content = json.dumps(report, indent=2).encode()
+    report_path.write_bytes(content)
+    write_pgm(cover_raster(SMALL.N, 52), covers / "c1.pgm", depth=8)
+    # neither another key nor the one it was made under may adopt it
+    for key in (make_key(4, replace(SMALL, alpha=0.05)), make_key(3, SMALL)):
+        write_key(key, key_path)
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert "records no key" in capsys.readouterr().err
+        assert report_path.read_bytes() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "covers", "k.skey", "report.json", "secrets"]
+
+
+@pytest.mark.parametrize("names", [("a.pgm", "a.srf"), ("a.pgm", "a.PGM")],
+                         ids=["pgm-and-srf", "pgm-and-upper-case-pgm"])
+def test_bench_refuses_two_covers_of_one_stem(tmp_path, capsys, names):
+    from sabmis import write_srf
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    for i, name in enumerate(names):
+        cover = cover_raster(SMALL.N, 51 + i)
+        if name.endswith(".srf"):
+            write_srf(cover, covers / name)
+        else:
+            write_pgm(cover, covers / name, depth=8)
+    report_path = tmp_path / "report.json"
+    rc = run("bench", "--covers", str(covers), "--secrets", str(secrets),
+             "--key", str(key_path), "--report", str(report_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(str(covers / name) in err for name in names)
+    assert not report_path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["covers", "k.skey", "secrets"]
+
+
 def test_bench_retries_a_cover_that_errored(tmp_path, capsys):
     key_path, covers, secrets = _one_secret_corpus(tmp_path)
     write_pgm(cover_raster(SMALL.N // 2, 51), covers / "c0.pgm", depth=8)  # wrong size

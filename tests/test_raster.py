@@ -237,13 +237,27 @@ def test_in_place_rounding_is_bitwise_the_plain_formula():
     assert round_half_away(-2.5) == -3.0 and np.ndim(round_half_away(2.5)) == 0
 
 
-def test_every_8_bit_view_rounds_by_one_rule(tmp_path):
-    # quantize_u8, the 8-bit PGM payload, entropy and compare all take the
-    # levels of rounding half away from zero and then clamping
+def test_every_integer_level_rounds_by_one_rule(tmp_path):
+    # quantize_u8, both PGM payloads, entropy and compare all take the levels
+    # of rounding half away from zero and then clamping
     from sabmis import MetricsReport, compare, entropy, mssim, nae, ncc, psnr
 
-    def levels(x):
-        return np.clip(np.copysign(np.floor(np.abs(x) + 0.5), x), 0, 255)
+    def levels(x, top=255):
+        return np.clip(np.copysign(np.floor(np.abs(x) + 0.5), x), 0, top)
+
+    def payloads(x):
+        out = []
+        for depth, maxval in ((8, 255), (16, 65535)):
+            write_pgm(Raster(x), tmp_path / "x.pgm", depth=depth)
+            head = f"P5\n{x.shape[1]} {x.shape[0]}\n{maxval}\n".encode("ascii")
+            data = (tmp_path / "x.pgm").read_bytes()
+            assert data.startswith(head)
+            out.append(data[len(head):])
+        return tuple(out)
+
+    def old_16_bit(x):
+        # the 16-bit writer's former rule, kept as the oracle
+        return np.clip(round_half_away(x * 257.0), 0, 65535).astype(">u2").tobytes()
 
     rng = np.random.default_rng(11)
     edges = [0.5, -0.5, 254.5, 255.5, -0.0, -0.4, -0.49999999999999994,
@@ -252,13 +266,21 @@ def test_every_8_bit_view_rounds_by_one_rule(tmp_path):
     y = x + rng.normal(0.0, 5.0, x.shape)
     q = quantize_u8(Raster(x)).pixels
     assert np.array_equal(q, levels(x)) and not np.signbit(q).any()
-    write_pgm(Raster(x), tmp_path / "x.pgm")
-    payload = levels(x).astype(np.uint8).tobytes()
-    assert (tmp_path / "x.pgm").read_bytes() == b"P5\n17 13\n255\n" + payload
+    assert payloads(x) == (levels(x).astype(np.uint8).tobytes(), old_16_bit(x))
     lx, ly = Raster(levels(x)), Raster(levels(y))
     assert entropy(Raster(x)) == entropy(lx)
     assert compare(Raster(x), Raster(y)) == MetricsReport(
         psnr(lx, ly), mssim(lx, ly), ncc(lx, ly), nae(lx, ly), entropy(lx), entropy(ly))
+
+    # every 16-bit tie (k + 0.5) / 257 with its two neighbours, every half
+    # step of the 8-bit range and past it, and the extremes of the doubles
+    ties = (np.arange(65536) + 0.5) / 257.0
+    sweep = np.concatenate([
+        ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
+        np.arange(-6, 520) / 2.0, rng.uniform(-400, 700, 10000),
+        [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, 5e-324, -5e-324]])
+    sweep = np.concatenate([sweep, np.zeros(-len(sweep) % 64)]).reshape(-1, 64)
+    assert payloads(sweep) == (levels(sweep).astype(np.uint8).tobytes(), old_16_bit(sweep))
 
 
 def test_textured_raster_refuses_octaves_outside_one_to_three():
