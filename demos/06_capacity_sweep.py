@@ -1,8 +1,11 @@
 """Capacity versus imperceptibility.
 
 Each extra secret claims one more parity sub-image, so the stego PSNR falls
-as the payload grows from 2 to 8 bits per cover pixel. A wrong key reads
-noise, not the secret.
+as the payload grows from 2 to 8 bits per cover pixel. With one secret, a
+wrong seed that derives another assignment reads noise, not the secret.
+With more, that protection is gone: any key with the same params reads each
+carried secret's DC and low coefficients, and the seed decides only their
+order and the mid coefficients (README, "Security model").
 """
 
 from sabmis import (StegoParams, compare, cover_raster, embed_images,

@@ -165,7 +165,7 @@ def _cmd_bench(args) -> int:
     figures and the extraction. The sums are exact, so each PSNR equals
     `psnr` on the 8-bit cover and stego. A subset's wall time is what the
     sweep took from the subset before it, not a standalone embed: the first
-    subset of each count holds all of that count's embeds.
+    subset holds the one walk that embeds every pair.
 
     Restart-safe: covers the report lists as completed are skipped; a cover
     that errored is recorded but retried on the next run. A report made
@@ -185,7 +185,6 @@ def _cmd_bench(args) -> int:
     del params["num_secrets"]  # the sweep runs every count up to it
     report = _load_report(args.report, params)
     secrets = [read_image(f) for f in secret_files]
-    nsec = len(secrets)
 
     for name, cover_file in cover_files.items():
         if name in report["completed"]:
@@ -208,15 +207,14 @@ def _cmd_bench(args) -> int:
                 count = str(len(combo))
                 values.setdefault(count, []).append(_psnr_of_sse(total, cover_q.size))
                 walls.setdefault(count, []).append(time.perf_counter() - t_embed)
-                if len(combo) == nsec:
-                    chosen = [secrets[i] for i in combo]
+                if len(combo) == len(secrets):
                     stego, rpt = _stego(cover, key.params, pairs)
                     entry["stego_metrics"] = compare(cover, stego).to_dict()
                     entry["solver"] = rpt.to_dict()
                     extracted = extract_images(stego, key_k)
                     entry["extracted_metrics"] = [
                         compare(orig, ext).to_dict()
-                        for orig, ext in zip(chosen, extracted)]
+                        for orig, ext in zip(secrets, extracted)]
                 t_embed = time.perf_counter()
             means = {k: sum(v) / len(v) for k, v in values.items()}
             # +inf is written "inf", as MetricsReport.to_dict does: RFC 8259

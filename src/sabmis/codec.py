@@ -49,10 +49,10 @@ is folded into one matrix.
 
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
-next, so `embed_subsets` sweeps every secret subset of a cover reusing them:
-S secrets take S(S+1)/2 sub-image embeds in S walks instead of S*2^(S-1).
-The sweep itself is `_subset_pairs`, which embeds each count's new
-sub-image with every secret it can carry into new carrier rows and yields
+full count's, so `embed_subsets` sweeps every secret subset of a cover
+reusing them: S secrets take S(S+1)/2 pair embeds in one walk instead of
+S*2^(S-1). The sweep itself is `_subset_pairs`, which embeds every
+(sub-image, secret) pair a subset can use into new carrier rows and yields
 each subset's pairs without a stego; `sabmis bench` scores the subsets from
 those pairs and builds one stego.
 """
@@ -404,21 +404,20 @@ def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     sub-image k that key_k assigns, in assignment order, to its
     `_carrier_rows` rebuilt with the secret it carries, secrets[i] for
     (i, k) in zip(combo, key_k.assignment), and `_embed_walk`'s stats.
-    Count k assigns count k-1's sub-images and key_k.assignment[-1], which
-    its subsets give secrets k-1 .. S-1 only; one walk embeds those before
-    its first subset, each into new carrier rows, and its subsets look the
-    pairs up, yielding the same arrays wherever a pair recurs."""
+    Count k assigns order[:k], order being the full count's assignment, and
+    gives order[j] only secrets i >= j; one walk embeds all those pairs,
+    each into new carrier rows, before the first subset, and the subsets
+    look them up, yielding the same arrays wherever a pair recurs."""
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
     shape = _carrier_rows(cover.pixels, 1, full).shape
-    done = {}  # (sub-image, secret index) -> (rebuilt carrier rows, stats)
+    order = make_key(key.seed, full).assignment
+    used = [(k, i) for j, k in enumerate(order) for i in range(j, len(secrets))]
+    jobs = [(np.empty(shape), secrets[i], k) for k, i in used]
+    stats = _embed_walk(cover.pixels, jobs, full, key.seed)
+    done = {pair: (rows, sub_stats) for pair, (rows, *_), sub_stats in zip(used, jobs, stats)}
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
-        last = key_k.assignment[-1]
-        jobs = [(np.empty(shape), secrets[i], last) for i in range(count - 1, len(secrets))]
-        stats = _embed_walk(cover.pixels, jobs, full, key.seed)
-        for i, (rows, _, _), sub_stats in zip(range(count - 1, len(secrets)), jobs, stats):
-            done[last, i] = rows, sub_stats
         for combo in itertools.combinations(range(len(secrets)), count):
             yield combo, key_k, {k: done[k, i] for i, k in zip(combo, key_k.assignment)}
 
@@ -432,10 +431,11 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     num_secrets = k, and stego and report are bitwise what
     `embed_images(cover, [secrets[i] for i in combo], key_k)` returns. The
     key's own num_secrets and assignment are not read. Each (sub-image,
-    secret) pair is embedded once per call, before its count's first
-    subset, and its rebuilt carrier rows go into every subset's stego that
-    assigns it: S secrets take S(S+1)/2 sub-image embeds in S walks, and a
-    non-finite secret raises SolverError before any subset is yielded.
+    secret) pair is embedded once per call, and its rebuilt carrier rows go
+    into every subset's stego that assigns it: S secrets take S(S+1)/2
+    sub-image embeds in one walk before the first subset, so a non-finite
+    sample in a secret or in an assigned sub-image's carrier rows raises
+    SolverError, naming the first in walk order, before any subset is yielded.
     `sabmis bench` runs the same sweep but builds only the full-count
     subset's stego; it scores the others from the rebuilt carrier rows
     alone.

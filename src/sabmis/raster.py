@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, SolverError
 
 SRF_MAGIC = b"SRF1"
 
@@ -162,9 +162,12 @@ def read_pgm(path) -> Raster:
 def write_pgm(r: Raster, path, depth: int = 8) -> None:
     """Write binary PGM, maxval 255 (depth 8) or 65535 (depth 16): samples
     are scaled to [0, maxval], clamped to it and rounded half up, as in every
-    8-bit view."""
+    8-bit view. A NaN sample has no level, so it raises SolverError before
+    any file is written; infinite samples clamp like any other."""
     if depth not in (8, 16):
         raise ValueError(f"depth must be 8 or 16, got {depth}")
+    if np.isnan(r.pixels).any():
+        raise SolverError(f"{path}: image holds NaN samples")
     maxval = (1 << depth) - 1
     scaled = r.pixels * (maxval / 255.0)  # x * 1.0 is x; 65535 / 255 is 257 exactly
     body = _levels(scaled, maxval, out=scaled).astype(f">u{depth // 8}").tobytes()

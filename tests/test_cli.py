@@ -289,9 +289,9 @@ def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
         assert rc == 0
         capsys.readouterr()
         # one stego per cover, and each (sub-image, secret) pair embedded
-        # once, in one walk per secret count, none into the cover's own rows
+        # once, in one walk per cover, none into the cover's own rows
         assert len(built) == 2
-        assert len(embedded) == 2 * 4
+        assert len(embedded) == 2
         assert sum(len(jobs) for _, jobs in embedded) == 2 * 4 * 5 // 2
         assert not any(np.shares_memory(rows, pixels)
                        for pixels, jobs in embedded for rows, *_ in jobs)
@@ -476,7 +476,7 @@ def test_bench_records_a_wrong_size_secret(tmp_path, capsys):
     assert report["completed"] == []
 
 
-def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, monkeypatch):
+def test_bench_records_a_solver_failure_before_scoring_any_subset_and_retries(tmp_path, capsys, monkeypatch):
     from sabmis import Raster, cli, read_srf, write_srf
     params = StegoParams(N=128, M=64, num_secrets=2)
     key = make_key(5, params)
@@ -488,8 +488,8 @@ def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, mo
     for i in range(2):
         write_pgm(secret_raster(params.M, 80 + i), secrets / f"s{i}.pgm", depth=8)
     # a NaN in the sub-image the second secret goes to (sub-image k keeps the
-    # pixels from ((k-1) % 2, (k-1) // 2) on): both one-secret subsets embed,
-    # and the first two-secret subset fails
+    # pixels from ((k-1) % 2, (k-1) // 2) on), which only the two-secret
+    # subset uses: the one walk embeds every pair first, so no subset is scored
     k = key.assignment[1]
     pixels = np.full((params.N, params.N), 100.0)
     pixels[(k - 1) % 2, (k - 1) // 2] = np.nan
@@ -502,12 +502,11 @@ def test_bench_records_a_solver_failure_partway_and_retries(tmp_path, capsys, mo
     original = cli._psnr_of_sse
     monkeypatch.setattr(cli, "_psnr_of_sse", lambda *a: scored.append(a) or original(*a))
     # read_image refuses a NaN sample outright; read the cover unchecked so
-    # that the failure comes from the embed's own check, partway through the
-    # sweep
+    # that the failure comes from the embed's own check
     monkeypatch.setattr(cli, "read_image", lambda path: (
         read_srf(path) if path.suffix == ".srf" else read_pgm(path)))
     assert run(*argv) == 0
-    assert len(scored) == 2
+    assert scored == []
     entry = json.loads(report_path.read_text())["covers"]["c0"]
     assert entry["error"].startswith("SolverError")
     assert "psnr_curve" not in entry and "subset_wall_s" not in entry

@@ -243,16 +243,14 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
     monkeypatch.setattr(codec, "_embed_walk",
                         lambda *a: walks.append(a[:2]) or original(*a))
     swept = list(embed_subsets(cover, secrets, key))
-    # one walk per count c, on the one sub-image count c adds to count c-1's
-    # assignment, with secrets c-1 .. count-1, none into the cover's own rows
-    assert len(walks) == count
-    assert sum(len(jobs) for _, jobs in walks) == count * (count + 1) // 2
-    for c, (pixels, jobs) in enumerate(walks, start=1):
-        last = make_key(13, StegoParams(N=128, M=64, num_secrets=c)).assignment[-1]
-        assert pixels is cover.pixels
-        assert [k for *_, k in jobs] == [last] * (count - c + 1)
-        assert [id(secret) for _, secret, _ in jobs] == [id(s) for s in secrets[c - 1:]]
-        assert not any(np.shares_memory(rows, cover.pixels) for rows, *_ in jobs)
+    # one walk, with the pairs (order[j], secret i) for i >= j, order being
+    # the full count's assignment, none into the cover's own rows
+    order = make_key(13, StegoParams(N=128, M=64, num_secrets=count)).assignment
+    [(pixels, jobs)] = walks
+    assert pixels is cover.pixels
+    assert [(k, id(secret)) for _, secret, k in jobs] == [
+        (order[j], id(secrets[i])) for j in range(count) for i in range(j, count)]
+    assert not any(np.shares_memory(rows, cover.pixels) for rows, *_ in jobs)
     assert [combo for combo, *_ in swept] == [
         c for k in range(1, count + 1) for c in combinations(range(count), k)]
     for combo, key_k, stego, report in swept:
@@ -264,16 +262,23 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
 
 
 def test_embed_subsets_refuses_a_non_finite_secret_before_its_first_subset():
-    # the first walk embeds every secret, so a NaN in the last one stops the
+    # the one walk embeds every pair, so a NaN in the last secret, or in the
+    # carrier rows of the sub-image only two-secret subsets use, stops the
     # sweep before the first one-secret subset is yielded
     key = make_key(13, StegoParams(N=128, M=64))
     cover = cover_raster(128, 26)
     secrets = [secret_raster(64, 40 + i) for i in range(4)]
     pixels = secrets[3].pixels.copy()
     pixels[5, 9] = np.nan
-    secrets[3] = Raster(pixels)
     with pytest.raises(SolverError, match="non-finite"):
-        next(embed_subsets(cover, secrets, key))
+        next(embed_subsets(cover, secrets[:3] + [Raster(pixels)], key))
+    # pixel (3, 5) of sub-image k, which keeps every second pixel from
+    # ((k-1) % 2, (k-1) // 2) on
+    k = key.assignment[1]
+    pixels = cover.pixels.copy()
+    pixels[6 + (k - 1) % 2, 10 + (k - 1) // 2] = np.nan
+    with pytest.raises(SolverError, match=f"sub-image {k} "):
+        next(embed_subsets(Raster(pixels), secrets, key))
 
 
 def test_embed_validates_sizes_and_counts():
@@ -539,8 +544,9 @@ def test_wrong_seed_extracts_garbage():
 def test_wrong_seed_with_the_same_assignment_still_recovers_the_secret():
     # a known weakness: the verbatim channel that carries the DC and low
     # coefficients never touches the keyed matrix, so a wrong seed that derives
-    # the same assignment (1 seed in 4 with one secret, 1 in 24 with four)
-    # reads the payload; it closes once that channel is keyed too
+    # the same assignment (1 seed in 4 with one secret) reads the payload; with
+    # four secrets any wrong seed reads them all, in another order (next
+    # test); it closes once that channel is keyed too
     from sabmis import derive_assignment
     assert derive_assignment(68, 4) == derive_assignment(0xC0FFEE, 4) == (3, 2, 4, 1)
     key, wrong = make_key(3, SMALL), make_key(11, SMALL)
@@ -551,6 +557,24 @@ def test_wrong_seed_with_the_same_assignment_still_recovers_the_secret():
     stego, _ = embed_images(cover, [secret], key)
     recovered = extract_images(stego, wrong)[0]
     assert ncc(quantize_u8(secret), quantize_u8(recovered)) >= 0.99
+
+
+def test_wrong_seed_with_another_assignment_reads_every_secret_of_a_full_key():
+    # a known weakness: with four secrets every sub-image carries one, so a
+    # wrong seed's assignment only reorders them, and each extracted image is
+    # the secret in the sub-image it read, short of the mid coefficients that
+    # phi keys; it closes once the verbatim channel is keyed too
+    from sabmis import compare
+    key = make_key(13, StegoParams(N=128, M=64))
+    cover = cover_raster(128, 26)
+    secrets = [secret_raster(64, 40 + i) for i in range(4)]
+    stego, _ = embed_images(cover, secrets, key)
+    for seed in (1, 2, 3, 4):
+        wrong = make_key(seed, key.params)
+        assert wrong.assignment != key.assignment
+        for k, extracted in zip(wrong.assignment, extract_images(stego, wrong)):
+            report = compare(secrets[key.assignment.index(k)], extracted)
+            assert report.ncc >= 0.99 and report.psnr_db >= 40.0
 
 
 def test_key_with_p3_equal_to_c_round_trips(tmp_path):

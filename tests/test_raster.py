@@ -60,6 +60,17 @@ def test_write_pgm_16bit_scale(tmp_path):
     assert read_pgm(path).pixels[0, 0] == pytest.approx(100.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("depth", [8, 16])
+def test_write_pgm_refuses_a_nan_sample_and_writes_no_file(tmp_path, depth):
+    # a NaN has no level; infinite samples still clamp, as
+    # test_every_integer_level_rounds_by_one_rule pins
+    from sabmis import SolverError
+    path = tmp_path / "a.pgm"
+    with pytest.raises(SolverError, match="NaN"):
+        write_pgm(Raster([[10.0, np.nan], [np.inf, -np.inf]]), path, depth=depth)
+    assert not path.exists()
+
+
 def test_pgm_u8_round_trip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(5)
     r = quantize_u8(Raster(rng.uniform(0, 255, size=(6, 9))))
