@@ -38,8 +38,8 @@ against. The embed copies each chunk's block rows out of the cover,
 rebuilds the chunk's blocks and assigns the rows whole into an unfilled
 stego; `_new_stego` alone decides which cover pixels no chunk writes and
 copies those, bitwise, so at paper scale the cover is never copied. The
-extract writes each chunk's product straight into the secret raster's
-block rows.
+extract writes each chunk's products into one reused buffer and assigns it
+into the secret raster's block rows.
 
 Every step of both pipelines is linear, and one per-key cache,
 `_key_factors`, serves both. The sender applies the rule's three factors as
@@ -231,13 +231,19 @@ def _key_factors(seed: int, p: StegoParams
     measurement rows the rule touches, `extract_rule` and `coeffs_to_raster`
     in one, since each step is linear. Kept for the last few (seed, params),
     since `sabmis bench` embeds many times with one key; every array is
-    read-only.
+    read-only and C-ordered. OpenBLAS multiplies a chunk by a C-ordered
+    factor about 30% faster than by the transposed view numpy passes for an
+    F-ordered one (on one AVX-512 core, per 16,384 rows of (., 64) @ (64, 32):
+    1.6 against 2.3 ms). With the default b, l and p3 and at least 64
+    secret blocks both layouts give the same bits on the SkylakeX, Haswell
+    and Sandybridge kernels; on shorter walks or other p3, SkylakeX's
+    small-matrix kernels can round the two differently, in the last bits.
     """
     written, donor, strength = _rule(p)
     rows = 2 * p.p3 - p.c
     x = measure(forward_matrix(p.b), keyed_normals(seed, rows * p.p2).reshape(rows, p.p2))
-    reads = x[:, written] - x[:, donor]
-    payload = forward_matrix(p.l)[:, : p.p3] * strength
+    reads = np.ascontiguousarray(x[:, written] - x[:, donor])
+    payload = np.ascontiguousarray(forward_matrix(p.l)[:, : p.p3] * strength)
     change = np.linalg.pinv(reads)
     fold = (reads / strength) @ forward_matrix(p.l)[:, : p.p3].T
     out = (reads, payload, change, fold)
@@ -247,12 +253,18 @@ def _key_factors(seed: int, p: StegoParams
 
 
 # blocks per chunk: a (256, 64) float64 array is 128 KiB. The embed's
-# products run faster on it than on 512 rows (on one AVX-512 core, per 16,384
-# rows: 1.8 against 2.6 ms for (., 64) @ (64, 32), 1.9 against 2.5 ms for
-# (., 32) @ (32, 64)), and each product still gives the bits of one over a
-# whole sub-image (on OpenBLAS 0.3.31, chunks under 64 blocks moved the
-# stego's last bits)
+# products run faster on it than on 128 or 512 rows (on one AVX-512 core,
+# per 16,384 rows of C-ordered (., 64) @ (64, 32): 1.6 ms against 1.7 and
+# 2.1 ms), and each product still gives the bits of one over a whole
+# sub-image (on OpenBLAS 0.3.31, chunks under 64 blocks moved the stego's
+# last bits)
 _CHUNK_BLOCKS = 256
+
+# multiply-adds in one product: OpenBLAS's SkylakeX small-matrix kernels take
+# products of up to 100^3 of them, and the extract splits a chunk's fold
+# product to stay under that (per 16,384 rows of (., 64) @ (64, 64): 3.2 ms
+# as 128-row products against 4.0 ms as 256-row ones)
+_SMALL_PRODUCT = 10 ** 6
 
 
 def _chunks(p: StegoParams) -> list[tuple[int, slice, slice]]:
@@ -317,6 +329,7 @@ def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]
     into the stego unnoticed; the destinations may then hold some rebuilt
     chunks."""
     reads, payload, change, _ = _key_factors(seed, p)
+    mid_reads = np.ascontiguousarray(reads[:, p.c :])
     grids = [(_carrier_rows(cover, k, p), _tiles(secret.pixels, p.l)) for _, secret, k in jobs]
     residuals = [0.0] * len(jobs)
     for count, cover_rows, secret_rows in _chunks(p):
@@ -329,7 +342,7 @@ def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]
                 blocks += (wrote - blocks @ reads) @ change
             if not np.isfinite(blocks).all():
                 raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
-            miss = blocks @ reads[:, p.c :] - wrote[:, p.c :]
+            miss = blocks @ mid_reads - wrote[:, p.c :]
             residuals[j] = max(residuals[j], float(np.abs(miss).max(initial=0.0)))
             dest[cover_rows] = rows.reshape(-1, *dest.shape[1:])
     return tuple(SubImageStats(k, residual)
@@ -454,10 +467,18 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     inverse transplant rule and the secret's inverse DCT. So each secret is
     one product of the sub-image's first secret_blocks blocks, read straight
     from the stego in chunks of whole block rows, band by band as the embed
-    walks them, with a per-key (b^2, l^2) matrix, each chunk's rows written
-    straight into the secret's l x l blocks. Coefficients beyond p3 stay
-    zero, so extracted secrets are low-pass approximations. The secrets'
-    grids are views of one buffer, which lives as long as any of them.
+    walks them, with a per-key (b^2, l^2) matrix, each chunk's rows then
+    assigned into the secret's l x l blocks. A chunk's product is split by
+    rows into products of at most about _SMALL_PRODUCT multiply-adds, two of
+    128 rows for a 256-block chunk at the default params, each written into
+    one reused buffer, so OpenBLAS runs each on its small-matrix kernel.
+    Each product starts on a multiple of 16 rows, where the whole chunk's
+    product starts a row tile; so split, the products gave the whole one's
+    bits on the SkylakeX, Haswell, Sandybridge and Prescott kernels, where
+    a split at odd rows moved some rows' bits under Haswell and Prescott.
+    Coefficients beyond p3 stay zero, so extracted secrets are low-pass
+    approximations. The secrets' grids are views of one buffer, which lives
+    as long as any of them.
     """
     p = key.params
     if stego.pixels.shape != (p.N, p.N):
@@ -471,8 +492,16 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     secrets = np.empty((len(key.assignment), p.M, p.M))
     grids = [(_carrier_rows(stego.pixels, k, p), _tiles(secret, p.l))
              for secret, k in zip(secrets, key.assignment)]
-    for count, cover_rows, secret_rows in _chunks(p):
+    walk = _chunks(p)
+    rows = np.empty((max(count for count, *_ in walk), fold.shape[1]))
+    most = max(16, _SMALL_PRODUCT // fold.size // 16 * 16)  # rows in one product
+    for count, cover_rows, secret_rows in walk:
+        parts = -(-count // most)
+        step = 16 * -(-count // (16 * parts))  # equal parts, rounded up to 16 rows
+        out = rows[:count]
         for grid, secret_grid in grids:
             blocks = grid[cover_rows].reshape(-1, p.b * p.b)[:count]
-            secret_grid[secret_rows] = (blocks @ fold).reshape(-1, *secret_grid.shape[1:])
+            for start in range(0, count, step):
+                np.matmul(blocks[start : start + step], fold, out=out[start : start + step])
+            secret_grid[secret_rows] = out.reshape(-1, *secret_grid.shape[1:])
     return [Raster._adopt(secret) for secret in secrets]

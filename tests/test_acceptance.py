@@ -10,7 +10,6 @@ fields. All thresholds below are fixed; nothing is calibrated at run time.
 import time
 
 import numpy as np
-import pytest
 
 from sabmis import (StegoParams, cover_raster,
                     compare, default_params, embed_images, embed_rule,
@@ -24,29 +23,10 @@ from sabmis.solver import default_lambda, solve_lasso
 
 from reference import lasso_fista, lasso_objective
 
+# the paper-scale fixtures, paper_setup and paper_stego, are in conftest.py
+# and use the same key seed and secret seeds
 KEY_SEED = 0xC0FFEE
-COVER_SEEDS = (1101, 1102)
 SECRET_SEEDS = (2201, 2202, 2203, 2204)
-
-
-@pytest.fixture(scope="module")
-def paper_setup():
-    # inputs are quantized like any 8-bit source image would be
-    key = make_key(KEY_SEED)
-    covers = [quantize_u8(cover_raster(1024, s)) for s in COVER_SEEDS]
-    secrets = [quantize_u8(secret_raster(512, s)) for s in SECRET_SEEDS]
-    return key, covers, secrets
-
-
-@pytest.fixture(scope="module")
-def paper_stego(paper_setup):
-    key, covers, secrets = paper_setup
-    out = []
-    for cover in covers:
-        start = time.perf_counter()
-        stego, report = embed_images(cover, secrets, key)
-        out.append((stego, report, time.perf_counter() - start))
-    return out
 
 
 def test_unit_inverse_of_embedding_rules():

@@ -430,7 +430,8 @@ def test_chunks_walk_whole_block_rows_of_both_grids(p, chunk_blocks, monkeypatch
 
 def test_extractor_is_kept_per_key_and_read_only():
     # one per-key cache serves both pipelines: the rule's factors for the
-    # embed and the receiver's fold for the extract
+    # embed and the receiver's fold for the extract, each C-ordered, which
+    # OpenBLAS multiplies faster than the transposed view
     from dataclasses import replace
 
     from sabmis import codec
@@ -447,6 +448,7 @@ def test_extractor_is_kept_per_key_and_read_only():
     assert all(other is not first for other in others)
     assert len({id(o) for o in others}) == len(others)
     for a in first:
+        assert a.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0
     # an extract after an embed under the same key builds nothing
@@ -455,6 +457,50 @@ def test_extractor_is_kept_per_key_and_read_only():
     extract_images(cover, key)
     info = codec._key_factors.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _runs_with_fortran_factors(p, monkeypatch):
+    # an embed and an extract with the per-key factors as they are, then
+    # with F-ordered copies of them, which numpy hands OpenBLAS transposed
+    from sabmis import codec
+    key = make_key(3, p)
+    cover = cover_raster(p.N, 41)
+    secrets = [secret_raster(p.M, 50 + i) for i in range(p.num_secrets)]
+
+    def run():
+        stego, report = embed_images(cover, secrets, key)
+        return stego, report, extract_images(stego, key)
+
+    real = run()
+    original = codec._key_factors
+    monkeypatch.setattr(codec, "_key_factors",
+                        lambda seed, q: tuple(np.asfortranarray(a) for a in original(seed, q)))
+    return real, run()
+
+
+def test_factor_layout_keeps_the_bits_of_the_default_block_size_and_p3(monkeypatch):
+    # with b = l = 8 and p3 = 32, OpenBLAS's SkylakeX, Haswell and
+    # Sandybridge kernels give the same bits whichever order the factors
+    # are in, so the float outputs do not depend on the layout
+    (stego, report, secrets), (f_stego, f_report, f_secrets) = \
+        _runs_with_fortran_factors(StegoParams(N=256, M=128), monkeypatch)
+    assert stego.pixels.tobytes() == f_stego.pixels.tobytes()
+    assert report.to_dict() == f_report.to_dict()
+    for got, want in zip(f_secrets, secrets, strict=True):
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+
+
+def test_factor_layout_moves_at_most_the_last_bits_of_a_short_walk(monkeypatch):
+    # M = 40 gives 25 secret blocks, one chunk of 25 rows. Under SkylakeX
+    # kernels, products that short take a small-matrix kernel whose sums
+    # run in another order for transposed and C-ordered operands, so the
+    # float stego, write_residual and the secrets may differ by rounding;
+    # no 8-bit pixel may
+    (stego, _, secrets), (f_stego, _, f_secrets) = \
+        _runs_with_fortran_factors(StegoParams(N=128, M=40), monkeypatch)
+    assert np.array_equal(quantize_u8(stego).pixels, quantize_u8(f_stego).pixels)
+    for got, want in zip(f_secrets, secrets, strict=True):
+        assert np.array_equal(quantize_u8(got).pixels, quantize_u8(want).pixels)
 
 
 PREFIX_KEYS = [(0xC0FFEE, StegoParams()), (3, StegoParams(N=256, M=128)),
@@ -772,31 +818,21 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def paper_inputs():
-    # the acceptance suite's paper-scale fixture: 1024x1024 cover, four
-    # 512x512 secrets, the default key
-    key = make_key(0xC0FFEE)
-    cover = quantize_u8(cover_raster(1024, 1101))
-    secrets = [quantize_u8(secret_raster(512, s)) for s in (2201, 2202, 2203, 2204)]
-    return key, cover, secrets
-
-
-def test_embed_working_set_stays_bounded(paper_inputs):
+def test_embed_working_set_stays_bounded(paper_setup):
     # the stego is the one full-size array (8 MiB), and no copy of the cover
     # precedes it; the band-by-band walk adds a few 128 KiB chunk arrays,
     # where whole sub-image block copies and their products took 8 MiB more
     from sabmis import codec
-    key, cover, secrets = paper_inputs
+    key, (cover, _), secrets = paper_setup
     codec._key_factors(key.seed, key.params)  # the per-key factors are not the embed's
     peak = _traced_peak(lambda: embed_images(cover, secrets, key))
     assert peak < 8 * 2**20 + 2 * 2**20
 
 
-def test_extract_working_set_stays_bounded(paper_inputs):
+def test_extract_working_set_stays_bounded(paper_setup):
     # the four secrets take 8 MiB; each chunk's rows go straight into them
     from sabmis import codec
-    key, cover, secrets = paper_inputs
+    key, (cover, _), secrets = paper_setup
     codec._key_factors(key.seed, key.params)
     peak = _traced_peak(lambda: extract_images(cover, key))
     assert peak < 8 * 2**20 + 2**20

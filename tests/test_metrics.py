@@ -350,14 +350,11 @@ PINNED_REPORTS = {
 }
 
 
-def test_compare_reports_are_pinned():
-    from sabmis import (cover_raster, embed_images, extract_images, make_key,
-                        quantize_u8, secret_raster)
+def test_compare_reports_are_pinned(paper_setup, paper_stego):
+    from sabmis import extract_images
     # the paper fixture of the acceptance suite
-    key = make_key(0xC0FFEE)
-    cover = quantize_u8(cover_raster(1024, 1101))
-    secrets = [quantize_u8(secret_raster(512, s)) for s in (2201, 2202, 2203, 2204)]
-    stego, _ = embed_images(cover, secrets, key)
+    key, (cover, _), secrets = paper_setup
+    stego = paper_stego[0][0]
     got = {"cover 1101 / stego": compare(cover, stego),
            "secret 2201 / extracted": compare(secrets[0], extract_images(stego, key)[0])}
     # 43x43: one full strip plus a one-row strip, and a one-column last tile;
