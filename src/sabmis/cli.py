@@ -2,7 +2,10 @@
 harness that sweeps stego quality over an image corpus.
 
 Exit codes: 0 success, 2 usage or validation error, 3 I/O or format error,
-4 numerical failure.
+4 numerical failure. One table, `_EXIT_CODES`, maps each failure kind a
+command can raise to its code; `main` prints any of them as one `error:`
+line and returns its code, and `bench` records one raised inside a cover as
+that cover's error and goes on to the next cover.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import numpy as np
 from .codec import _carrier_rows, _stego, _subset_pairs, embed_images, extract_images
 from .errors import DimensionError, FormatError, ParamError, SolverError
 from .measure import StegoParams, make_key, read_key, write_key
-from .metrics import _psnr_of_sse, _sse, compare
+from .metrics import _psnr_of_sse, _report_constant, _report_value, _sse, compare
 from .raster import Raster, _levels, read_pgm, read_srf, write_pgm, write_srf
 
 IMAGE_SUFFIXES = (".pgm", ".srf")
+# every failure kind a command can raise, and the exit code it maps to
+_EXIT_CODES = {ParamError: 2, DimensionError: 2, FormatError: 3, OSError: 3, SolverError: 4}
 
 
 def read_image(path) -> Raster:
@@ -111,15 +116,6 @@ def _list_corpus(directory) -> list[Path]:
     if not files:
         raise ParamError(f"no .pgm or .srf images found in {directory}")
     return files
-
-
-def _report_constant(name: str) -> str:
-    # RFC 8259 JSON has no Infinity, -Infinity or NaN. A bare Infinity, as an
-    # older bench wrote for a lossless subset, resumes as "inf", which is how
-    # the bench writes +inf; no bench value can be -inf or NaN.
-    if name == "Infinity":
-        return "inf"
-    raise ValueError(f"{name} is not a bench value")
 
 
 def _load_report(path, params: dict) -> dict:
@@ -216,12 +212,9 @@ def _cmd_bench(args) -> int:
                         compare(orig, ext).to_dict()
                         for orig, ext in zip(secrets, extracted)]
                 t_embed = time.perf_counter()
-            means = {k: sum(v) / len(v) for k, v in values.items()}
-            # +inf is written "inf", as MetricsReport.to_dict does: RFC 8259
-            # JSON has no Infinity
-            entry["psnr_curve"] = {k: "inf" if math.isinf(m) else m for k, m in means.items()}
+            entry["psnr_curve"] = {k: _report_value(sum(v) / len(v)) for k, v in values.items()}
             entry["subset_wall_s"] = walls
-        except (ParamError, DimensionError, FormatError, SolverError, OSError) as exc:
+        except tuple(_EXIT_CODES) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_clock_s"] = time.perf_counter() - t_start
         report["covers"][name] = entry
@@ -304,15 +297,9 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.func(args)
-    except (ParamError, DimensionError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

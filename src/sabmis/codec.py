@@ -332,19 +332,21 @@ def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]
     mid_reads = np.ascontiguousarray(reads[:, p.c :])
     grids = [(_carrier_rows(cover, k, p), _tiles(secret.pixels, p.l)) for _, secret, k in jobs]
     residuals = [0.0] * len(jobs)
-    for count, cover_rows, secret_rows in _chunks(p):
-        for j, ((dest, _, k), (source, secret_grid)) in enumerate(zip(jobs, grids)):
-            # a copy, as a block's pixels lie two apart in the parity view
-            rows = source[cover_rows].reshape(-1, p.b * p.b)
-            blocks = rows[:count]
-            with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+    # entered once for the walk: a non-finite update is refused right after it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for count, cover_rows, secret_rows in _chunks(p):
+            for j, ((dest, _, k), (source, secret_grid)) in enumerate(zip(jobs, grids)):
+                # a copy, as a block's pixels lie two apart in the parity view
+                rows = source[cover_rows].reshape(-1, p.b * p.b)
+                blocks = rows[:count]
                 wrote = secret_grid[secret_rows].reshape(count, -1) @ payload
                 blocks += (wrote - blocks @ reads) @ change
-            if not np.isfinite(blocks).all():
-                raise SolverError(f"sub-image {k} of the cover or its secret holds non-finite samples")
-            miss = blocks @ mid_reads - wrote[:, p.c :]
-            residuals[j] = max(residuals[j], float(np.abs(miss).max(initial=0.0)))
-            dest[cover_rows] = rows.reshape(-1, *dest.shape[1:])
+                if not np.isfinite(blocks).all():
+                    raise SolverError(
+                        f"sub-image {k} of the cover or its secret holds non-finite samples")
+                miss = blocks @ mid_reads - wrote[:, p.c :]
+                residuals[j] = max(residuals[j], float(np.abs(miss).max(initial=0.0)))
+                dest[cover_rows] = rows.reshape(-1, *dest.shape[1:])
     return tuple(SubImageStats(k, residual)
                  for (*_, k), residual in zip(jobs, residuals))
 

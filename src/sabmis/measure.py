@@ -169,6 +169,15 @@ def default_params() -> StegoParams:
     return StegoParams()
 
 
+def _checked_seed(seed) -> int:
+    """The seed as an int: an integer, not a bool, with 0 <= seed < 2^64."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ParamError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise ParamError(f"seed out of unsigned 64-bit range: {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class StegoKey:
     """The shared secret: generator seed, parameters, secret-to-sub-image map."""
@@ -178,10 +187,7 @@ class StegoKey:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ParamError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ParamError(f"seed out of unsigned 64-bit range: {self.seed}")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         a = tuple(int(k) for k in self.assignment)
         if len(a) != self.params.num_secrets:
             raise ParamError(
@@ -190,16 +196,16 @@ class StegoKey:
             raise ParamError(f"assignment entries must be sub-image indices 1..4, got {a}")
         if len(set(a)) != len(a):
             raise ParamError(f"assignment entries must be distinct, got {a}")
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "assignment", a)
 
 
 def make_key(seed: int, params: StegoParams | None = None, assignment=None) -> StegoKey:
-    """Build a key; the assignment defaults to the seed-derived one."""
+    """Build a key; the assignment defaults to the seed-derived one. The
+    seed is checked by `StegoKey`'s rule before anything is derived from it."""
     params = default_params() if params is None else params
     if assignment is None:
-        assignment = derive_assignment(int(seed), params.num_secrets)
-    return StegoKey(int(seed), params, tuple(assignment))
+        assignment = derive_assignment(_checked_seed(seed), params.num_secrets)
+    return StegoKey(seed, params, tuple(assignment))
 
 
 def gen_matrix(key: StegoKey) -> np.ndarray:

@@ -268,6 +268,21 @@ def edge_map(a: Raster, threshold: float = 0.2) -> Raster:
     return Raster._adopt((mag >= threshold * peak).astype(np.float64))
 
 
+def _report_value(x: float) -> float | str:
+    # RFC 8259 JSON has no Infinity: every report, `MetricsReport`'s and the
+    # bench's, writes the +inf of a lossless PSNR as "inf"
+    return "inf" if math.isinf(x) else x
+
+
+def _report_constant(name: str) -> str:
+    # json.loads's parse_constant for a report: a bare Infinity, as an older
+    # bench wrote for a lossless subset, reads as "inf"; no report value can
+    # be -inf or NaN
+    if name == "Infinity":
+        return "inf"
+    raise ValueError(f"{name} is not a bench value")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     psnr_db: float
@@ -278,7 +293,7 @@ class MetricsReport:
     entropy_test: float
 
     def to_dict(self) -> dict:
-        return {"psnr_db": "inf" if math.isinf(self.psnr_db) else self.psnr_db,
+        return {"psnr_db": _report_value(self.psnr_db),
                 "mssim": self.mssim, "ncc": self.ncc, "nae": self.nae,
                 "entropy_ref": self.entropy_ref, "entropy_test": self.entropy_test}
 

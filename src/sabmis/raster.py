@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, SolverError
+from .errors import DimensionError, FormatError, ParamError, SolverError
 
 SRF_MAGIC = b"SRF1"
 
@@ -162,10 +162,11 @@ def read_pgm(path) -> Raster:
 def write_pgm(r: Raster, path, depth: int = 8) -> None:
     """Write binary PGM, maxval 255 (depth 8) or 65535 (depth 16): samples
     are scaled to [0, maxval], clamped to it and rounded half up, as in every
-    8-bit view. A NaN sample has no level, so it raises SolverError before
-    any file is written; infinite samples clamp like any other."""
+    8-bit view. Any other depth raises ParamError, and a NaN sample, which
+    has no level, SolverError, each before any file is written; infinite
+    samples clamp like any other."""
     if depth not in (8, 16):
-        raise ValueError(f"depth must be 8 or 16, got {depth}")
+        raise ParamError(f"depth must be 8 or 16, got {depth}")
     if np.isnan(r.pixels).any():
         raise SolverError(f"{path}: image holds NaN samples")
     maxval = (1 << depth) - 1

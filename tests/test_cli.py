@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabmis import (StegoParams, cover_raster, make_key, ncc, quantize_u8,
-                    read_key, read_pgm, secret_raster, write_key, write_pgm)
+from sabmis import (DimensionError, FormatError, ParamError, SolverError, StegoParams,
+                    cover_raster, make_key, ncc, quantize_u8, read_key, read_pgm,
+                    secret_raster, write_key, write_pgm)
 from sabmis.cli import main
 
 SMALL = StegoParams(N=128, M=64, num_secrets=1)
@@ -248,6 +249,39 @@ def test_metrics_rejects_size_mismatch(small_setup, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["embed"]) == 2  # missing required flags
+
+
+FAILURES = [(ParamError, 2), (DimensionError, 2), (FormatError, 3), (OSError, 3),
+            (SolverError, 4)]
+
+
+@pytest.mark.parametrize("kind, code", FAILURES, ids=[kind.__name__ for kind, _ in FAILURES])
+def test_each_failure_kind_exits_with_its_code_and_fails_only_its_bench_cover(
+        small_setup, capsys, monkeypatch, kind, code):
+    from sabmis import cli
+
+    def fail(*args):
+        raise kind("boom")
+
+    tmp, key_path, cover_path, secret_path = small_setup
+    monkeypatch.setattr(cli, "compare", fail)
+    assert run("metrics", "--ref", str(cover_path), "--test", str(cover_path)) == code
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+    # inside a bench cover the failure is that cover's error, and the cover
+    # stays out of the manifest, so the next run retries it
+    covers, secrets = tmp / "covers", tmp / "secrets"
+    covers.mkdir()
+    secrets.mkdir()
+    shutil.copy(cover_path, covers)
+    shutil.copy(secret_path, secrets)
+    report_path = tmp / "report.json"
+    assert run("bench", "--covers", str(covers), "--secrets", str(secrets),
+               "--key", str(key_path), "--report", str(report_path)) == 0
+    assert json.loads(capsys.readouterr().out)["covers"] == 0
+    report = json.loads(report_path.read_text())
+    assert report["completed"] == []
+    assert report["covers"]["cover"]["error"] == f"{kind.__name__}: boom"
 
 
 def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):

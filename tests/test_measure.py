@@ -81,6 +81,22 @@ def test_key_rejects_wrong_assignment_length():
         StegoKey(1, StegoParams(num_secrets=2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("seed", [True, 3.7, "5", -1, 2 ** 64])
+def test_make_key_and_stego_key_refuse_the_same_seeds(seed):
+    # one rule for both: an integer, not a bool, in [0, 2^64); make_key
+    # checks it before it derives an assignment from the seed
+    with pytest.raises(ParamError, match="seed"):
+        make_key(seed)
+    with pytest.raises(ParamError, match="seed"):
+        StegoKey(seed, StegoParams(), (3, 2, 4, 1))
+
+
+def test_make_key_keeps_a_numpy_integer_seed_as_an_int():
+    key = make_key(np.uint64(2 ** 64 - 1))
+    assert type(key.seed) is int and key.seed == 2 ** 64 - 1
+    assert key == make_key(2 ** 64 - 1)
+
+
 def test_gen_matrix_is_deterministic():
     key = make_key(7)
     a, b = gen_matrix(key), gen_matrix(key)

@@ -71,6 +71,15 @@ def test_write_pgm_refuses_a_nan_sample_and_writes_no_file(tmp_path, depth):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("depth", [0, 12, 32])
+def test_write_pgm_refuses_another_depth_and_writes_no_file(tmp_path, depth):
+    from sabmis import ParamError
+    path = tmp_path / "a.pgm"
+    with pytest.raises(ParamError, match="depth must be 8 or 16"):
+        write_pgm(Raster([[10.0]]), path, depth=depth)
+    assert not path.exists()
+
+
 def test_pgm_u8_round_trip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(5)
     r = quantize_u8(Raster(rng.uniform(0, 255, size=(6, 9))))
