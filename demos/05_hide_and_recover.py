@@ -21,9 +21,8 @@ print("sub-image carrying the secret:", key.assignment[0])
 
 start = time.perf_counter()
 stego, report = embed_images(cover, [secret], key)
-stats = report.sub_images[0]
 print(f"embedded in {1e3 * (time.perf_counter() - start):.0f} ms: {params.secret_blocks} blocks, "
-      f"write residual {stats.write_residual:.1e}, "
+      f"write identity error {report.write_check['identity_error']:.1e}, "
       f"capacity {report.capacity_bpp} bpp")
 
 quality = compare(cover, stego)

@@ -193,18 +193,18 @@ def _cmd_bench(args) -> int:
             sse = {}  # (sub-image, secret index) -> SSE of its 8-bit blocks
             values, walls = {}, {}
             t_embed = time.perf_counter()
-            for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
+            for combo, key_k, pairs, rpt in _subset_pairs(cover, secrets, key):
                 total = 0.0
                 for i, k in zip(combo, key_k.assignment):
                     if (k, i) not in sse:
-                        sse[k, i] = _sse(_levels(pairs[k][0]),
+                        sse[k, i] = _sse(_levels(pairs[k]),
                                          _carrier_rows(cover_q, k, key.params))
                     total += sse[k, i]
                 count = str(len(combo))
                 values.setdefault(count, []).append(_psnr_of_sse(total, cover_q.size))
                 walls.setdefault(count, []).append(time.perf_counter() - t_embed)
                 if len(combo) == len(secrets):
-                    stego, rpt = _stego(cover, key.params, pairs)
+                    stego = _stego(cover, key.params, pairs)
                     entry["stego_metrics"] = compare(cover, stego).to_dict()
                     entry["solver"] = rpt.to_dict()
                     extracted = extract_images(stego, key_k)

@@ -44,8 +44,10 @@ into the secret raster's block rows.
 Every step of both pipelines is linear, and one per-key cache,
 `_key_factors`, serves both. The sender applies the rule's three factors as
 they are: what the rule reads from a block, what it writes from a secret
-block, and the pseudo-inverse of the reads. The receiver's whole extraction
-is folded into one matrix.
+block, and the pseudo-inverse of the reads. How exactly the pseudo-inverse
+undoes the reads is checked there too, once per key, and every embed
+report carries that check. The receiver's whole extraction is folded into
+one matrix.
 
 The rebuilt blocks of a sub-image depend only on the cover, its secret and
 the key's matrix, and each secret count's assignment is a prefix of the
@@ -63,7 +65,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Container, Iterator, Sequence
+from types import MappingProxyType
+from typing import Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,28 +80,31 @@ from .spectral import (_tiles, assemble_blocks, desparsify, forward_matrix,
 
 @dataclass(frozen=True)
 class SubImageStats:
-    """What the embed did to one assigned sub-image.
-
-    `write_residual` is the largest miss over its rebuilt blocks' written
-    measurement rows: what each of the p3 - c rows minus its donor reads,
-    against gamma times the secret's mid coefficient the rule wrote there.
-    It is rounding-sized (0.0 when p3 = c writes none). No l1 solve runs,
-    so the report's solver figures `blocks`, `iterations_mean`,
-    `iterations_max` and `unconverged` each read 0.
+    """One assigned sub-image of an embed: its `sub_index`. No l1 solve
+    runs, so the solver figures `blocks`, `iterations_mean`,
+    `iterations_max` and `unconverged` each read 0; `to_dict` keeps them
+    only for readers of earlier reports.
     """
 
     sub_index: int
-    write_residual: float
 
     def to_dict(self) -> dict:
-        return {"sub_index": self.sub_index, "write_residual": self.write_residual,
-                "blocks": 0, "iterations_mean": 0.0, "iterations_max": 0,
-                "unconverged": 0}
+        return {"sub_index": self.sub_index, "blocks": 0, "iterations_mean": 0.0,
+                "iterations_max": 0, "unconverged": 0}
 
 
 @dataclass(frozen=True)
 class EmbedReport:
+    """What an embed did: one `SubImageStats` per assigned sub-image, in
+    assignment order, and `write_check`, the key's check of the write
+    (`_write_check`): `identity_error`, max|change @ reads - I|, which
+    bounds each block's miss on what the receiver reads, and `condition`,
+    cond(reads). Both are per key, so every embed under one key reports the
+    same check.
+    """
+
     sub_images: tuple[SubImageStats, ...]
+    write_check: Mapping[str, float]
 
     @property
     def capacity_bpp(self) -> int:
@@ -107,7 +113,7 @@ class EmbedReport:
         return 2 * len(self.sub_images)
 
     def to_dict(self) -> dict:
-        return {"capacity_bpp": self.capacity_bpp,
+        return {"capacity_bpp": self.capacity_bpp, "write_check": dict(self.write_check),
                 "sub_images": [s.to_dict() for s in self.sub_images]}
 
 
@@ -207,11 +213,26 @@ def coeffs_to_raster(t: np.ndarray, p: StegoParams) -> Raster:
     return assemble_blocks(desparsify(t), p.M, p.M)
 
 
+def _write_check(reads: np.ndarray, change: np.ndarray) -> Mapping[str, float]:
+    """How exactly `change` undoes `reads`, as a read-only mapping:
+    `identity_error`, max|change @ reads - I|, and `condition`, cond(reads).
+
+    A block x written as x + (w - x @ reads) @ change reads w plus
+    (w - x @ reads) @ (change @ reads - I): its miss is the gap the write
+    closes times that identity's error, up to the products' own rounding,
+    so checking each rebuilt block's miss would re-measure this one figure.
+    """
+    identity_error = np.abs(change @ reads - np.eye(reads.shape[1])).max()
+    return MappingProxyType({"identity_error": float(identity_error),
+                             "condition": float(np.linalg.cond(reads))})
+
+
 @functools.lru_cache(maxsize=8)
-def _key_factors(seed: int, p: StegoParams
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-key (reads, payload, change, fold): the rule's three factors and
-    the receiver's fold, for row-major b x b blocks and l x l secret blocks.
+def _key_factors(seed: int, p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                     np.ndarray, Mapping[str, float]]:
+    """Per-key (reads, payload, change, fold, write_check): the rule's three
+    factors, the receiver's fold, for row-major b x b blocks and l x l
+    secret blocks, and `_write_check` of the write they make.
 
     reads (b^2, p3): a block times it gives, for each k < p3, the value at
     the position `_rule` writes k to minus the value at its donor, read from
@@ -229,11 +250,12 @@ def _key_factors(seed: int, p: StegoParams
     product with fold (b^2, l^2): reads / strength, then the l x l inverse
     transform of the first p3 coefficients. That is sparsify, the
     measurement rows the rule touches, `extract_rule` and `coeffs_to_raster`
-    in one, since each step is linear. Kept for the last few (seed, params),
-    since `sabmis bench` embeds many times with one key; every array is
-    read-only and C-ordered. OpenBLAS multiplies a chunk by a C-ordered
-    factor about 30% faster than by the transposed view numpy passes for an
-    F-ordered one (on one AVX-512 core, per 16,384 rows of (., 64) @ (64, 32):
+    in one, since each step is linear. The write is checked here, once per
+    key, rather than on every rebuilt block. Kept for the last few (seed,
+    params), since `sabmis bench` embeds many times with one key; every
+    array is read-only and C-ordered, and the check is read-only too.
+    OpenBLAS multiplies a chunk by a C-ordered factor about 30% faster than
+    by the transposed view numpy passes for an F-ordered one (on one AVX-512 core, per 16,384 rows of (., 64) @ (64, 32):
     1.6 against 2.3 ms). With the default b, l and p3 and at least 64
     secret blocks both layouts give the same bits on the SkylakeX, Haswell
     and Sandybridge kernels; on shorter walks or other p3, SkylakeX's
@@ -249,7 +271,7 @@ def _key_factors(seed: int, p: StegoParams
     out = (reads, payload, change, fold)
     for a in out:
         a.setflags(write=False)
-    return out
+    return (*out, _write_check(reads, change))
 
 
 # blocks per chunk: a (256, 64) float64 array is 128 KiB. The embed's
@@ -310,32 +332,29 @@ def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams
 
 
 def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]],
-                p: StegoParams, seed: int) -> tuple[SubImageStats, ...]:
+                p: StegoParams, seed: int) -> Mapping[str, float]:
     """Embed each job's secret into parity sub-image k of the N x N cover
-    pixels under one key's params and seed, and return the stats in job
-    order. A job is (dest, secret, k): dest is a (rows, N/(2b), b, b) grid
-    shaped like the sub-image's `_carrier_rows`, and the rebuilt block rows
-    are assigned to it; the cover is only read. The walk runs over
+    pixels under one key's params and seed, and return the key's
+    `_write_check`: the write is checked once per key, not per chunk. A job
+    is (dest, secret, k): dest is a (rows, N/(2b), b, b) grid shaped like
+    the sub-image's `_carrier_rows`, and the rebuilt block rows are
+    assigned to it; the cover is only read. The walk runs over
     `_chunks` outside and the jobs inside, so each band of the cover is
     read once for every sub-image that shares it. With the chunk's cover
     blocks x and secret blocks z as rows, the first secret_blocks blocks
     become x + (z @ payload - x @ reads) @ change (`_key_factors`), rebuilt
     in a copy of the chunk's block rows that is then assigned whole, so
     blocks past the chunk in a partial last row go out as they were read.
-    A job's write_residual is what its blocks read on the p3 - c written
-    measurement rows minus what the rule wrote there. A NaN or infinite
-    sample in those cover blocks or in the secret raises SolverError,
-    naming the first sub-image found in walk order, since it would pass
-    into the stego unnoticed; the destinations may then hold some rebuilt
-    chunks."""
-    reads, payload, change, _ = _key_factors(seed, p)
-    mid_reads = np.ascontiguousarray(reads[:, p.c :])
+    A NaN or infinite sample in those cover blocks or in the secret raises
+    SolverError, naming the first sub-image found in walk order, since it
+    would pass into the stego unnoticed; the destinations may then hold
+    some rebuilt chunks."""
+    reads, payload, change, _, write_check = _key_factors(seed, p)
     grids = [(_carrier_rows(cover, k, p), _tiles(secret.pixels, p.l)) for _, secret, k in jobs]
-    residuals = [0.0] * len(jobs)
     # entered once for the walk: a non-finite update is refused right after it
     with np.errstate(invalid="ignore", over="ignore"):
         for count, cover_rows, secret_rows in _chunks(p):
-            for j, ((dest, _, k), (source, secret_grid)) in enumerate(zip(jobs, grids)):
+            for (dest, _, k), (source, secret_grid) in zip(jobs, grids):
                 # a copy, as a block's pixels lie two apart in the parity view
                 rows = source[cover_rows].reshape(-1, p.b * p.b)
                 blocks = rows[:count]
@@ -344,11 +363,8 @@ def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]
                 if not np.isfinite(blocks).all():
                     raise SolverError(
                         f"sub-image {k} of the cover or its secret holds non-finite samples")
-                miss = blocks @ mid_reads - wrote[:, p.c :]
-                residuals[j] = max(residuals[j], float(np.abs(miss).max(initial=0.0)))
                 dest[cover_rows] = rows.reshape(-1, *dest.shape[1:])
-    return tuple(SubImageStats(k, residual)
-                 for (*_, k), residual in zip(jobs, residuals))
+    return write_check
 
 
 def _new_stego(cover: np.ndarray, assigned: Container[int], p: StegoParams) -> np.ndarray:
@@ -366,20 +382,17 @@ def _new_stego(cover: np.ndarray, assigned: Container[int], p: StegoParams) -> n
     return out
 
 
-def _stego(cover: Raster, p: StegoParams,
-           embedded: dict[int, tuple[np.ndarray, SubImageStats]]) -> tuple[Raster, EmbedReport]:
-    """Stego and report of one secret subset: `_new_stego` with each
-    sub-image k's `_carrier_rows` assigned whole from `embedded[k]`, their
-    rebuilt copy.
+def _stego(cover: Raster, p: StegoParams, embedded: dict[int, np.ndarray]) -> Raster:
+    """Stego of one secret subset: `_new_stego` with each sub-image k's
+    `_carrier_rows` assigned whole from `embedded[k]`, their rebuilt copy.
 
     The stego adopts that array rather than copying it again, so no second
     full-size array is made.
     """
     out = _new_stego(cover.pixels, embedded, p)
-    for k, (rows, _) in embedded.items():
+    for k, rows in embedded.items():
         _carrier_rows(out, k, p)[...] = rows
-    stats = tuple(sub_stats for _, sub_stats in embedded.values())
-    return Raster._adopt(out), EmbedReport(stats)
+    return Raster._adopt(out)
 
 
 def embed_images(cover: Raster, secrets: Sequence[Raster],
@@ -407,18 +420,19 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
     _check_embed_inputs(cover, secrets, p)
     out = _new_stego(cover.pixels, key.assignment, p)
     jobs = [(_carrier_rows(out, k, p), secret, k) for secret, k in zip(secrets, key.assignment)]
-    stats = _embed_walk(cover.pixels, jobs, p, key.seed)
-    return Raster._adopt(out), EmbedReport(stats)
+    write_check = _embed_walk(cover.pixels, jobs, p, key.seed)
+    return Raster._adopt(out), EmbedReport(tuple(map(SubImageStats, key.assignment)), write_check)
 
 
 def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
-                  ) -> Iterator[tuple[tuple[int, ...], StegoKey,
-                                      dict[int, tuple[np.ndarray, SubImageStats]]]]:
-    """The subset sweep without the stegos: yields (combo, key_k, pairs) in
-    `embed_subsets` order. pairs is what `_stego` takes: it maps each
-    sub-image k that key_k assigns, in assignment order, to its
+                  ) -> Iterator[tuple[tuple[int, ...], StegoKey, dict[int, np.ndarray],
+                                      EmbedReport]]:
+    """The subset sweep without the stegos: yields (combo, key_k, pairs,
+    report) in `embed_subsets` order. pairs is what `_stego` takes: it maps
+    each sub-image k that key_k assigns, in assignment order, to its
     `_carrier_rows` rebuilt with the secret it carries, secrets[i] for
-    (i, k) in zip(combo, key_k.assignment), and `_embed_walk`'s stats.
+    (i, k) in zip(combo, key_k.assignment); report is the subset's
+    `EmbedReport`, with the walk's one `_write_check`.
     Count k assigns order[:k], order being the full count's assignment, and
     gives order[j] only secrets i >= j; one walk embeds all those pairs,
     each into new carrier rows, before the first subset, and the subsets
@@ -429,12 +443,14 @@ def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     order = make_key(key.seed, full).assignment
     used = [(k, i) for j, k in enumerate(order) for i in range(j, len(secrets))]
     jobs = [(np.empty(shape), secrets[i], k) for k, i in used]
-    stats = _embed_walk(cover.pixels, jobs, full, key.seed)
-    done = {pair: (rows, sub_stats) for pair, (rows, *_), sub_stats in zip(used, jobs, stats)}
+    write_check = _embed_walk(cover.pixels, jobs, full, key.seed)
+    done = {pair: rows for pair, (rows, *_) in zip(used, jobs)}
     for count in range(1, len(secrets) + 1):
         key_k = make_key(key.seed, replace(full, num_secrets=count))
+        report = EmbedReport(tuple(map(SubImageStats, key_k.assignment)), write_check)
         for combo in itertools.combinations(range(len(secrets)), count):
-            yield combo, key_k, {k: done[k, i] for i, k in zip(combo, key_k.assignment)}
+            yield (combo, key_k, {k: done[k, i] for i, k in zip(combo, key_k.assignment)},
+                   report)
 
 
 def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
@@ -455,9 +471,8 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     subset's stego; it scores the others from the rebuilt carrier rows
     alone.
     """
-    for combo, key_k, pairs in _subset_pairs(cover, secrets, key):
-        stego, report = _stego(cover, key.params, pairs)
-        yield combo, key_k, stego, report
+    for combo, key_k, pairs, report in _subset_pairs(cover, secrets, key):
+        yield combo, key_k, _stego(cover, key.params, pairs), report
 
 
 def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
@@ -486,7 +501,7 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     if stego.pixels.shape != (p.N, p.N):
         raise DimensionError(
             f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
-    *_, fold = _key_factors(key.seed, p)
+    *_, fold, _ = _key_factors(key.seed, p)
     # one buffer for all the secrets: glibc's malloc raises its mmap
     # threshold to the largest mapped block it frees, so a later extract
     # reuses this block's pages, where a block per secret was mapped and

@@ -45,15 +45,20 @@ def test_keygen_writes_reference_defaults(tmp_path, capsys):
     assert payload["assignment"] == list(key.assignment)
 
 
-def assert_sub_image_reports(sub_images, count):
-    # the embed writes without an l1 solve: its residual is rounding-sized,
-    # and the solver figures kept for earlier report readers read 0
-    assert len(sub_images) == count
-    for stats in sub_images:
-        assert set(stats) == {"sub_index", "write_residual", "blocks", "iterations_mean",
-                              "iterations_max", "unconverged"}
+def assert_embed_report(report, count):
+    # the embed writes without an l1 solve: the key's one write check is
+    # rounding-sized, and the solver figures kept for earlier report
+    # readers read 0
+    assert report["capacity_bpp"] == 2 * count
+    check = report["write_check"]
+    assert set(check) == {"identity_error", "condition"}
+    assert type(check["identity_error"]) is float and check["identity_error"] <= 1e-12
+    assert type(check["condition"]) is float and 1.0 <= check["condition"] < 1e3
+    assert len(report["sub_images"]) == count
+    for stats in report["sub_images"]:
+        assert set(stats) == {"sub_index", "blocks", "iterations_mean", "iterations_max",
+                              "unconverged"}
         assert type(stats["sub_index"]) is int and 1 <= stats["sub_index"] <= 4
-        assert type(stats["write_residual"]) is float and stats["write_residual"] <= 1e-9
         assert (stats["blocks"], stats["iterations_mean"], stats["iterations_max"],
                 stats["unconverged"]) == (0, 0.0, 0, 0)
 
@@ -119,8 +124,8 @@ def test_embed_extract_round_trip(small_setup, capsys):
              "--export-pgm8", str(view_path))
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["capacity_bpp"] == 2
-    assert_sub_image_reports(report["sub_images"], 1)
+    assert set(report) == {"out", "export_pgm8", "capacity_bpp", "write_check", "sub_images"}
+    assert_embed_report(report, 1)
     assert stego_path.exists() and view_path.exists()
 
     rc = run("extract", "--stego", str(stego_path), "--key", str(key_path),
@@ -350,7 +355,8 @@ def test_bench_curves_and_restart(tmp_path, capsys, monkeypatch):
             assert curve == [sum(v) / len(v) for v in values]
             assert len(entry["extracted_metrics"]) == 4
             assert "stego_metrics" in entry
-            assert_sub_image_reports(entry["solver"]["sub_images"], 4)
+            assert set(entry["solver"]) == {"capacity_bpp", "write_check", "sub_images"}
+            assert_embed_report(entry["solver"], 4)
             # one sweep wall time per secret subset: C(4, k) of them for k secrets
             walls = entry["subset_wall_s"]
             assert {k: len(v) for k, v in walls.items()} == {
@@ -430,6 +436,38 @@ def test_bench_refuses_a_report_made_under_another_key(tmp_path, capsys, seed, p
     write_key(make_key(17, replace(SMALL, num_secrets=2)), key_path)
     assert run(*argv) == 0
     assert json.loads(report_path.read_text())["completed"] == ["c0", "c1"]
+
+
+def test_bench_resumes_a_report_whose_solver_entries_predate_the_write_check(tmp_path,
+                                                                             capsys):
+    # reports written before the write was checked once per key carry a
+    # write_residual per sub-image and no write_check; bench matches a
+    # report on the key alone, so it resumes one, leaves its covers as they
+    # are and writes the present shape for the covers it adds
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(cover_raster(SMALL.N, 51), covers / "c0.pgm", depth=8)
+    report_path = tmp_path / "report.json"
+    argv = ("bench", "--covers", str(covers), "--secrets", str(secrets),
+            "--key", str(key_path), "--report", str(report_path))
+    assert run(*argv) == 0
+    report = json.loads(report_path.read_text())
+    solver = report["covers"]["c0"]["solver"]
+    del solver["write_check"]
+    solver["sub_images"] = [{"sub_index": stats["sub_index"], "write_residual": 3.1e-13,
+                             **{k: v for k, v in stats.items() if k != "sub_index"}}
+                            for stats in solver["sub_images"]]
+    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    old = json.dumps(report["covers"]["c0"])
+    write_pgm(cover_raster(SMALL.N, 52), covers / "c1.pgm", depth=8)
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert json.loads(capsys.readouterr().out)["covers"] == 2
+    resumed = json.loads(report_path.read_text())
+    assert resumed["completed"] == ["c0", "c1"]
+    assert json.dumps(resumed["covers"]["c0"]) == old
+    assert set(resumed["covers"]["c1"]["solver"]) == {"capacity_bpp", "write_check",
+                                                      "sub_images"}
+    assert_embed_report(resumed["covers"]["c1"]["solver"], 1)
 
 
 def test_bench_refuses_a_report_that_records_no_key(tmp_path, capsys):

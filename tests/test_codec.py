@@ -440,17 +440,21 @@ def test_extractor_is_kept_per_key_and_read_only():
     b2, l2, p3 = SMALL.b ** 2, SMALL.l ** 2, SMALL.p3
     cover, secret = cover_raster(SMALL.N, 40), secret_raster(SMALL.M, 41)
     first = codec._key_factors(key.seed, SMALL)
-    assert [a.shape for a in first] == [(b2, p3), (l2, p3), (p3, b2), (b2, l2)]
+    *arrays, check = first
+    assert [a.shape for a in arrays] == [(b2, p3), (l2, p3), (p3, b2), (b2, l2)]
     assert codec._key_factors(18, equal_params) is first
     # the seed, m and the p1/p2 split each get factors of their own
     others = [codec._key_factors(19, SMALL), codec._key_factors(18, replace(SMALL, m=160)),
               codec._key_factors(18, replace(SMALL, p1=40, p2=24))]
     assert all(other is not first for other in others)
     assert len({id(o) for o in others}) == len(others)
-    for a in first:
+    for a in arrays:
         assert a.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0
+    # every report under the key carries the one check, so no caller may edit it
+    with pytest.raises(TypeError):
+        check["identity_error"] = 0.0
     # an extract after an embed under the same key builds nothing
     codec._key_factors.cache_clear()
     embed_images(cover, [secret], key)
@@ -473,8 +477,12 @@ def _runs_with_fortran_factors(p, monkeypatch):
 
     real = run()
     original = codec._key_factors
-    monkeypatch.setattr(codec, "_key_factors",
-                        lambda seed, q: tuple(np.asfortranarray(a) for a in original(seed, q)))
+
+    def fortran_factors(seed, q):
+        *arrays, check = original(seed, q)
+        return (*(np.asfortranarray(a) for a in arrays), check)
+
+    monkeypatch.setattr(codec, "_key_factors", fortran_factors)
     return real, run()
 
 
@@ -494,7 +502,7 @@ def test_factor_layout_moves_at_most_the_last_bits_of_a_short_walk(monkeypatch):
     # M = 40 gives 25 secret blocks, one chunk of 25 rows. Under SkylakeX
     # kernels, products that short take a small-matrix kernel whose sums
     # run in another order for transposed and C-ordered operands, so the
-    # float stego, write_residual and the secrets may differ by rounding;
+    # float stego and the secrets may differ by rounding;
     # no 8-bit pixel may
     (stego, _, secrets), (f_stego, _, f_secrets) = \
         _runs_with_fortran_factors(StegoParams(N=128, M=40), monkeypatch)
@@ -524,7 +532,7 @@ def test_key_factors_equal_those_of_the_full_matrix(seed, p):
     secret = forward_matrix(p.l)[:, : p.p3]
     full = (reads, secret * strength, np.linalg.pinv(reads),
             (reads / strength) @ secret.T)
-    for got, want in zip(codec._key_factors(seed, p), full, strict=True):
+    for got, want in zip(codec._key_factors(seed, p)[:4], full, strict=True):
         assert got.tobytes() == want.tobytes()
 
 
@@ -625,7 +633,7 @@ def test_wrong_seed_with_another_assignment_reads_every_secret_of_a_full_key():
 
 def test_key_with_p3_equal_to_c_round_trips(tmp_path):
     # p3 = c writes no payload into the measured channel, so the embed has
-    # no measurement row to write and no write residual
+    # no measurement row to write; its write still undoes the p3 reads
     from sabmis import read_key, write_key
     p = StegoParams(N=128, M=64, p3=8, c=8, num_secrets=1)
     key = make_key(5, p)
@@ -635,7 +643,7 @@ def test_key_with_p3_equal_to_c_round_trips(tmp_path):
     assert max(written) == p.p1 and len(written) == p.c
     secret = secret_raster(p.M, 37)
     stego, report = embed_images(cover_raster(p.N, 38), [secret], key)
-    assert report.sub_images[0].write_residual == 0.0
+    assert report.write_check["identity_error"] <= 1e-12
     recovered = extract_images(stego, key)[0]
     assert ncc(quantize_u8(secret), quantize_u8(recovered)) >= 0.99
 
@@ -689,7 +697,7 @@ def test_embed_matches_per_block_reference(p):
     stego, report = embed_images(cover, [secret], key)
     got = partition_blocks(subsample(stego)[k - 1], p.b)[: len(ref_blocks)]
     assert np.abs(got - np.stack(ref_blocks)).max() <= 1e-9
-    assert report.sub_images[0].write_residual <= 1e-9
+    assert report.write_check["identity_error"] <= 1e-12
 
 
 @pytest.mark.parametrize("p", REFERENCE_PARAMS + [StegoParams()],
@@ -698,12 +706,34 @@ def test_rule_change_undoes_its_reads(p):
     # row k of change moves the k-th gap the rule reads by exactly one and
     # every other gap not at all, which is what makes the embed's write exact;
     # reads @ change is then a projector, and its symmetry makes change the
-    # Moore-Penrose inverse of reads, so each row is the smallest such change
+    # Moore-Penrose inverse of reads, so each row is the smallest such change.
+    # The key's write check reads that identity's error and cond(reads)
     from sabmis import codec
-    reads, _, change, _ = codec._key_factors(5, p)
+    reads, _, change, _, check = codec._key_factors(5, p)
     assert np.abs(change @ reads - np.eye(p.p3)).max() <= 1e-12
     projector = reads @ change
     assert np.abs(projector - projector.T).max() <= 1e-12
+    assert check["identity_error"] == np.abs(change @ reads - np.eye(p.p3)).max()
+    assert check["identity_error"] <= 1e-12
+    singular = np.linalg.svd(reads, compute_uv=False)
+    assert check["condition"] == pytest.approx(singular[0] / singular[-1], rel=1e-12)
+
+
+def test_write_check_runs_once_per_key():
+    # the check is built with the key's factors, on a cache miss only: two
+    # embeds and a whole subset sweep under one key miss once, and every
+    # report carries that one check
+    from sabmis import codec
+    key = make_key(13, StegoParams(N=128, M=64))
+    cover = cover_raster(128, 26)
+    secrets = [secret_raster(64, 40 + i) for i in range(4)]
+    codec._key_factors.cache_clear()
+    reports = [embed_images(cover, secrets, key)[1] for _ in range(2)]
+    reports += [report for *_, report in embed_subsets(cover, secrets, key)]
+    assert codec._key_factors.cache_info().misses == 1
+    assert len(reports) == 2 + 15
+    check = codec._key_factors(key.seed, key.params)[-1]
+    assert all(report.write_check is check for report in reports)
 
 
 def test_paper_l1_embed_loses_the_mid_payload():
@@ -757,10 +787,11 @@ def test_extract_matches_per_block_reference(p):
 
 def _whole_array_embed(cover, secrets, key):
     # the embed's formula on each assigned sub-image's blocks at once, built
-    # from the public layout helpers: the stego and each write_residual
+    # from the public layout helpers: the stego and each sub-image's largest
+    # miss on its written measurement rows
     from sabmis import assemble_blocks, codec, inverse_subsample, partition_blocks
     p = key.params
-    reads, payload, change, _ = codec._key_factors(key.seed, p)
+    reads, payload, change, *_ = codec._key_factors(key.seed, p)
     subs, residuals = list(subsample(cover)), []
     for secret, k in zip(secrets, key.assignment):
         blocks = partition_blocks(subs[k - 1], p.b)
@@ -775,7 +806,7 @@ def _whole_array_embed(cover, secrets, key):
 def _whole_array_extract(stego, key):
     from sabmis import assemble_blocks, codec, partition_blocks
     p = key.params
-    *_, fold = codec._key_factors(key.seed, p)
+    *_, fold, _ = codec._key_factors(key.seed, p)
     out = []
     for k in key.assignment:
         x = partition_blocks(subsample(stego)[k - 1], p.b).reshape(-1, p.b * p.b)
@@ -800,8 +831,9 @@ def test_chunked_pipelines_match_the_whole_array_formula(p):
     ref, residuals = _whole_array_embed(cover, secrets, key)
     assert np.abs(stego.pixels - ref.pixels).max() <= 1e-12
     assert np.array_equal(quantize_u8(stego).pixels, quantize_u8(ref).pixels)
-    for stats, residual in zip(report.sub_images, residuals, strict=True):
-        assert stats.write_residual <= 1e-9 and residual <= 1e-9
+    assert [stats.sub_index for stats in report.sub_images] == list(key.assignment)
+    assert all(residual <= 1e-9 for residual in residuals)
+    assert report.write_check["identity_error"] <= 1e-12
     for got, want in zip(extract_images(stego, key), _whole_array_extract(stego, key),
                          strict=True):
         assert np.abs(got.pixels - want.pixels).max() <= 1e-12
@@ -841,12 +873,12 @@ def test_extract_working_set_stays_bounded(paper_setup):
 @pytest.mark.parametrize("p", REFERENCE_PARAMS[1:] + [StegoParams(N=128, M=64, num_secrets=2)],
                          ids=REFERENCE_IDS[1:] + ["two-secrets"])
 def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
-    # write_residual is max |A s' - gamma t_mid| over a sub-image's rebuilt
-    # blocks, read through the rule's per-key factors. It is rounding-sized
-    # on the write, and 0.0 when no row is written (p3 = c). On a write that
-    # makes half the rule's change it must equal the miss recomputed from
-    # each stego block's own measurement vector, also where the written rows
-    # move and with a second sub-image
+    # the write's residual, max |A s' - gamma t_mid| over a sub-image's
+    # rebuilt blocks, recomputed from each stego block's own measurement
+    # vector, also where the written rows move and with a second sub-image:
+    # rounding-sized on the write, beside the key's rounding-sized write
+    # check, and 0.0 when no row is written (p3 = c). A write that makes
+    # half the rule's change misses by more than 1, and its check reads 0.5
     from sabmis import codec, partition_blocks
     key = make_key(17, p)
     cover = cover_raster(p.N, 36)
@@ -864,20 +896,21 @@ def test_embed_write_residual_on_keys_with_other_written_rows(p, monkeypatch):
 
     stego, report = embed_images(cover, secrets, key)
     assert [s.sub_index for s in report.sub_images] == list(key.assignment)
-    for stats, miss in zip(report.sub_images, misses(stego)):
-        assert stats.write_residual <= 1e-9 and miss <= 1e-9
-        assert (stats.write_residual == 0.0) == (p.p3 == p.c)
+    assert report.write_check["identity_error"] <= 1e-12
+    for miss in misses(stego):
+        assert miss <= 1e-9
+        assert (miss == 0.0) == (p.p3 == p.c)
     original = codec._key_factors
 
     def half_write(seed, q):
-        reads, payload, change, fold = original(seed, q)
-        return reads, payload, 0.5 * change, fold
+        reads, payload, change, fold, _ = original(seed, q)
+        return reads, payload, 0.5 * change, fold, codec._write_check(reads, 0.5 * change)
 
     monkeypatch.setattr(codec, "_key_factors", half_write)
     stego, report = embed_images(cover, secrets, key)
-    for stats, miss in zip(report.sub_images, misses(stego)):
+    for miss in misses(stego):
         assert (miss > 1.0) == (p.p3 > p.c)
-        assert stats.write_residual == pytest.approx(miss, rel=1e-9)
+    assert report.write_check["identity_error"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_embed_refuses_non_finite_samples_it_rebuilds():
@@ -936,7 +969,7 @@ def test_embed_path_is_frozen():
     secrets = [secret_raster(p.M, 50 + i) for i in range(p.num_secrets)]
     stego, report = embed_images(cover, secrets, key)
     assert [stats.sub_index for stats in report.sub_images] == [2, 4, 3, 1]
-    assert all(stats.write_residual <= 1e-9 for stats in report.sub_images)
+    assert report.write_check["identity_error"] <= 1e-12
     u8 = quantize_u8(stego).pixels.astype(np.uint8).tobytes()
     assert hashlib.sha256(u8).hexdigest() == \
         "386f532259003355eea6e128b1f3d9ccb78d6e0af074c160baa9705c45926d06"

@@ -39,6 +39,13 @@ def test_readme_states_the_stego_figures(paper_setup, paper_stego):
     assert f"the float stego spans {stego.pixels.min():.1f} to {stego.pixels.max():.1f}" in README
 
 
+def test_readme_states_the_write_check(paper_stego):
+    check = paper_stego[0][1].write_check
+    assert check["identity_error"] < 1e-14
+    assert (f"the condition reads {check['condition']:.2f} and the identity error is "
+            f"rounding-sized, under 1e-14") in README
+
+
 def test_readme_states_what_a_wrong_seed_with_the_same_assignment_reads(paper_setup, paper_stego):
     key, _, secrets = paper_setup
     wrong = make_key(68, key.params)
