@@ -17,8 +17,8 @@ from .measure import (StegoKey, StegoParams, default_params, derive_assignment,
                       gen_matrix, keyed_normals, make_key, measure, read_key, write_key)
 from .metrics import (MetricsReport, compare, edge_map, entropy, mssim, nae, ncc,
                       psnr)
-from .raster import (Raster, inverse_subsample, quantize_u8, read_pgm, read_srf,
-                     round_half_away, subsample, write_pgm, write_srf)
+from .raster import (Raster, inverse_subsample, quantize_u8, read_pgm, read_srf, subsample,
+                     write_pgm, write_srf)
 from .solver import SolverResult, default_lambda, soft_threshold, solve_lasso
 from .spectral import (assemble_blocks, desparsify, make_dct_basis, make_zigzag,
                        partition_blocks, sparsify)

@@ -1,62 +1,20 @@
 """Embedding and extraction: the coefficient transplant rule and the
 end-to-end hide/recover pipelines.
 
-Secret block i always pairs with cover block i in row-major block order.
-The per-block functions are the definitions. They take and return plain
-float arrays: a spectrum of b^2 zig-zag DCT coefficients, or a measurement
-vector of p1 + m values, both with the u-part as their first p1 entries;
-stacks of them run row by row along leading axes. `_rule` gives the
-transplant's positions in the measurement vector, and both pipelines read it
-there.
+Secret block i pairs with block i of its cover sub-image, in row-major block
+order. The per-block functions are the definitions. They take and return
+plain float arrays: a spectrum of b^2 zig-zag DCT coefficients, or a
+measurement vector of p1 + m values, both with the u-part as their first p1
+entries; stacks of them run row by row along leading axes. `embed_rule`, then
+`reconstruct_block`, is the paper's embed; no pipeline calls either.
 
-The paper rebuilds each carrier block from its measurement vector by l1
-recovery: `embed_rule`, then `reconstruct_block`. That solve projects the
-written measurement rows onto the p2-dimensional range of phi, so the mid
-(gamma) coefficients do not come back. The embed pipeline derives the
-sender from the receiver instead: each block moves by the minimum-norm
-change after which all p3 values the receiver reads from it (written
-position minus donor, over strength) are the secret block's coefficients.
-`StegoParams` refuses p3 - c > p2, so the reads are independent and that
-change exists for every valid key. The stego raster is never quantized
-inside the pipeline; 8-bit export is an explicit step in the raster module.
-
-Both pipelines address an assigned parity sub-image's b x b blocks through
-one strided block grid over the full raster, built from the same two layout
-helpers that `subsample` and `partition_blocks` use: the raster module's
-parity view and the spectral module's block tiling. They walk its first
-secret_blocks blocks in chunks of whole block rows, about 256 blocks each,
-so every array a chunk touches stays cache-sized. `_chunks` alone maps a
-chunk onto the grids: it gives each chunk's block count and its block rows
-in the cover sub-image's grid and in the secret's. The walk goes band by
-band: block row j of all four sub-images lies in the same 2b raster rows,
-so each chunk is done in every assigned sub-image before the next, and each
-band of the raster is read while it is still in cache. Neither pipeline
-splits the raster into sub-image rasters or holds a sub-image's blocks as
-one array; `subsample`, `partition_blocks` and the spectral round trip
-remain the definitions the walk and the per-block functions are checked
-against. The embed copies each chunk's block rows out of the cover,
-rebuilds the chunk's blocks and assigns the rows whole into an unfilled
-stego; `_new_stego` alone decides which cover pixels no chunk writes and
-copies those, bitwise, so at paper scale the cover is never copied. The
-extract writes each chunk's products into one reused buffer and assigns it
-into the secret raster's block rows.
-
-Every step of both pipelines is linear, and one per-key cache,
-`_key_factors`, serves both. The sender applies the rule's three factors as
-they are: what the rule reads from a block, what it writes from a secret
-block, and the pseudo-inverse of the reads. How exactly the pseudo-inverse
-undoes the reads is checked there too, once per key, and every embed
-report carries that check. The receiver's whole extraction is folded into
-one matrix.
-
-The rebuilt blocks of a sub-image depend only on the cover, its secret and
-the key's matrix, and each secret count's assignment is a prefix of the
-full count's, so `embed_subsets` sweeps every secret subset of a cover
-reusing them: S secrets take S(S+1)/2 pair embeds in one walk instead of
-S*2^(S-1). The sweep itself is `_subset_pairs`, which embeds every
-(sub-image, secret) pair a subset can use into new carrier rows and yields
-each subset's pairs without a stego; `sabmis bench` scores the subsets from
-those pairs and builds one stego.
+The pipelines compute the same linear maps as products with per-key matrices
+(`_key_factors`, one cache for both). They address an assigned sub-image's
+blocks through one strided view of the full raster (`_carrier_rows`, built
+from the parity view and block tiling that `subsample` and
+`partition_blocks` use) and walk them in `_chunks`, band by band, so neither
+splits a raster into sub-images or holds a sub-image's blocks as one array.
+The stego is never quantized here; 8-bit export is a raster-module step.
 """
 
 from __future__ import annotations
@@ -227,7 +185,6 @@ def _write_check(reads: np.ndarray, change: np.ndarray) -> Mapping[str, float]:
                              "condition": float(np.linalg.cond(reads))})
 
 
-@functools.lru_cache(maxsize=8)
 def _key_factors(seed: int, p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                                      np.ndarray, Mapping[str, float]]:
     """Per-key (reads, payload, change, fold, write_check): the rule's three
@@ -251,19 +208,28 @@ def _key_factors(seed: int, p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.
     transform of the first p3 coefficients. That is sparsify, the
     measurement rows the rule touches, `extract_rule` and `coeffs_to_raster`
     in one, since each step is linear. The write is checked here, once per
-    key, rather than on every rebuilt block. Kept for the last few (seed,
-    params), since `sabmis bench` embeds many times with one key; every
-    array is read-only and C-ordered, and the check is read-only too.
-    OpenBLAS multiplies a chunk by a C-ordered factor about 30% faster than
-    by the transposed view numpy passes for an F-ordered one (on one AVX-512 core, per 16,384 rows of (., 64) @ (64, 32):
-    1.6 against 2.3 ms). With the default b, l and p3 and at least 64
-    secret blocks both layouts give the same bits on the SkylakeX, Haswell
-    and Sandybridge kernels; on shorter walks or other p3, SkylakeX's
-    small-matrix kernels can round the two differently, in the last bits.
+    key, rather than on every rebuilt block. Every array is read-only, and
+    so is the check, since every caller under the key shares them.
     """
+    # no factor depends on the secret count, so every count of one (seed,
+    # params) shares one cache entry
+    return _cached_key_factors(seed, replace(p, num_secrets=4))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_key_factors(seed: int, p: StegoParams) -> tuple:
+    # `_key_factors` for the last few (seed, params), since `sabmis bench`
+    # embeds many times with one key
     written, donor, strength = _rule(p)
     rows = 2 * p.p3 - p.c
     x = measure(forward_matrix(p.b), keyed_normals(seed, rows * p.p2).reshape(rows, p.p2))
+    # C-ordered factors: OpenBLAS multiplies a chunk by one about 30% faster
+    # than by the transposed view numpy passes for an F-ordered one (on one
+    # AVX-512 core, per 16,384 rows of (., 64) @ (64, 32): 1.6 against
+    # 2.3 ms). With the default b, l and p3 and at least 64 secret blocks
+    # both layouts give the same bits on the SkylakeX, Haswell and
+    # Sandybridge kernels; on shorter walks or other p3, SkylakeX's
+    # small-matrix kernels can round the two differently, in the last bits
     reads = np.ascontiguousarray(x[:, written] - x[:, donor])
     payload = np.ascontiguousarray(forward_matrix(p.l)[:, : p.p3] * strength)
     change = np.linalg.pinv(reads)
@@ -274,12 +240,13 @@ def _key_factors(seed: int, p: StegoParams) -> tuple[np.ndarray, np.ndarray, np.
     return (*out, _write_check(reads, change))
 
 
-# blocks per chunk: a (256, 64) float64 array is 128 KiB. The embed's
-# products run faster on it than on 128 or 512 rows (on one AVX-512 core,
-# per 16,384 rows of C-ordered (., 64) @ (64, 32): 1.6 ms against 1.7 and
-# 2.1 ms), and each product still gives the bits of one over a whole
-# sub-image (on OpenBLAS 0.3.31, chunks under 64 blocks moved the stego's
-# last bits)
+# blocks per chunk: a (256, 64) float64 array is 128 KiB, small enough for a
+# core's L2 cache. The embed's products run faster on it than on 128 or 512
+# rows (on one AVX-512 core, per 16,384 rows of C-ordered (., 64) @ (64, 32):
+# 1.6 ms against 1.7 and 2.1 ms), and each product still gives the bits of
+# one over a whole sub-image: 256- and 512-block chunks gave the same bits on
+# the SkylakeX, Haswell and Sandybridge kernels of OpenBLAS 0.3.31, where
+# chunks under 64 blocks moved the stego's last bits
 _CHUNK_BLOCKS = 256
 
 # multiply-adds in one product: OpenBLAS's SkylakeX small-matrix kernels take
@@ -338,11 +305,11 @@ def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]
     `_write_check`: the write is checked once per key, not per chunk. A job
     is (dest, secret, k): dest is a (rows, N/(2b), b, b) grid shaped like
     the sub-image's `_carrier_rows`, and the rebuilt block rows are
-    assigned to it; the cover is only read. The walk runs over
-    `_chunks` outside and the jobs inside, so each band of the cover is
-    read once for every sub-image that shares it. With the chunk's cover
-    blocks x and secret blocks z as rows, the first secret_blocks blocks
-    become x + (z @ payload - x @ reads) @ change (`_key_factors`), rebuilt
+    assigned to it; the cover is only read. The walk runs over `_chunks`
+    outside and the jobs inside, so each band of the cover is read once for
+    every sub-image that shares it; that order moves no product's bits.
+    With the chunk's cover blocks x and secret blocks z as rows, the first
+    secret_blocks blocks become x + (z @ payload - x @ reads) @ change (`_key_factors`), rebuilt
     in a copy of the chunk's block rows that is then assigned whole, so
     blocks past the chunk in a partial last row go out as they were read.
     A NaN or infinite sample in those cover blocks or in the secret raises
@@ -397,24 +364,19 @@ def _stego(cover: Raster, p: StegoParams, embedded: dict[int, np.ndarray]) -> Ra
 
 def embed_images(cover: Raster, secrets: Sequence[Raster],
                  key: StegoKey) -> tuple[Raster, EmbedReport]:
-    """Hide 1..4 secret rasters inside a cover raster.
+    """Hide 1..4 secret rasters inside a cover raster: the float stego and
+    its `EmbedReport`.
 
-    Walk the assigned sub-images' first secret_blocks b x b blocks band by
-    band, in chunks of whole block rows: each chunk is read straight from
-    the cover's sub-image views and rebuilt in every assigned sub-image
-    before the next chunk. Apply the rule's per-key factors to it: what the
-    rule writes from the secret, minus what it reads from the blocks, times
-    the pseudo-inverse of the reads. Each block then reads exactly what the
-    rule writes, on the u-part and the measurement rows alike, by the
-    smallest change that does so, which on the u-part splits each low gap
-    between the written position and its donor. The paper's l1 rebuild,
-    `reconstruct_block(embed_rule(measure(...)))`, keeps `embed_rule`'s
-    u-part instead, and loses the measurement rows' reads. The rebuilt
-    block rows are assigned into a new stego that holds, copied bitwise,
-    only the cover pixels no chunk writes: unassigned sub-images and the
-    block rows beyond the secret's block count. When several sub-images
-    hold non-finite samples, the SolverError names the first one in walk
-    order: the earliest chunk, then assignment order within it.
+    Each assigned sub-image's first secret_blocks blocks move by the
+    smallest change after which they read, through `extract_rule`, what
+    `embed_rule` writes from the secret, on the u-part and the measurement
+    rows alike (`_key_factors`, `_embed_walk`); on the u-part that change
+    splits each low gap between the written position and its donor. The
+    paper's l1 rebuild, `reconstruct_block(embed_rule(measure(...)))`, keeps
+    `embed_rule`'s u-part instead and loses the measurement rows' reads.
+    Every other pixel is the cover's, bitwise (`_new_stego`). When several
+    sub-images hold non-finite samples, the SolverError names the first one
+    in walk order: the earliest chunk, then assignment order within it.
     """
     p = key.params
     _check_embed_inputs(cover, secrets, p)
@@ -482,17 +444,9 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     pixels: re-sparsifying an assigned sub-image's blocks, recomputing the
     measurement rows the rule touches with the regenerated matrix, the
     inverse transplant rule and the secret's inverse DCT. So each secret is
-    one product of the sub-image's first secret_blocks blocks, read straight
-    from the stego in chunks of whole block rows, band by band as the embed
-    walks them, with a per-key (b^2, l^2) matrix, each chunk's rows then
-    assigned into the secret's l x l blocks. A chunk's product is split by
-    rows into products of at most about _SMALL_PRODUCT multiply-adds, two of
-    128 rows for a 256-block chunk at the default params, each written into
-    one reused buffer, so OpenBLAS runs each on its small-matrix kernel.
-    Each product starts on a multiple of 16 rows, where the whole chunk's
-    product starts a row tile; so split, the products gave the whole one's
-    bits on the SkylakeX, Haswell, Sandybridge and Prescott kernels, where
-    a split at odd rows moved some rows' bits under Haswell and Prescott.
+    the product of the sub-image's first secret_blocks blocks with the
+    per-key fold (`_key_factors`), walked in `_chunks` as the embed walks
+    them, each chunk's rows assigned into the secret's l x l blocks.
     Coefficients beyond p3 stay zero, so extracted secrets are low-pass
     approximations. The secrets' grids are views of one buffer, which lives
     as long as any of them.
@@ -511,6 +465,13 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
              for secret, k in zip(secrets, key.assignment)]
     walk = _chunks(p)
     rows = np.empty((max(count for count, *_ in walk), fold.shape[1]))
+    # a chunk's product is split by rows into equal products of at most about
+    # _SMALL_PRODUCT multiply-adds (two of 128 rows for a 256-block chunk at
+    # the default params), written into one reused buffer. Each starts on a
+    # multiple of 16 rows, where the whole chunk's product starts a row tile:
+    # so split, they give the whole product's bits on the SkylakeX, Haswell,
+    # Sandybridge and Prescott kernels, where a split at odd rows moved some
+    # rows' bits under Haswell and Prescott
     most = max(16, _SMALL_PRODUCT // fold.size // 16 * 16)  # rows in one product
     for count, cover_rows, secret_rows in walk:
         parts = -(-count // most)

@@ -6,8 +6,9 @@ Each figure has a core that takes a few sums over the pair (`_psnr_of_sse`,
 pair's rows, filled strip by strip (`_mssim`); the public functions feed
 their core from one raster or raster pair. `_mssim` applies its window (Wang
 et al., IEEE TIP 2004) as banded-matrix products over strips of rows. One
-strip buffer holds x, y, x^2 + y^2 and xy; consecutive strips share 10
-rows, which the buffer carries over, so each row is filled and squared once.
+strip buffer holds x, y, x^2 + y^2 and xy (only var_x + var_y enters the
+formula); consecutive strips share 10 rows, which the buffer carries over,
+so each row is filled and squared once.
 Each strip is windowed in one batched product down the columns and one along
 the rows, plus one for a ragged last column tile. No full-size windowed map
 is built: the working set grows with the image width, not its area.
@@ -177,20 +178,7 @@ def _mssim(shape: tuple[int, int], fill) -> float:
 def mssim(a: Raster, b: Raster) -> float:
     """Mean local SSIM over all full 11x11 windows (Gaussian weights, sigma 1.5).
 
-    Walks strips of `_SSIM_STRIP` output rows. Each strip copies the rows of
-    x and y it does not share with the previous strip into one strip buffer,
-    beside x^2 + y^2 and xy (only var_x + var_y enters the formula). It
-    windows all four maps down the columns in one batched banded-matrix
-    product over 8-row sub-strips (one sub-strip of all its rows when 8 does
-    not divide them), then along the rows in one batched product over
-    32-column tiles with the same band, evaluates the SSIM formula in place
-    and adds its values to a running sum. Along the rows, a strip of the full
-    32 rows passes the band as a C-ordered copy, which OpenBLAS runs about
-    twice as fast as a transposed view and with the same bits. A shorter last
-    strip and the ragged last tile pass the transposed view, since there the
-    copy moved last bits under SkylakeX kernels (on strips of up to 9 rows,
-    and on the ragged tile at any height). The strip buffer, the windowed
-    strip and the formula's one extra map are allocated once per call, so no
+    Computed strip by strip by `_mssim`, as the module notes describe, so no
     full-size map is ever built.
     """
     x, y = _paired(a, b)

@@ -52,18 +52,6 @@ class Raster:
         return self.pixels.shape[1]
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer with ties away from zero (platform independent).
-
-    copysign(floor(|x| + 0.5), x), computed in one new buffer.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=np.empty_like(x))
-    out += 0.5
-    np.floor(out, out=out)
-    return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
-
-
 def _levels(x: np.ndarray, top: float = 255.0, out: np.ndarray | None = None) -> np.ndarray:
     # levels 0..top of float64 samples, into `out` or one new array: for every
     # input, rounding half away from zero, then clamping to [0, top], but no

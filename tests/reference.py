@@ -12,7 +12,9 @@ behind `keyed_normals`, and the window-by-window SSIM loop shares none with
 `mssim`, which applies the window as banded-matrix products over strips of
 rows and tiles of columns. The loop takes each window's variances about its
 own means and never splits the image, so it cannot share a strip- or
-tile-boundary error with `mssim`.
+tile-boundary error with `mssim`. `round_half_away` is the plain rounding
+formula that the package's one levels rule (`quantize_u8`, both PGM depths)
+is checked against.
 """
 
 import math
@@ -20,6 +22,18 @@ import math
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+
+
+def round_half_away(x):
+    """Round to nearest integer with ties away from zero (platform independent).
+
+    copysign(floor(|x| + 0.5), x), computed in one new buffer.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=np.empty_like(x))
+    out += 0.5
+    np.floor(out, out=out)
+    return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
 
 
 def splitmix64_words(seed):

@@ -456,10 +456,10 @@ def test_extractor_is_kept_per_key_and_read_only():
     with pytest.raises(TypeError):
         check["identity_error"] = 0.0
     # an extract after an embed under the same key builds nothing
-    codec._key_factors.cache_clear()
+    codec._cached_key_factors.cache_clear()
     embed_images(cover, [secret], key)
     extract_images(cover, key)
-    info = codec._key_factors.cache_info()
+    info = codec._cached_key_factors.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -547,7 +547,7 @@ def test_factorization_is_kept_per_key(monkeypatch):
     calls = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
-    codec._key_factors.cache_clear()
+    codec._cached_key_factors.cache_clear()
     cover, secret = cover_raster(SMALL.N, 38), secret_raster(SMALL.M, 39)
     first, _ = embed_images(cover, [secret], key)
     extract_images(first, key)
@@ -727,13 +727,27 @@ def test_write_check_runs_once_per_key():
     key = make_key(13, StegoParams(N=128, M=64))
     cover = cover_raster(128, 26)
     secrets = [secret_raster(64, 40 + i) for i in range(4)]
-    codec._key_factors.cache_clear()
+    codec._cached_key_factors.cache_clear()
     reports = [embed_images(cover, secrets, key)[1] for _ in range(2)]
     reports += [report for *_, report in embed_subsets(cover, secrets, key)]
-    assert codec._key_factors.cache_info().misses == 1
+    assert codec._cached_key_factors.cache_info().misses == 1
     assert len(reports) == 2 + 15
     check = codec._key_factors(key.seed, key.params)[-1]
     assert all(report.write_check is check for report in reports)
+
+
+def test_secret_counts_of_one_seed_share_the_key_factors():
+    # no factor depends on num_secrets, so embeds and extracts of 1 to 4
+    # secrets under one seed and otherwise equal params build them once
+    from sabmis import codec
+    cover = cover_raster(128, 26)
+    secrets = [secret_raster(64, 40 + i) for i in range(4)]
+    codec._cached_key_factors.cache_clear()
+    for count in range(1, 5):
+        key = make_key(3, StegoParams(N=128, M=64, num_secrets=count))
+        stego, _ = embed_images(cover, secrets[:count], key)
+        extract_images(stego, key)
+    assert codec._cached_key_factors.cache_info().misses == 1
 
 
 def test_paper_l1_embed_loses_the_mid_payload():

@@ -1,5 +1,5 @@
-"""Every script in demos/, and the README's library and command-line
-examples, runs to completion.
+"""Every script in demos/, every `python` example in the README and its
+command-line example run to completion.
 
 The demos write their outputs under tempfile.mkdtemp() and leave them there,
 and the README's examples write theirs to the working directory, so each runs
@@ -12,6 +12,7 @@ package's only runtime dependency.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,11 +40,26 @@ def _run(argv, tmp_path, pytestconfig, **extra):
     return proc
 
 
+def _readme_blocks(lang: str) -> list[tuple[str, str]]:
+    # (heading, block) for every ```lang block of the README, in order, with
+    # the `## heading` it sits under
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = []
+    for section in text.split("\n## ")[1:]:
+        heading, body = section.split("\n", 1)
+        blocks += [(heading, part.split("\n```\n", 1)[0])
+                   for part in body.split(f"\n```{lang}\n")[1:]]
+    return blocks
+
+
 def _readme_block(heading: str, lang: str) -> str:
     # the first ```lang block under the README's `## heading`
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split(f"\n## {heading}\n", 1)[1]
-    return section.split(f"\n```{lang}\n", 1)[1].split("\n```\n", 1)[0]
+    return next(block for under, block in _readme_blocks(lang) if under == heading)
+
+
+# the library example is run and checked on its own below
+OTHER_PYTHON_BLOCKS = [(heading, block) for heading, block in _readme_blocks("python")
+                       if block != _readme_block("Library use", "python")]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
@@ -54,6 +70,12 @@ def test_demo_runs(script, tmp_path, pytestconfig):
 def test_readme_library_example_runs(tmp_path, pytestconfig):
     block = _readme_block("Library use", "python")
     assert '"psnr_db"' in _run([sys.executable, "-c", block], tmp_path, pytestconfig).stdout
+
+
+@pytest.mark.parametrize("heading, block", OTHER_PYTHON_BLOCKS,
+                         ids=[re.sub(r"\W+", "-", heading.lower()) for heading, _ in OTHER_PYTHON_BLOCKS])
+def test_readme_python_example_runs(heading, block, tmp_path, pytestconfig):
+    assert _run([sys.executable, "-c", block], tmp_path, pytestconfig).stdout
 
 
 def test_readme_command_line_example_runs(tmp_path, pytestconfig):

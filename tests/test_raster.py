@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sabmis import (DimensionError, FormatError, Raster, inverse_subsample,
-                    quantize_u8, read_pgm, read_srf, round_half_away, subsample,
-                    write_pgm, write_srf)
+                    quantize_u8, read_pgm, read_srf, subsample, write_pgm, write_srf)
+
+from reference import round_half_away
 
 
 def test_read_pgm_maps_bytes_directly(tmp_path):
