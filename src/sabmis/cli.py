@@ -65,8 +65,6 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    if not 1 <= len(args.secret) <= 4:
-        raise ParamError(f"between 1 and 4 --secret flags required, got {len(args.secret)}")
     key = read_key(args.key)
     cover = read_image(args.cover)
     secrets = [read_image(s) for s in args.secret]

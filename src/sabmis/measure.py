@@ -199,13 +199,12 @@ class StegoKey:
         object.__setattr__(self, "assignment", a)
 
 
-def make_key(seed: int, params: StegoParams | None = None, assignment=None) -> StegoKey:
-    """Build a key; the assignment defaults to the seed-derived one. The
-    seed is checked by `StegoKey`'s rule before anything is derived from it."""
+def make_key(seed: int, params: StegoParams | None = None) -> StegoKey:
+    """Build a key whose assignment is the one derived from the seed. The
+    seed is checked by `StegoKey`'s rule before anything is derived from it;
+    a chosen assignment is `StegoKey(seed, params, assignment)`."""
     params = default_params() if params is None else params
-    if assignment is None:
-        assignment = derive_assignment(_checked_seed(seed), params.num_secrets)
-    return StegoKey(seed, params, tuple(assignment))
+    return StegoKey(seed, params, derive_assignment(_checked_seed(seed), params.num_secrets))
 
 
 def gen_matrix(key: StegoKey) -> np.ndarray:

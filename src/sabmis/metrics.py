@@ -296,7 +296,9 @@ def compare(ref: Raster, test: Raster) -> MetricsReport:
     made. Each figure equals `psnr`, `mssim`, `ncc`, `nae` or `entropy` on
     `quantize_u8` views, bitwise.
 
-    Raises SolverError if either raster holds a NaN or infinite sample."""
+    Raises SolverError if either raster holds a NaN or infinite sample, and
+    ParamError if the reference's 8-bit view is all zero: NCC is undefined
+    for it."""
     x, y = map(_finite, _paired(ref, test))
     # x.x, x.y, sum x, sum (x - y)^2 and sum |x - y|, and each image's levels
     sums = np.zeros(5)

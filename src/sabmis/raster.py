@@ -8,6 +8,7 @@ Parity sub-sampling splits an even-sized raster into four quarter rasters.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,6 +18,9 @@ import numpy as np
 from .errors import DimensionError, FormatError, ParamError, SolverError
 
 SRF_MAGIC = b"SRF1"
+# one PGM header field after any whitespace and '#' comments; '$' makes a
+# comment run to the end of its line, so backtracking cannot split it into fields
+_PGM_TOKEN = re.compile(rb"(?:\s|#.*$)*([^\s#]\S*)", re.MULTILINE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,24 +104,15 @@ def inverse_subsample(subs: Sequence[Raster]) -> Raster:
 
 
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:
-    # magic, width, height, maxval; '#' between tokens starts a comment to end of line
-    tokens: list[bytes] = []
-    i, n = 0, len(data)
-    while len(tokens) < 4:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i] != 0x0A:
-                i += 1
-            continue
-        if i >= n:
+    # magic, width, height, maxval, then the payload's offset
+    tokens, i = [], 0
+    for _ in range(4):
+        match = _PGM_TOKEN.match(data, i)
+        if match is None:
             raise FormatError("PGM header ended early (need magic, width, height, maxval)")
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    if i >= n or not data[i : i + 1].isspace():
+        tokens.append(match[1])
+        i = match.end()
+    if not data[i : i + 1].isspace():
         raise FormatError("PGM header not terminated by whitespace before payload")
     return tokens, i + 1
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabmis import (DimensionError, FormatError, ParamError, SolverError, StegoParams,
-                    cover_raster, make_key, ncc, quantize_u8, read_key, read_pgm,
+from sabmis import (DimensionError, FormatError, ParamError, Raster, SolverError,
+                    StegoParams, cover_raster, make_key, ncc, quantize_u8, read_key, read_pgm,
                     secret_raster, write_key, write_pgm)
 from sabmis.cli import main
 
@@ -163,7 +163,7 @@ def test_embed_rejects_five_secrets(small_setup, capsys):
     for _ in range(5):
         args += ["--secret", str(secret_path)]
     assert main(args) == 2
-    assert "between 1 and 4" in capsys.readouterr().err
+    assert "expected 1 secret images per key, got 5" in capsys.readouterr().err
 
 
 def test_embed_rejects_wrong_cover_size(small_setup, capsys):
@@ -250,6 +250,24 @@ def test_metrics_rejects_size_mismatch(small_setup, capsys):
     tmp, _, cover_path, secret_path = small_setup
     rc = run("metrics", "--ref", str(cover_path), "--test", str(secret_path))
     assert rc == 2
+
+
+def test_metrics_refuses_an_all_zero_reference(small_setup, capsys):
+    tmp, _, cover_path, _ = small_setup
+    black = tmp / "black.pgm"
+    write_pgm(Raster(np.zeros((SMALL.N, SMALL.N))), black, depth=8)
+    rc = run("metrics", "--ref", str(black), "--test", str(cover_path))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: NCC is undefined for an all-zero reference\n"
+
+
+def test_a_file_of_neither_container_is_a_format_error(small_setup, capsys):
+    tmp, _, cover_path, _ = small_setup
+    text = tmp / "notes.pgm"
+    text.write_bytes(b"P2\n1 1\n255\n0\n")  # ASCII PGM: sniffed, never parsed
+    rc = run("metrics", "--ref", str(text), "--test", str(cover_path))
+    assert rc == 3
+    assert "notes.pgm: unrecognized container (expected P5 PGM or SRF1)" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):
@@ -534,6 +552,24 @@ def test_bench_retries_a_cover_that_errored(tmp_path, capsys):
     assert set(report["covers"]["c0"]["psnr_curve"]) == {"1"}
 
 
+def test_bench_records_an_all_black_secret_on_every_cover_and_retries_each(tmp_path, capsys):
+    # the extracted secret's NCC against an all-zero reference is undefined,
+    # so no cover completes and every run tries each one again
+    key_path, covers, secrets = _one_secret_corpus(tmp_path)
+    write_pgm(Raster(np.zeros((SMALL.M, SMALL.M))), secrets / "s0.pgm", depth=8)
+    for i in range(2):
+        write_pgm(cover_raster(SMALL.N, 51 + i), covers / f"c{i}.pgm", depth=8)
+    report_path = tmp_path / "report.json"
+    for _ in range(2):
+        assert run("bench", "--covers", str(covers), "--secrets", str(secrets),
+                   "--key", str(key_path), "--report", str(report_path)) == 0
+        assert json.loads(capsys.readouterr().out)["covers"] == 0
+        report = json.loads(report_path.read_text())
+        assert report["completed"] == []
+        assert {name: entry["error"] for name, entry in report["covers"].items()} == dict.fromkeys(
+            ("c0", "c1"), "ParamError: NCC is undefined for an all-zero reference")
+
+
 def test_bench_records_a_wrong_size_secret(tmp_path, capsys):
     key_path, covers, secrets = _one_secret_corpus(tmp_path)
     write_pgm(secret_raster(SMALL.M // 2, 53), secrets / "s1.pgm", depth=8)
@@ -705,6 +741,15 @@ def test_embed_refuses_a_non_finite_cover_outside_the_assigned_sub_image(small_s
     assert rc == 4
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists() and not view.exists()
+
+
+def test_bench_refuses_a_corpus_that_is_not_a_directory(tmp_path, capsys):
+    key_path, _, secrets = _one_secret_corpus(tmp_path)
+    rc = run("bench", "--covers", str(key_path), "--secrets", str(secrets),
+             "--key", str(key_path), "--report", str(tmp_path / "r.json"))
+    assert rc == 2
+    assert f"{key_path} is not a directory" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bench_rejects_empty_corpus(tmp_path, capsys):

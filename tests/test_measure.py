@@ -71,6 +71,36 @@ def test_params_reject_divisibility_violations():
         StegoParams(M=510)  # l does not divide M
 
 
+# one row per refusal, in the order StegoParams checks them
+@pytest.mark.parametrize("fields, message", [
+    ({"N": 0}, r"N must be a positive integer, got 0"),
+    ({"c": True}, r"c must be a positive integer, got True"),
+    ({"m": 320.0}, r"m must be a positive integer, got 320\.0"),
+    ({"num_secrets": 0}, r"num_secrets must be 1\.\.4, got 0"),
+    ({"num_secrets": 5}, r"num_secrets must be 1\.\.4, got 5"),
+    ({"N": 1025}, r"N must be even, got 1025"),
+    ({"c": 1}, r"c >= 2 violated \(c=1\)"),
+    ({"p3": 4}, r"p3 >= c violated \(p3=4, c=8\)"),
+    ({"p3": 200, "m": 33}, r"p1\+2p3-c <= p1\+m violated \(p3=200, c=8, m=33\)"),
+    ({"p3": 65}, r"p3 <= l\^2 violated \(p3=65, l=8\)"),
+], ids=["zero", "bool", "float", "no-secrets", "five-secrets", "odd-cover", "c-below-2",
+        "p3-below-c", "rows-beyond-m", "p3-beyond-block"])
+def test_params_refuse_each_broken_invariant_by_name(fields, message):
+    with pytest.raises(ParamError, match=message):
+        StegoParams(**fields)
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_derive_assignment_refuses_a_count_outside_one_to_four(count):
+    with pytest.raises(ParamError, match=f"num_secrets must be 1..4, got {count}"):
+        derive_assignment(1, count)
+
+
+def test_key_rejects_an_assignment_entry_outside_one_to_four():
+    with pytest.raises(ParamError, match=r"sub-image indices 1\.\.4, got \(0, 5\)"):
+        StegoKey(1, StegoParams(num_secrets=2), (0, 5))
+
+
 def test_key_rejects_duplicate_assignment():
     with pytest.raises(ParamError, match="distinct"):
         StegoKey(1, StegoParams(num_secrets=2), (3, 3))
@@ -311,10 +341,31 @@ def test_key_file_rejects_missing_field(tmp_path):
         read_key(path)
 
 
+def _with_line(ln, text):
+    # the valid lines with line `ln` (1-based) replaced, or `text` appended
+    # as line 17
+    lines = _valid_lines()
+    lines[ln - 1:ln] = [text]
+    return lines
+
+
 def test_key_file_parse_error_reports_line(tmp_path):
     path = tmp_path / "k.skey"
-    _write_lines(path, _valid_lines() + ["c == 9"])
-    with pytest.raises(FormatError, match=":17"):
+    _write_lines(path, _with_line(14, "c = nine"))
+    with pytest.raises(FormatError, match=r"k\.skey:14: cannot parse value 'nine' for field 'c'$"):
+        read_key(path)
+
+
+@pytest.mark.parametrize("ln, text, message", [
+    (14, "c 9", r":14: expected 'name = value'$"),
+    (16, "assignment = 1,,3", r":16: cannot parse value '1,,3' for field 'assignment'$"),
+    (17, "c = 9", r":17: duplicate field 'c'$"),
+    (1, "version = 2", r"k\.skey: unsupported version 2$"),
+], ids=["no-equals-sign", "empty-assignment-entry", "duplicate-field", "version-2"])
+def test_key_file_refuses_a_malformed_line(tmp_path, ln, text, message):
+    path = tmp_path / "k.skey"
+    _write_lines(path, _with_line(ln, text))
+    with pytest.raises(FormatError, match=message):
         read_key(path)
 
 

@@ -207,6 +207,12 @@ def test_edge_map_rejects_tiny_input():
         edge_map(Raster(np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, np.nan])
+def test_edge_map_refuses_a_threshold_outside_zero_to_one(threshold):
+    with pytest.raises(ParamError, match=r"threshold must be a fraction in \[0, 1\]"):
+        edge_map(Raster(np.zeros((3, 3))), threshold)
+
+
 def test_report_serialization_with_infinity(tmp_path):
     r = textured_raster(32, 9)
     report = compare(r, r)

@@ -40,6 +40,43 @@ def test_read_pgm_rejects_truncated_payload(tmp_path):
         read_pgm(path)
 
 
+# fields are separated by whitespace and '#' comments that run to the end of
+# their line; one whitespace byte, any of the six, ends the header
+@pytest.mark.parametrize("header, payload", [
+    (b"#lead\nP5 # a # b\n1\t1 #x\r\n255\r", b"*"),
+    (b"P5\n# comment\r1 1 255\n1 1 255 ", b"*"),   # '\r' does not end a comment
+    (b"P5\x0b1\x0c1\n65535\n", b"\x00\x2a"),
+    (b"P5\n1 1\n255\n", b"\n"),                     # the payload may start with whitespace
+    (b"P5\n1 1\n255\n", b"#"),                      # or with '#'
+], ids=["comments-everywhere", "carriage-return-in-comment", "vertical-tab-form-feed",
+        "whitespace-payload", "hash-payload"])
+def test_read_pgm_header_rule(tmp_path, header, payload):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(header + payload)
+    want = payload[0] if len(payload) == 1 else int.from_bytes(payload, "big") * 255 / 65535
+    assert read_pgm(path).pixels.tolist() == [[want]]
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "PGM header ended early"),
+    (b"P5\n1 1\n", "PGM header ended early"),
+    (b"P5\n1 1 # 255\n", "PGM header ended early"),
+    (b"P5\n1 1\n255", "PGM header not terminated by whitespace before payload"),
+    (b"P5\n1 1\n255#\n\x00", r"non-numeric PGM header fields \[b'1', b'1', b'255#'\]"),
+    (b"P5#\n1 1\n255\n\x00", r"unsupported magic b'P5#'"),
+    (b"P5\nx 1\n255\n\x00", "non-numeric PGM header fields"),
+    (b"P5\n0 1\n255\n", "invalid PGM dimensions 0x1"),
+    (b"P5\n1 -1\n255\n", "invalid PGM dimensions 1x-1"),
+], ids=["empty", "no-maxval", "maxval-commented-out", "no-payload-separator",
+        "hash-inside-a-field", "hash-after-magic", "non-numeric", "zero-width",
+        "negative-height"])
+def test_read_pgm_refuses_a_malformed_header(tmp_path, data, message):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_pgm(path)
+
+
 def test_write_pgm_clamps_below_range(tmp_path):
     path = tmp_path / "a.pgm"
     write_pgm(Raster([[-3.2]]), path, depth=8)
@@ -118,6 +155,44 @@ def test_srf_rejects_trailing_bytes(tmp_path):
     path.write_bytes(b"SRF1\n1 1\n" + bytes(9))
     with pytest.raises(FormatError, match="mismatch"):
         read_srf(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"SRF1\n", "SRF dimensions line missing"),
+    (b"SRF1\n1 1", "SRF dimensions line missing"),
+    (b"SRF1\n1\n" + bytes(8), r"SRF dimensions line malformed: b'1'"),
+    (b"SRF1\n1 1 1\n" + bytes(8), r"SRF dimensions line malformed: b'1 1 1'"),
+    (b"SRF1\n1 x\n" + bytes(8), r"non-numeric SRF dimensions \[b'1', b'x'\]"),
+    (b"SRF1\n0 1\n", "invalid SRF dimensions 0x1"),
+], ids=["no-dimensions", "unterminated-dimensions", "one-dimension", "three-dimensions",
+        "non-numeric", "zero-width"])
+def test_srf_refuses_a_malformed_header(tmp_path, data, message):
+    path = tmp_path / "a.srf"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_srf(path)
+
+
+def test_srf_refuses_a_file_that_shrinks_after_its_size_is_read(tmp_path, monkeypatch):
+    import os
+    path = tmp_path / "a.srf"
+    path.write_bytes(b"SRF1\n2 2\n" + bytes(24))  # 2x2 needs 32 payload bytes
+    real_fstat = os.fstat
+
+    def fstat_before_the_cut(fd):  # the size the file had before it lost 8 bytes
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", fstat_before_the_cut)
+    with pytest.raises(FormatError, match="truncated payload: expected 32 bytes, got 24"):
+        read_srf(path)
+
+
+@pytest.mark.parametrize("pixels", [np.zeros((0, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+                         ids=["empty", "one-dimensional", "three-dimensional"])
+def test_raster_refuses_anything_but_a_non_empty_grid(pixels):
+    with pytest.raises(DimensionError, match="non-empty 2-D grid"):
+        Raster(pixels)
 
 
 def test_read_srf_holds_the_file_and_the_grid_but_no_payload_copy(tmp_path):

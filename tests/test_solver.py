@@ -235,6 +235,7 @@ def test_problem_validation():
         ((np.eye(2), np.zeros(2), -1.0), {}, ParamError, "lam"),
         ((np.eye(2), np.zeros(3), 1.0), {}, DimensionError, "inconsistent"),
         ((np.array([[1.0, np.inf], [0.0, 1.0]]), np.zeros(2), 1.0), {}, SolverError, "matrix"),
+        ((np.eye(2), np.array([0.0, np.nan]), 1.0), {}, SolverError, "measurements"),
         # finite inputs whose phi^T phi or phi^T y overflows
         ((gauss * 1e160, np.zeros(20), 0.0), {}, SolverError, r"phi\^T phi overflows"),
         ((gauss * 1e10, rng.standard_normal(20) * 1e300, 0.1), {}, SolverError,

@@ -112,6 +112,22 @@ def test_partition_rejects_non_divisible():
         partition_blocks(Raster(np.zeros((10, 10))), 4)
 
 
+@pytest.mark.parametrize("blocks, height, width, message", [
+    (np.zeros((2, 2, 3)), 4, 4, r"blocks must have shape \(count, side, side\)"),
+    (np.zeros((4, 4)), 4, 4, r"blocks must have shape \(count, side, side\)"),
+    (np.zeros((3, 2, 2)), 4, 4, "3 blocks of side 2 do not tile 4x4"),
+    (np.zeros((4, 2, 2)), 3, 4, "4 blocks of side 2 do not tile 3x4"),
+], ids=["not-square", "not-a-stack", "too-few", "side-does-not-divide"])
+def test_assemble_blocks_refuses_blocks_that_do_not_tile(blocks, height, width, message):
+    with pytest.raises(DimensionError, match=message):
+        assemble_blocks(blocks, height, width)
+
+
+def test_zigzag_refuses_an_empty_grid():
+    with pytest.raises(DimensionError, match="grid side must be at least 1, got 0"):
+        make_zigzag(0)
+
+
 def test_sparsify_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(50):

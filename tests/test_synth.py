@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from sabmis import DimensionError, cover_raster
 from sabmis.synth import _smooth
 
 
@@ -15,3 +16,9 @@ def test_smooth_equals_scipys_periodic_gaussian_bitwise(side, sigma):
     assert np.array_equal(got, gaussian_filter(x, sigma, mode="wrap"))
     # the rasters take a mean and std of it, which sum in memory order
     assert got.flags.c_contiguous
+
+
+def test_cover_raster_refuses_an_odd_side():
+    # a cover is a half-resolution field replicated 2x
+    with pytest.raises(DimensionError, match="cover side must be even, got 5"):
+        cover_raster(5, 1)
