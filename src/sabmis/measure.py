@@ -23,6 +23,13 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHUNK = 16  # words per draw in derive_assignment; four distinct indices take about 8
 _PHI_MAX_ENTRIES = 2 ** 24  # m * p2 bound: phi stays within 128 MiB of float64
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _is_number(v, kinds) -> bool:
+    # isinstance counts a bool as an int, but no parameter is a bool
+    return isinstance(v, kinds) and not isinstance(v, bool)
 
 
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
@@ -88,8 +95,9 @@ class StegoParams:
     N/M are cover/secret sides, b/l the respective block sides, p1/p2 the
     large/small coefficient counts per cover block, p3 the embedded
     coefficients per secret block, m the measurement count, alpha/beta/gamma
-    the embedding strengths (finite and nonzero: the receiver divides by
-    them) and c the donor offset.
+    the embedding strengths (real, finite and nonzero: the receiver divides
+    by them), c the donor offset and num_secrets the count of secrets, an
+    integer 1..4.
 
     m is bounded above by m * p2 <= 2^24, so the keyed (m, p2) matrix phi
     takes at most 128 MiB; at the default p2 = 32 that is m <= 524,288.
@@ -115,12 +123,16 @@ class StegoParams:
     def __post_init__(self):
         for name in ("N", "M", "b", "l", "p1", "p2", "p3", "m", "c"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v <= 0:
+            if not _is_number(v, _INTEGERS) or v <= 0:
                 raise ParamError(f"{name} must be a positive integer, got {v!r}")
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
+            if not _is_number(v, _REALS):
+                raise ParamError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v) or v == 0:
                 raise ParamError(f"{name} must be finite and nonzero, got {v!r}")
+        if not _is_number(self.num_secrets, _INTEGERS):
+            raise ParamError(f"num_secrets must be an integer, got {self.num_secrets!r}")
         if not 1 <= self.num_secrets <= 4:
             raise ParamError(f"num_secrets must be 1..4, got {self.num_secrets}")
         if self.p1 + self.p2 != self.b * self.b:
@@ -171,7 +183,7 @@ def default_params() -> StegoParams:
 
 def _checked_seed(seed) -> int:
     """The seed as an int: an integer, not a bool, with 0 <= seed < 2^64."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not _is_number(seed, _INTEGERS):
         raise ParamError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     if not 0 <= seed < 2 ** 64:
         raise ParamError(f"seed out of unsigned 64-bit range: {seed}")

@@ -10,26 +10,35 @@ strip buffer holds x, y, x^2 + y^2 and xy (only var_x + var_y enters the
 formula); consecutive strips share 10 rows, which the buffer carries over,
 so each row is filled and squared once.
 Each strip is windowed in one batched product down the columns and one along
-the rows, plus one for a ragged last column tile. No full-size windowed map
-is built: the working set grows with the image width, not its area.
+the rows, plus one for a ragged last column tile, over views made once per
+call: every full strip shares them, and only a shorter last strip makes its
+own. No full-size windowed map is built: the working set grows with the
+image width, not its area.
 
 `compare` refuses a NaN or infinite sample, then reads the pair in one walk
 over `_mssim`'s strips, so reported numbers always correspond to viewable
 images without a full-size 8-bit copy of either. It rounds each row once,
 by `quantize_u8`'s rule, straight into the strip buffer, and adds it there
-to the sums and histograms behind PSNR, NCC, NAE and both entropies. Its
-working set is about 4 MiB under tracemalloc for a 1024x1024 pair, and it
-too grows with width, not area. The individual metric functions evaluate
+to two sums, of xy and of min(x, y), and to each image's 256-bin level
+histogram, which gives both entropies. Every other sum comes from the
+histograms once per call, in integers: sum x = sum_v v c_x[v], sum x^2 =
+sum_v v^2 c_x[v], and sum y and sum y^2 likewise. The squared error is then
+sum x^2 + sum y^2 - 2 sum xy, and the absolute error sum x + sum y - 2 sum
+min(x, y).
+Its working set is about 4 MiB under tracemalloc for a 1024x1024 pair, and
+it too grows with width, not area. The individual metric functions evaluate
 whatever they are given.
 
 PSNR and NCC sum through BLAS dot products. On integer-valued pixels every
 product and partial sum is an integer below 2^53 (at most 255^2 * 1024^2,
 about 6.8e10, for a 1024x1024 pair), so the sums are exact and independent of
 summation order, strip boundaries and BLAS threads; on other floats they may
-differ from a pairwise sum by rounding only. So `compare`'s figures equal
-the individual functions' on `quantize_u8` views, bitwise, and on an 8-bit
-pair that differs only in a few regions, the squared error is the sum of the
-regions' own sums, bitwise: `sabmis bench` takes each subset's PSNR that way.
+differ from a pairwise sum by rounding only. `compare`'s sums are such
+integers too, whichever way it takes them, and each figure divides the same
+two exact integers. So its figures equal the individual functions' on
+`quantize_u8` views, bitwise, and on an 8-bit pair that differs only in a
+few regions, the squared error is the sum of the regions' own sums, bitwise:
+`sabmis bench` takes each subset's PSNR that way.
 """
 
 from __future__ import annotations
@@ -50,7 +59,10 @@ _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_STRIP = 32      # output rows per strip and output columns per tile in mssim
-_SSIM_SUB = 8         # output rows per product of a strip's windowing down the columns
+# output rows per product of a strip's windowing down the columns. 4-row
+# products would take 14 multiply-adds per output, against 18, but under
+# SkylakeX kernels they move last bits at every width of 1 to 4 mod 8
+_SSIM_SUB = 8
 
 
 def _paired(a: Raster, b: Raster) -> tuple[np.ndarray, np.ndarray]:
@@ -117,8 +129,45 @@ def _mssim(shape: tuple[int, int], fill) -> float:
     down = np.empty(4 * tall * width)               # the four maps windowed down
     win = np.empty(4 * tall * cols)                 # ... and along the rows
     prod = np.empty(tall * cols)                    # mu_x mu_y
-    f = buf.itemsize
+    f, b = buf.itemsize, buf.strides
     c = cols - cols % n                             # columns in whole tiles
+
+    def windowing(t):
+        # the products that window a t-row strip of buf, over views made
+        # once: every full strip shares one set, built before the loop.
+        # Down the columns: all four maps in one product over sub-strips of h
+        # rows. 8-row sub-strips give the bits of the strip's whole band, but
+        # a ragged last one does not (OpenBLAS takes another kernel for it),
+        # so a strip that _SSIM_SUB does not divide keeps its whole band
+        h = _SSIM_SUB if t % _SSIM_SUB == 0 else t
+        d = down[:4 * t * width]
+        subs = as_strided(buf, (4, t // h, h + reach, width), (b[0], h * b[1], b[1], f),
+                          writeable=False)
+        sub_band, subs_out = band[:h, :h + reach], d.reshape(4, t // h, h, width)
+        # along the rows: every whole n-column tile in one product, then the
+        # rest. A full strip's tiles take the C-ordered band, which OpenBLAS
+        # runs about twice as fast as the transposed view, with the same bits
+        # at the product's 4n rows. At 4t <= 36 rows (t <= 9) the copy moved
+        # last bits under SkylakeX kernels, and on the ragged last tile at
+        # any t, so a shorter strip and the ragged tile keep the view
+        d = d.reshape(4 * t, width)
+        w = win[:4 * t * cols].reshape(4 * t, cols)
+        tiles = as_strided(d, (c // n, 4 * t, n + reach), (n * f, d.strides[0], f),
+                           writeable=False)
+        tiles_out = w[:, :c].reshape(4 * t, c // n, n).swapaxes(0, 1)
+        tile_band = along if t == n else band.T
+        rest, rest_band, rest_out = d[:, c:], band[:cols - c, :width - c].T, w[:, c:]
+        maps = (*w.reshape(4, t, cols), prod[:t * cols].reshape(t, cols))
+
+        def window():
+            # mu_x, mu_y, the windowed x^2 + y^2 and xy, and room for mu_x mu_y
+            np.matmul(sub_band, subs, out=subs_out)
+            np.matmul(tiles, tile_band, out=tiles_out)
+            np.matmul(rest, rest_band, out=rest_out)
+            return maps
+        return window
+
+    full = windowing(tall)
     total = 0.0
     for r in range(0, rows, n):
         t = min(n, rows - r)
@@ -130,33 +179,10 @@ def _mssim(shape: tuple[int, int], fill) -> float:
         np.multiply(xs, xs, out=sq)
         sq += np.multiply(ys, ys, out=xy)
         np.multiply(xs, ys, out=xy)
-        # down the columns: all four maps in one product over sub-strips of h
-        # rows. 8-row sub-strips give the bits of the strip's whole band, but
-        # a ragged last one does not (OpenBLAS takes another kernel for it),
-        # so a strip that _SSIM_SUB does not divide keeps its whole band
-        h = _SSIM_SUB if t % _SSIM_SUB == 0 else t
-        d = down[:4 * t * width]
-        b = buf.strides
-        subs = as_strided(buf, (4, t // h, h + reach, width), (b[0], h * b[1], b[1], f),
-                          writeable=False)
-        np.matmul(band[:h, :h + reach], subs, out=d.reshape(4, t // h, h, width))
-        # along the rows: every whole n-column tile in one product, then the
-        # rest. A full strip's tiles take the C-ordered band, which OpenBLAS
-        # runs about twice as fast as the transposed view, with the same bits
-        # at the product's 4n rows. At 4t <= 36 rows (t <= 9) the copy moved
-        # last bits under SkylakeX kernels, and on the ragged last tile at
-        # any t, so a shorter strip and the ragged tile keep the view
-        d = d.reshape(4 * t, width)
-        w = win[:4 * t * cols].reshape(4 * t, cols)
-        tiles = as_strided(d, (c // n, 4 * t, n + reach), (n * f, d.strides[0], f),
-                           writeable=False)
-        np.matmul(tiles, along if t == n else band.T,
-                  out=w[:, :c].reshape(4 * t, c // n, n).swapaxes(0, 1))
-        np.matmul(d[:, c:], band[:cols - c, :width - c].T, out=w[:, c:])
-        mu_x, mu_y, sq, xy = w.reshape(4, t, cols)
+        mu_x, mu_y, sq, xy, mu_xy = (full if t == tall else windowing(t))()
         # the SSIM formula in place, in the operation order of
         # (2 mu_xy + c1) (2 (xy - mu_xy) + c2) / ((mu_sq + c1) (sq - mu_sq + c2))
-        mu_xy = np.multiply(mu_x, mu_y, out=prod[:t * cols].reshape(t, cols))
+        np.multiply(mu_x, mu_y, out=mu_xy)
         mu_sq = mu_x
         mu_sq *= mu_x
         mu_sq += np.multiply(mu_y, mu_y, out=mu_y)
@@ -300,21 +326,25 @@ def compare(ref: Raster, test: Raster) -> MetricsReport:
     ParamError if the reference's 8-bit view is all zero: NCC is undefined
     for it."""
     x, y = map(_finite, _paired(ref, test))
-    # x.x, x.y, sum x, sum (x - y)^2 and sum |x - y|, and each image's levels
-    sums = np.zeros(5)
+    # sum xy and sum min(x, y) strip by strip, and each image's levels
+    sums = np.zeros(2)
     counts = np.zeros((2, 256), dtype=np.int64)
-    diff = np.empty(min(len(x), _SSIM_STRIP + _SSIM_WINDOW - 1) * x.shape[1])
+    low = np.empty(min(len(x), _SSIM_STRIP + _SSIM_WINDOW - 1) * x.shape[1])
 
     def fill(start, stop, xs, ys):
         xo = _levels(x[start:stop], out=xs).ravel()
         yo = _levels(y[start:stop], out=ys).ravel()
-        d = np.subtract(xo, yo, out=diff[:xo.size])
-        sums[:] += (xo @ xo, xo @ yo, xo.sum(), d @ d, np.abs(d, out=d).sum())
-        counts[0] += np.bincount(xo.astype(np.uint8), minlength=256)
-        counts[1] += np.bincount(yo.astype(np.uint8), minlength=256)
+        sums[:] += (xo @ yo, np.minimum(xo, yo, out=low[:xo.size]).sum())
+        counts[0] += np.bincount(xo.astype(np.intp), minlength=256)
+        counts[1] += np.bincount(yo.astype(np.intp), minlength=256)
 
     ssim = _mssim(x.shape, fill)
-    xx, xy, xsum, sse, sad = sums.tolist()
+    # the other sums from the histograms; (x - y)^2 = x^2 + y^2 - 2xy and
+    # |x - y| = x + y - 2 min(x, y) give the rest, all in integers
+    levels = np.arange(256)
+    (xsum, ysum), (xx, yy) = (counts @ levels).tolist(), (counts @ levels ** 2).tolist()
+    xy, common = map(int, sums.tolist())
+    sse, sad = xx + yy - 2 * xy, xsum + ysum - 2 * common
     return MetricsReport(_psnr_of_sse(sse, x.size), ssim, _ncc_of_sums(xy, xx),
                          _nae_of_sums(sad, xsum), _entropy_of_counts(counts[0], x.size),
                          _entropy_of_counts(counts[1], x.size))

@@ -60,7 +60,7 @@ def _levels(x: np.ndarray, top: float = 255.0, out: np.ndarray | None = None) ->
     # levels 0..top of float64 samples, into `out` or one new array: for every
     # input, rounding half away from zero, then clamping to [0, top], but no
     # zero is negative; NaN stays NaN
-    q = np.clip(x, 0.0, top, out=out)
+    q = x.clip(0.0, top, out=out)
     q += 0.5
     return np.floor(q, out=q)
 

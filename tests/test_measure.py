@@ -76,6 +76,11 @@ def test_params_reject_divisibility_violations():
     ({"N": 0}, r"N must be a positive integer, got 0"),
     ({"c": True}, r"c must be a positive integer, got True"),
     ({"m": 320.0}, r"m must be a positive integer, got 320\.0"),
+    ({"alpha": "0.1"}, r"alpha must be a real number, got '0\.1'"),
+    ({"beta": True}, r"beta must be a real number, got True"),
+    ({"gamma": 1j}, r"gamma must be a real number, got 1j"),
+    ({"num_secrets": 2.5}, r"num_secrets must be an integer, got 2\.5"),
+    ({"num_secrets": True}, r"num_secrets must be an integer, got True"),
     ({"num_secrets": 0}, r"num_secrets must be 1\.\.4, got 0"),
     ({"num_secrets": 5}, r"num_secrets must be 1\.\.4, got 5"),
     ({"N": 1025}, r"N must be even, got 1025"),
@@ -83,8 +88,9 @@ def test_params_reject_divisibility_violations():
     ({"p3": 4}, r"p3 >= c violated \(p3=4, c=8\)"),
     ({"p3": 200, "m": 33}, r"p1\+2p3-c <= p1\+m violated \(p3=200, c=8, m=33\)"),
     ({"p3": 65}, r"p3 <= l\^2 violated \(p3=65, l=8\)"),
-], ids=["zero", "bool", "float", "no-secrets", "five-secrets", "odd-cover", "c-below-2",
-        "p3-below-c", "rows-beyond-m", "p3-beyond-block"])
+], ids=["zero", "bool", "float", "string-strength", "bool-strength", "complex-strength",
+        "fractional-secrets", "bool-secrets", "no-secrets", "five-secrets", "odd-cover",
+        "c-below-2", "p3-below-c", "rows-beyond-m", "p3-beyond-block"])
 def test_params_refuse_each_broken_invariant_by_name(fields, message):
     with pytest.raises(ParamError, match=message):
         StegoParams(**fields)
