@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import _carrier_rows, _stego, _subset_pairs, embed_images, extract_images
+from .codec import _carrier_rows, _check_side, _stego, _subset_pairs, embed_images, extract_images
 from .errors import DimensionError, FormatError, ParamError, SolverError
 from .measure import StegoParams, make_key, read_key, write_key
 from .metrics import _psnr_of_sse, _report_constant, _report_value, _sse, compare
@@ -150,16 +150,13 @@ def _cmd_bench(args) -> int:
     secret-subset choices, and collect full stego/extraction metrics at the
     maximum secret count.
 
-    The sweep embeds each (sub-image, secret) pair once per cover. Outside
-    the pairs' rebuilt blocks a stego is the cover bitwise, and each 8-bit
-    stego pixel depends on one pair only, so a subset's squared error is the
-    sum of its pairs' integer SSEs against the 8-bit cover. Each pair is
-    scored once, a subset's PSNR is taken from that sum, and only the
-    full-count subset builds a stego, which feeds the metrics, the solver
-    figures and the extraction. The sums are exact, so each PSNR equals
-    `psnr` on the 8-bit cover and stego. A subset's wall time is what the
-    sweep took from the subset before it, not a standalone embed: the first
-    subset holds the one walk that embeds every pair.
+    A subset's PSNR comes from the sum of its pairs' integer SSEs against
+    the 8-bit cover (`_subset_pairs`), each pair scored once per cover; the
+    sums are exact, so each PSNR equals `psnr` on the 8-bit cover and stego.
+    Only the full-count subset builds a stego, which feeds the metrics, the
+    solver figures and the extraction. Each secret is checked once, before
+    the first cover: one whose size does not match the key, or whose 8-bit
+    view is all zero (NCC against it is undefined), would fail every cover.
 
     Restart-safe: covers the report lists as completed are skipped; a cover
     that errored is recorded but retried on the next run. A report made
@@ -179,6 +176,12 @@ def _cmd_bench(args) -> int:
     del params["num_secrets"]  # the sweep runs every count up to it
     report = _load_report(args.report, params)
     secrets = [read_image(f) for f in secret_files]
+    for secret_file, secret in zip(secret_files, secrets):
+        _check_side(secret, key.params.M, f"{secret_file}: secret")
+        # levels rise with the samples, so the 8-bit view is all zero
+        # exactly when the largest sample's level is
+        if not _levels(secret.pixels.max(keepdims=True)).any():
+            raise ParamError(f"{secret_file}: NCC is undefined for an all-zero 8-bit secret")
 
     for name, cover_file in cover_files.items():
         if name in report["completed"]:
@@ -189,18 +192,14 @@ def _cmd_bench(args) -> int:
             cover = read_image(cover_file)
             cover_q = _levels(cover.pixels)
             sse = {}  # (sub-image, secret index) -> SSE of its 8-bit blocks
-            values, walls = {}, {}
-            t_embed = time.perf_counter()
+            values = {}
             for combo, key_k, pairs, rpt in _subset_pairs(cover, secrets, key):
                 total = 0.0
-                for i, k in zip(combo, key_k.assignment):
+                for (k, i), rows in pairs.items():
                     if (k, i) not in sse:
-                        sse[k, i] = _sse(_levels(pairs[k]),
-                                         _carrier_rows(cover_q, k, key.params))
+                        sse[k, i] = _sse(_levels(rows), _carrier_rows(cover_q, k, key.params))
                     total += sse[k, i]
-                count = str(len(combo))
-                values.setdefault(count, []).append(_psnr_of_sse(total, cover_q.size))
-                walls.setdefault(count, []).append(time.perf_counter() - t_embed)
+                values.setdefault(str(len(combo)), []).append(_psnr_of_sse(total, cover_q.size))
                 if len(combo) == len(secrets):
                     stego = _stego(cover, key.params, pairs)
                     entry["stego_metrics"] = compare(cover, stego).to_dict()
@@ -209,9 +208,7 @@ def _cmd_bench(args) -> int:
                     entry["extracted_metrics"] = [
                         compare(orig, ext).to_dict()
                         for orig, ext in zip(secrets, extracted)]
-                t_embed = time.perf_counter()
             entry["psnr_curve"] = {k: _report_value(sum(v) / len(v)) for k, v in values.items()}
-            entry["subset_wall_s"] = walls
         except tuple(_EXIT_CODES) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_clock_s"] = time.perf_counter() - t_start

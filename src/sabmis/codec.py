@@ -286,16 +286,19 @@ def _carrier_rows(pixels: np.ndarray, k: int, p: StegoParams) -> np.ndarray:
     return grid[: -(-p.secret_blocks // grid.shape[1])]
 
 
-def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
-    if cover.pixels.shape != (p.N, p.N):
+def _check_side(image: Raster, side: int, name: str) -> None:
+    """Refuse, as `name`, an image that is not side x side."""
+    if image.pixels.shape != (side, side):
         raise DimensionError(
-            f"cover must be {p.N}x{p.N} per key, got {cover.height}x{cover.width}")
+            f"{name} must be {side}x{side} per key, got {image.height}x{image.width}")
+
+
+def _check_embed_inputs(cover: Raster, secrets: Sequence[Raster], p: StegoParams) -> None:
+    _check_side(cover, p.N, "cover")
     if len(secrets) != p.num_secrets:
         raise ParamError(f"expected {p.num_secrets} secret images per key, got {len(secrets)}")
     for idx, s in enumerate(secrets, start=1):
-        if s.pixels.shape != (p.M, p.M):
-            raise DimensionError(
-                f"secret {idx} must be {p.M}x{p.M} per key, got {s.height}x{s.width}")
+        _check_side(s, p.M, f"secret {idx}")
 
 
 def _embed_walk(cover: np.ndarray, jobs: Sequence[tuple[np.ndarray, Raster, int]],
@@ -349,15 +352,16 @@ def _new_stego(cover: np.ndarray, assigned: Container[int], p: StegoParams) -> n
     return out
 
 
-def _stego(cover: Raster, p: StegoParams, embedded: dict[int, np.ndarray]) -> Raster:
+def _stego(cover: Raster, p: StegoParams, pairs: Mapping[tuple[int, int], np.ndarray]) -> Raster:
     """Stego of one secret subset: `_new_stego` with each sub-image k's
-    `_carrier_rows` assigned whole from `embedded[k]`, their rebuilt copy.
+    `_carrier_rows` assigned whole from `pairs[k, i]`, their copy rebuilt
+    with secret i (`_subset_pairs`).
 
     The stego adopts that array rather than copying it again, so no second
     full-size array is made.
     """
-    out = _new_stego(cover.pixels, embedded, p)
-    for k, rows in embedded.items():
+    out = _new_stego(cover.pixels, {k for k, _ in pairs}, p)
+    for (k, _), rows in pairs.items():
         _carrier_rows(out, k, p)[...] = rows
     return Raster._adopt(out)
 
@@ -387,18 +391,24 @@ def embed_images(cover: Raster, secrets: Sequence[Raster],
 
 
 def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
-                  ) -> Iterator[tuple[tuple[int, ...], StegoKey, dict[int, np.ndarray],
-                                      EmbedReport]]:
+                  ) -> Iterator[tuple[tuple[int, ...], StegoKey,
+                                      dict[tuple[int, int], np.ndarray], EmbedReport]]:
     """The subset sweep without the stegos: yields (combo, key_k, pairs,
     report) in `embed_subsets` order. pairs is what `_stego` takes: it maps
-    each sub-image k that key_k assigns, in assignment order, to its
-    `_carrier_rows` rebuilt with the secret it carries, secrets[i] for
-    (i, k) in zip(combo, key_k.assignment); report is the subset's
-    `EmbedReport`, with the walk's one `_write_check`.
-    Count k assigns order[:k], order being the full count's assignment, and
-    gives order[j] only secrets i >= j; one walk embeds all those pairs,
-    each into new carrier rows, before the first subset, and the subsets
-    look them up, yielding the same arrays wherever a pair recurs."""
+    each (sub-image k, secret index i) that the subset embeds, in key_k's
+    assignment order, to k's `_carrier_rows` rebuilt with secrets[i];
+    report is the subset's `EmbedReport`, with the walk's one `_write_check`.
+
+    The full count's assignment, order, is derived once: `derive_assignment`
+    draws each count's assignment as a prefix of the next, so count k
+    assigns order[:k], and gives order[j] only secrets i >= j. One walk
+    embeds all those pairs, each into new carrier rows, before the first
+    subset, and the subsets look them up, yielding the same arrays wherever
+    a pair recurs. Outside its pairs' carrier rows a subset's stego is the
+    cover, bitwise, and no two of its pairs share a sub-image, so the
+    stego's squared error against the cover, 8-bit or not, is the sum of
+    its pairs' own: `sabmis bench` scores each pair once and every subset
+    from those sums, building only the full count's stego."""
     full = replace(key.params, num_secrets=len(secrets))  # ParamError beyond 1..4
     _check_embed_inputs(cover, secrets, full)
     shape = _carrier_rows(cover.pixels, 1, full).shape
@@ -408,11 +418,10 @@ def _subset_pairs(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     write_check = _embed_walk(cover.pixels, jobs, full, key.seed)
     done = {pair: rows for pair, (rows, *_) in zip(used, jobs)}
     for count in range(1, len(secrets) + 1):
-        key_k = make_key(key.seed, replace(full, num_secrets=count))
+        key_k = StegoKey(key.seed, replace(full, num_secrets=count), order[:count])
         report = EmbedReport(tuple(map(SubImageStats, key_k.assignment)), write_check)
         for combo in itertools.combinations(range(len(secrets)), count):
-            yield (combo, key_k, {k: done[k, i] for i, k in zip(combo, key_k.assignment)},
-                   report)
+            yield combo, key_k, {(k, i): done[k, i] for i, k in zip(combo, order)}, report
 
 
 def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
@@ -429,9 +438,6 @@ def embed_subsets(cover: Raster, secrets: Sequence[Raster], key: StegoKey
     sub-image embeds in one walk before the first subset, so a non-finite
     sample in a secret or in an assigned sub-image's carrier rows raises
     SolverError, naming the first in walk order, before any subset is yielded.
-    `sabmis bench` runs the same sweep but builds only the full-count
-    subset's stego; it scores the others from the rebuilt carrier rows
-    alone.
     """
     for combo, key_k, pairs, report in _subset_pairs(cover, secrets, key):
         yield combo, key_k, _stego(cover, key.params, pairs), report
@@ -452,9 +458,7 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     as long as any of them.
     """
     p = key.params
-    if stego.pixels.shape != (p.N, p.N):
-        raise DimensionError(
-            f"stego must be {p.N}x{p.N} per key, got {stego.height}x{stego.width}")
+    _check_side(stego, p.N, "stego")
     *_, fold, _ = _key_factors(key.seed, p)
     # one buffer for all the secrets: glibc's malloc raises its mmap
     # threshold to the largest mapped block it frees, so a later extract

@@ -85,7 +85,6 @@ def derive_assignment(seed: int, count: int) -> tuple[int, ...]:
                 picked.append(k)
                 if len(picked) == count:
                     return tuple(picked)
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)

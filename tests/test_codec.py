@@ -232,17 +232,25 @@ def test_embed_capacity_scales_with_secret_count():
 def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatch, count):
     # every subset equals a standalone embed under its count's key, and each
     # (sub-image, secret) pair is embedded once: count*(count+1)/2 in all
+    from importlib import import_module
     from itertools import combinations
 
     from sabmis import codec
+    measure = import_module("sabmis.measure")  # the package's `measure` is the function
     key = make_key(13, StegoParams(N=128, M=64))
     cover = cover_raster(128, 26)
     secrets = [secret_raster(64, 40 + i) for i in range(count)]
-    walks = []
+    walks, derived = [], []
     original = codec._embed_walk
     monkeypatch.setattr(codec, "_embed_walk",
                         lambda *a: walks.append(a[:2]) or original(*a))
+    derive = measure.derive_assignment
+    monkeypatch.setattr(measure, "derive_assignment",
+                        lambda *a: derived.append(a) or derive(*a))
     swept = list(embed_subsets(cover, secrets, key))
+    # the sweep derives the full count's assignment once and cuts each
+    # count's key from it
+    assert derived == [(13, count)]
     # one walk, with the pairs (order[j], secret i) for i >= j, order being
     # the full count's assignment, none into the cover's own rows
     order = make_key(13, StegoParams(N=128, M=64, num_secrets=count)).assignment
@@ -256,7 +264,7 @@ def test_embed_subsets_matches_embed_images_and_embeds_each_pair_once(monkeypatc
     for combo, key_k, stego, report in swept:
         ref_key = make_key(13, StegoParams(N=128, M=64, num_secrets=len(combo)))
         ref_stego, ref_report = embed_images(cover, [secrets[i] for i in combo], ref_key)
-        assert key_k.assignment == ref_key.assignment
+        assert key_k == ref_key
         assert np.array_equal(stego.pixels, ref_stego.pixels)
         assert report.to_dict() == ref_report.to_dict()
 
