@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sabmis import (default_params, gen_matrix, make_key, measure, read_key,
+from sabmis import (StegoParams, gen_matrix, make_key, measure, read_key,
                     rule_index_sets, write_key)
 
-params = default_params()
+params = StegoParams()
 print(f"reference parameters: N={params.N} M={params.M} b={params.b} "
       f"p1={params.p1} p2={params.p2} p3={params.p3} m={params.m}")
 print(f"strengths alpha={params.alpha} beta={params.beta} gamma={params.gamma} "

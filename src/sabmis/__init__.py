@@ -13,8 +13,8 @@ from .codec import (EmbedReport, SubImageStats, coeffs_to_raster, embed_images,
                     reconstruct_block, rule_index_sets, secret_to_coeffs)
 from .errors import (DimensionError, FormatError, ParamError, SabmisError,
                      SolverError)
-from .measure import (StegoKey, StegoParams, default_params, derive_assignment,
-                      gen_matrix, keyed_normals, make_key, measure, read_key, write_key)
+from .measure import (StegoKey, StegoParams, derive_assignment, gen_matrix,
+                      keyed_normals, make_key, measure, read_key, write_key)
 from .metrics import (MetricsReport, compare, edge_map, entropy, mssim, nae, ncc,
                       psnr)
 from .raster import (Raster, inverse_subsample, quantize_u8, read_pgm, read_srf, subsample,
@@ -22,7 +22,6 @@ from .raster import (Raster, inverse_subsample, quantize_u8, read_pgm, read_srf,
 from .solver import SolverResult, default_lambda, soft_threshold, solve_lasso
 from .spectral import (assemble_blocks, desparsify, make_dct_basis, make_zigzag,
                        partition_blocks, sparsify)
-from .synth import (block_sparse_raster, cover_raster, secret_raster,
-                    smooth_raster, textured_raster)
+from .synth import block_sparse_raster, cover_raster, secret_raster, textured_raster
 
 __version__ = "0.1.0"

@@ -240,20 +240,14 @@ def _cached_key_factors(seed: int, p: StegoParams) -> tuple:
     return (*out, _write_check(reads, change))
 
 
-# blocks per chunk: a (256, 64) float64 array is 128 KiB, small enough for a
-# core's L2 cache. The embed's products run faster on it than on 128 or 512
-# rows (on one AVX-512 core, per 16,384 rows of C-ordered (., 64) @ (64, 32):
-# 1.6 ms against 1.7 and 2.1 ms), and each product still gives the bits of
-# one over a whole sub-image: 256- and 512-block chunks gave the same bits on
-# the SkylakeX, Haswell and Sandybridge kernels of OpenBLAS 0.3.31, where
-# chunks under 64 blocks moved the stego's last bits
-_CHUNK_BLOCKS = 256
-
-# multiply-adds in one product: OpenBLAS's SkylakeX small-matrix kernels take
-# products of up to 100^3 of them, and the extract splits a chunk's fold
-# product to stay under that (per 16,384 rows of (., 64) @ (64, 64): 3.2 ms
-# as 128-row products against 4.0 ms as 256-row ones)
-_SMALL_PRODUCT = 10 ** 6
+# blocks per chunk: three block rows of the default key's 64-block-wide
+# grids. Then every chunk but the last, which takes the remainder, keeps both
+# walks' products in OpenBLAS's small-matrix kernels, which take products of
+# up to 100^3 multiply-adds: a 192-block chunk's fold product takes 786,432
+# (per 16,384 rows of (., 64) @ (64, 64) on one AVX-512 core: 1.7 ms, against
+# 2.2 ms as 256-row products, just past that bound), and the embed runs no
+# slower than with 256-block chunks
+_CHUNK_BLOCKS = 192
 
 
 def _chunks(p: StegoParams) -> list[tuple[int, slice, slice]]:
@@ -469,21 +463,9 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
              for secret, k in zip(secrets, key.assignment)]
     walk = _chunks(p)
     rows = np.empty((max(count for count, *_ in walk), fold.shape[1]))
-    # a chunk's product is split by rows into equal products of at most about
-    # _SMALL_PRODUCT multiply-adds (two of 128 rows for a 256-block chunk at
-    # the default params), written into one reused buffer. Each starts on a
-    # multiple of 16 rows, where the whole chunk's product starts a row tile:
-    # so split, they give the whole product's bits on the SkylakeX, Haswell,
-    # Sandybridge and Prescott kernels, where a split at odd rows moved some
-    # rows' bits under Haswell and Prescott
-    most = max(16, _SMALL_PRODUCT // fold.size // 16 * 16)  # rows in one product
     for count, cover_rows, secret_rows in walk:
-        parts = -(-count // most)
-        step = 16 * -(-count // (16 * parts))  # equal parts, rounded up to 16 rows
         out = rows[:count]
         for grid, secret_grid in grids:
-            blocks = grid[cover_rows].reshape(-1, p.b * p.b)[:count]
-            for start in range(0, count, step):
-                np.matmul(blocks[start : start + step], fold, out=out[start : start + step])
+            np.matmul(grid[cover_rows].reshape(-1, p.b * p.b)[:count], fold, out=out)
             secret_grid[secret_rows] = out.reshape(-1, *secret_grid.shape[1:])
     return [Raster._adopt(secret) for secret in secrets]

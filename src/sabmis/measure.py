@@ -175,11 +175,6 @@ class StegoParams:
         return (self.M // self.l) ** 2
 
 
-def default_params() -> StegoParams:
-    """The reference configuration: N=1024, M=512, b=l=8, p1=p2=p3=32, m=320."""
-    return StegoParams()
-
-
 def _checked_seed(seed) -> int:
     """The seed as an int: an integer, not a bool, with 0 <= seed < 2^64."""
     if not _is_number(seed, _INTEGERS):
@@ -214,7 +209,7 @@ def make_key(seed: int, params: StegoParams | None = None) -> StegoKey:
     """Build a key whose assignment is the one derived from the seed. The
     seed is checked by `StegoKey`'s rule before anything is derived from it;
     a chosen assignment is `StegoKey(seed, params, assignment)`."""
-    params = default_params() if params is None else params
+    params = StegoParams() if params is None else params
     return StegoKey(seed, params, derive_assignment(_checked_seed(seed), params.num_secrets))
 
 

@@ -61,7 +61,7 @@ def _levels(x: np.ndarray, top: float = 255.0, out: np.ndarray | None = None) ->
     # input, rounding half away from zero, then clamping to [0, top], but no
     # zero is negative; NaN stays NaN
     q = x.clip(0.0, top, out=out)
-    q += 0.5
+    q += 0.49999999999999994  # nextafter(0.5, 0): adding 0.5 rounds it up to 1
     return np.floor(q, out=q)
 
 

@@ -87,11 +87,6 @@ def secret_raster(side: int, seed: int, low: float = 6.0, high: float = 106.0) -
                            low=low, high=high)
 
 
-def smooth_raster(side: int, seed: int, smoothness: float = 12.0) -> Raster:
-    """Single-octave, heavily band-limited field over the full gray range."""
-    return textured_raster(side, seed, smoothness=smoothness, octaves=1)
-
-
 def block_sparse_raster(r: Raster, keep: int = 32, side: int = 8) -> Raster:
     """Project a raster onto the hiding scheme's per-block sparsity model.
 

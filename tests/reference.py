@@ -27,12 +27,15 @@ MASK64 = (1 << 64) - 1
 def round_half_away(x):
     """Round to nearest integer with ties away from zero (platform independent).
 
-    copysign(floor(|x| + 0.5), x), computed in one new buffer.
+    copysign(floor(|x|) + (fraction of |x| >= 0.5), x), computed in one new
+    float buffer: a double's fraction is exact, where floor(|x| + 0.5) rounds
+    the sum of 0.5 and the double just under it up to 1.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.abs(x, out=np.empty_like(x))
-    out += 0.5
+    up = np.modf(out)[0] >= 0.5
     np.floor(out, out=out)
+    out += up
     return np.copysign(out, x, out=out)[()]  # [()] keeps scalar input scalar
 
 

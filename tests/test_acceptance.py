@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from sabmis import (StegoParams, cover_raster,
-                    compare, default_params, embed_images, embed_rule,
+                    compare, embed_images, embed_rule,
                     extract_images, extract_rule, gen_matrix, make_dct_basis,
                     make_key, measure, partition_blocks,
                     quantize_u8, read_pgm, read_srf, secret_raster,
@@ -31,7 +31,7 @@ SECRET_SEEDS = (2201, 2202, 2203, 2204)
 
 def test_unit_inverse_of_embedding_rules():
     """Criterion 1: extract_rule inverts embed_rule on 1000 random pairs."""
-    p = default_params()
+    p = StegoParams()
     rng = np.random.default_rng(12345)
     start = time.perf_counter()
     worst = 0.0

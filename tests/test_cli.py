@@ -554,8 +554,10 @@ def test_bench_retries_a_cover_that_errored(tmp_path, capsys):
     (np.zeros((SMALL.M, SMALL.M)), "s1.srf: NCC is undefined for an all-zero 8-bit secret"),
     # no sample is zero, but each rounds to level 0
     (np.full((SMALL.M, SMALL.M), 0.4) - np.eye(SMALL.M), "s1.srf: NCC is undefined"),
+    # the double just under one half is level 0, not 1
+    (np.full((SMALL.M, SMALL.M), np.nextafter(0.5, 0)), "s1.srf: NCC is undefined"),
     (secret_raster(SMALL.M // 2, 53).pixels, "s1.srf: secret must be 64x64 per key, got 32x32"),
-], ids=["all-black", "levels-all-zero", "wrong-size"])
+], ids=["all-black", "levels-all-zero", "just-under-half", "wrong-size"])
 def test_bench_refuses_a_secret_it_cannot_score_before_any_cover(tmp_path, capsys, pixels,
                                                                  message):
     # such a secret would fail every cover on every run: an all-zero 8-bit
@@ -761,8 +763,7 @@ def test_bench_rejects_empty_corpus(tmp_path, capsys):
 _SCIPY_PROBE = """
 import json, sys
 import sabmis, sabmis.cli
-from sabmis import (block_sparse_raster, cover_raster, edge_map, secret_raster, smooth_raster,
-                    textured_raster)
+from sabmis import block_sparse_raster, cover_raster, edge_map, secret_raster, textured_raster
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
@@ -775,7 +776,6 @@ for argv in json.loads(sys.argv[1]):
 for name, stage in [("textured_raster", lambda: textured_raster(32, 5)),
                     ("cover_raster", lambda: cover_raster(32, 3)),
                     ("secret_raster", lambda: secret_raster(32, 7)),
-                    ("smooth_raster", lambda: smooth_raster(32, 7)),
                     ("block_sparse_raster", lambda: block_sparse_raster(cover_raster(32, 3))),
                     ("edge_map", lambda: edge_map(cover_raster(32, 3)))]:
     stage()
@@ -814,5 +814,5 @@ def test_import_and_the_cli_commands_load_no_scipy(small_setup):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert list(seen) == ["import", "keygen", "embed", "extract", "metrics", "bench",
                           "textured_raster", "cover_raster", "secret_raster",
-                          "smooth_raster", "block_sparse_raster", "edge_map"]
+                          "block_sparse_raster", "edge_map"]
     assert seen == {stage: [] for stage in seen}

@@ -326,7 +326,7 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
     # sub-image's b x b carrier rows and a secret's l x l grid (the trace key
     # has l != b), at several chunk lengths: M=40 walks one chunk that ends
     # inside a block row (25 blocks of an 8-block-wide grid), and M=160 at
-    # N=512 two chunks at 64 and at 256, the last ending inside one (400 of
+    # N=512 two chunks at 64, 192 and 256, the last ending inside one (400 of
     # 32 a row)
     import tracemalloc
 
@@ -351,7 +351,7 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
 
     r, secret = cover_raster(p.N, 3), secret_raster(p.M, 4)
     secret_ref = partition_blocks(secret, p.l)
-    for chunk_blocks in (1, 64, 256, 512):
+    for chunk_blocks in (1, 64, 192, 256, 512):
         monkeypatch.setattr(codec, "_CHUNK_BLOCKS", chunk_blocks)
         walk = codec._chunks(p)
         starts = np.cumsum([0] + [count for count, *_ in walk])
@@ -405,7 +405,7 @@ def test_block_gather_matches_partition_blocks(p, monkeypatch):
                                StegoParams(N=256, M=120), StegoParams(N=512, M=144),
                                StegoParams()],
                          ids=["trace", "small", "m40", "m48", "m120", "m144", "default"])
-@pytest.mark.parametrize("chunk_blocks", [1, 64, 256, 512])
+@pytest.mark.parametrize("chunk_blocks", [1, 64, 192, 256, 512])
 def test_chunks_walk_whole_block_rows_of_both_grids(p, chunk_blocks, monkeypatch):
     # the walk covers the first secret_blocks blocks once, in order, and each
     # chunk starts on a block row of the cover sub-image's grid and of the
@@ -434,6 +434,17 @@ def test_chunks_walk_whole_block_rows_of_both_grids(p, chunk_blocks, monkeypatch
     assert all(count == step for count in counts[:-1])
     assert min(step, p.secret_blocks) <= counts[-1] < 2 * step
     assert walk[-1][1].stop == -(-p.secret_blocks // g)
+
+
+def test_the_paper_key_walks_three_block_rows_a_chunk():
+    # both grids are 64 blocks wide, so a chunk is three block rows, and the
+    # last takes the remainder: 20 chunks of 192 blocks and one of 256
+    from sabmis import codec
+    walk = codec._chunks(StegoParams())
+    assert [count for count, *_ in walk] == [192] * 20 + [256]
+    assert [(cover_rows.start, cover_rows.stop) for _, cover_rows, _ in walk] == [
+        (3 * i, 3 * i + 3) for i in range(20)] + [(60, 64)]
+    assert all(cover_rows == secret_rows for _, cover_rows, secret_rows in walk)
 
 
 def test_extractor_is_kept_per_key_and_read_only():
@@ -579,11 +590,11 @@ def test_round_trip_recovers_secret():
 
 
 def test_constant_secret_extracts_within_one_gray_level():
-    from sabmis import block_sparse_raster, smooth_raster
+    from sabmis import block_sparse_raster, textured_raster
     key = make_key(14, SMALL)
     # extraction noise scales with the cover's coefficient tail, so use a
     # cover from the scheme's ideal signal class (zero measurement tail)
-    cover = block_sparse_raster(smooth_raster(SMALL.N, 28, smoothness=16))
+    cover = block_sparse_raster(textured_raster(SMALL.N, 28, smoothness=16, octaves=1))
     secret = Raster(np.full((SMALL.M, SMALL.M), 77.0))
     stego, _ = embed_images(cover, [secret], key)
     recovered = extract_images(stego, key)[0]
@@ -841,7 +852,7 @@ def _whole_array_extract(stego, key):
                                                   StegoParams(N=1024, M=480, num_secrets=1)],
                          ids=REFERENCE_IDS + ["trace", "default", "m480-partial-last-row"])
 def test_chunked_pipelines_match_the_whole_array_formula(p):
-    # the default key at N=1024 walks eight chunks per sub-image, and M=480
+    # the default key at N=1024 walks 21 chunks per sub-image, and M=480
     # three, the last ending 16 blocks into a block row, so the blocks past
     # it go back as they were read; each chunk
     # runs the same products on fewer rows, so the floats agree to rounding

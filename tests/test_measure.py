@@ -6,13 +6,13 @@ import pytest
 from reference import keyed_normals_loop, splitmix64_words
 
 from sabmis import (DimensionError, FormatError, ParamError,
-                    StegoKey, StegoParams, default_params, derive_assignment,
+                    StegoKey, StegoParams, derive_assignment,
                     gen_matrix, keyed_normals, make_key, measure, read_key,
                     write_key)
 
 
 def test_default_params_reference_values():
-    p = default_params()
+    p = StegoParams()
     assert (p.N, p.M, p.b, p.l) == (1024, 512, 8, 8)
     assert (p.p1, p.p2, p.p3) == (32, 32, 32)
     assert p.m == 320  # ten-fold oversampling of p2
@@ -20,7 +20,7 @@ def test_default_params_reference_values():
 
 
 def test_default_capacity_is_2bpp_per_secret():
-    p = default_params()
+    p = StegoParams()
     assert 8 * p.M ** 2 / p.N ** 2 == 2.0
 
 

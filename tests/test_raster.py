@@ -317,7 +317,8 @@ def test_rasters_built_inside_the_package_are_not_copied_again(tmp_path):
 
 def test_in_place_rounding_is_bitwise_the_plain_formula():
     def plain(x):
-        return np.copysign(np.floor(np.abs(x) + 0.5), x)
+        whole = np.floor(np.abs(x))
+        return np.copysign(whole + (np.abs(x) - whole >= 0.5), x)
 
     rng = np.random.default_rng(10)
     ties = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 254.5, 255.5]
@@ -328,7 +329,8 @@ def test_in_place_rounding_is_bitwise_the_plain_formula():
     assert np.array_equal(round_half_away(x).view(bits), plain(x).view(bits))
     assert np.signbit(round_half_away(np.array([-0.0, -0.4]))).all()
     q = quantize_u8(Raster(x)).pixels
-    assert np.array_equal(q.view(bits), np.floor(np.clip(x, 0, 255) + 0.5).view(bits))
+    c = np.clip(x, 0, 255)  # levels carry no sign, so no zero is negative
+    assert np.array_equal(q.view(bits), (np.floor(c) + (c % 1 >= 0.5)).view(bits))
     assert np.array_equal(q, np.clip(plain(x), 0.0, 255.0))
     assert round_half_away(-2.5) == -3.0 and np.ndim(round_half_away(2.5)) == 0
 
@@ -339,7 +341,8 @@ def test_every_integer_level_rounds_by_one_rule(tmp_path):
     from sabmis import MetricsReport, compare, entropy, mssim, nae, ncc, psnr
 
     def levels(x, top=255):
-        return np.clip(np.copysign(np.floor(np.abs(x) + 0.5), x), 0, top)
+        c = np.clip(x, 0, top)
+        return np.floor(c) + (c % 1 >= 0.5)
 
     def payloads(x):
         out = []
@@ -369,11 +372,13 @@ def test_every_integer_level_rounds_by_one_rule(tmp_path):
         psnr(lx, ly), mssim(lx, ly), ncc(lx, ly), nae(lx, ly), entropy(lx), entropy(ly))
 
     # every 16-bit tie (k + 0.5) / 257 with its two neighbours, every half
-    # step of the 8-bit range and past it, and the extremes of the doubles
+    # step of the 8-bit range and past it, the double just under each 8-bit
+    # tie, and the extremes of the doubles
     ties = (np.arange(65536) + 0.5) / 257.0
     sweep = np.concatenate([
         ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
-        np.arange(-6, 520) / 2.0, rng.uniform(-400, 700, 10000),
+        np.arange(-6, 520) / 2.0, np.nextafter(np.arange(256) + 0.5, 0),
+        rng.uniform(-400, 700, 10000),
         [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, 5e-324, -5e-324]])
     sweep = np.concatenate([sweep, np.zeros(-len(sweep) % 64)]).reshape(-1, 64)
     assert payloads(sweep) == (levels(sweep).astype(np.uint8).tobytes(), old_16_bit(sweep))
