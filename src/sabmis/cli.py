@@ -25,7 +25,7 @@ from .codec import _carrier_rows, _check_side, _stego, _subset_pairs, embed_imag
 from .errors import DimensionError, FormatError, ParamError, SolverError
 from .measure import StegoParams, make_key, read_key, write_key
 from .metrics import _psnr_of_sse, _report_constant, _report_value, _sse, compare
-from .raster import Raster, _levels, read_pgm, read_srf, write_pgm, write_srf
+from .raster import SRF_MAGIC, Raster, _levels, read_pgm, read_srf, write_pgm, write_srf
 
 IMAGE_SUFFIXES = (".pgm", ".srf")
 # every failure kind a command can raise, and the exit code it maps to
@@ -33,16 +33,15 @@ _EXIT_CODES = {ParamError: 2, DimensionError: 2, FormatError: 3, OSError: 3, Sol
 
 
 def read_image(path) -> Raster:
-    """Read PGM or SRF, sniffing the container by its magic bytes. An image
+    """Read SRF if the file opens with its magic, and PGM by `read_pgm`'s
+    header rule otherwise. A container error names the file; an image
     holding a NaN or infinite sample is refused as a numerical failure."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic[:2] == b"P5":
-        image = read_pgm(path)
-    elif magic == b"SRF1":
-        image = read_srf(path)
-    else:
-        raise FormatError(f"{path}: unrecognized container (expected P5 PGM or SRF1)")
+        srf = fh.read(len(SRF_MAGIC)) == SRF_MAGIC
+    try:
+        image = read_srf(path) if srf else read_pgm(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not np.isfinite(image.pixels).all():
         raise SolverError(f"{path}: image holds non-finite samples")
     return image

@@ -450,6 +450,11 @@ def extract_images(stego: Raster, key: StegoKey) -> list[Raster]:
     Coefficients beyond p3 stay zero, so extracted secrets are low-pass
     approximations. The secrets' grids are views of one buffer, which lives
     as long as any of them.
+
+    A finite stego whose samples are near the float limit can overflow the
+    product. Where `embed_images` refuses a non-finite rebuilt block, this
+    returns such an extraction as it is, non-finite samples and numpy's
+    overflow RuntimeWarning included; `sabmis extract` refuses it.
     """
     p = key.params
     _check_side(stego, p.N, "stego")

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ParamError
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -32,6 +31,24 @@ def _is_number(v, kinds) -> bool:
     return isinstance(v, kinds) and not isinstance(v, bool)
 
 
+def _checked_seed(seed) -> int:
+    """The seed as an int: an integer, not a bool, with 0 <= seed < 2^64."""
+    if not _is_number(seed, _INTEGERS):
+        raise ParamError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise ParamError(f"seed out of unsigned 64-bit range: {seed}")
+    return int(seed)
+
+
+def _checked_count(count) -> int:
+    """The secret count as an int: an integer, not a bool, 1..4."""
+    if not _is_number(count, _INTEGERS):
+        raise ParamError(f"num_secrets must be an integer, got {count!r}")
+    if not 1 <= count <= 4:
+        raise ParamError(f"num_secrets must be 1..4, got {count}")
+    return int(count)
+
+
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     """Words start .. start+count-1 of the seed's SplitMix64 stream, as uint64.
 
@@ -40,7 +57,7 @@ def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     """
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= _GOLDEN
-    z += np.uint64(seed & _MASK64)
+    z += np.uint64(seed)
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -60,10 +77,11 @@ def keyed_normals(seed: int, count: int) -> np.ndarray:
 
     Each word becomes a uniform double u = ((w >> 11) + 0.5) * 2^-53, strictly
     inside (0, 1); consecutive uniform pairs feed the Box-Muller transform and
-    both outputs are consumed in order.
+    both outputs are consumed in order. The seed must pass `StegoKey`'s
+    rule; it is never wrapped into 64 bits.
     """
     pairs, odd = divmod(count, 2)
-    words = _splitmix64(seed, 0, 2 * (pairs + odd))
+    words = _splitmix64(_checked_seed(seed), 0, 2 * (pairs + odd))
     u = ((words >> np.uint64(11)) + 0.5) / 9007199254740992.0   # 2^53
     radius = np.sqrt(-2.0 * _libm(math.log, u[0::2]))
     angle = 2.0 * math.pi * u[1::2]
@@ -74,9 +92,10 @@ def keyed_normals(seed: int, count: int) -> np.ndarray:
 
 
 def derive_assignment(seed: int, count: int) -> tuple[int, ...]:
-    """First `count` distinct sub-image indices (1..4) from the seed's word stream."""
-    if not 1 <= count <= 4:
-        raise ParamError(f"num_secrets must be 1..4, got {count}")
+    """First `count` distinct sub-image indices (1..4) from the seed's word
+    stream. The seed must pass `StegoKey`'s rule and the count `StegoParams`'
+    rule for num_secrets, each checked before anything is drawn."""
+    seed, count = _checked_seed(seed), _checked_count(count)
     picked: list[int] = []
     for start in itertools.count(0, _CHUNK):
         for w in _splitmix64(seed, start, _CHUNK).tolist():
@@ -130,10 +149,7 @@ class StegoParams:
                 raise ParamError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v) or v == 0:
                 raise ParamError(f"{name} must be finite and nonzero, got {v!r}")
-        if not _is_number(self.num_secrets, _INTEGERS):
-            raise ParamError(f"num_secrets must be an integer, got {self.num_secrets!r}")
-        if not 1 <= self.num_secrets <= 4:
-            raise ParamError(f"num_secrets must be 1..4, got {self.num_secrets}")
+        _checked_count(self.num_secrets)
         if self.p1 + self.p2 != self.b * self.b:
             raise ParamError(f"p1+p2 != b^2 (p1={self.p1}, p2={self.p2}, b={self.b})")
         if self.m <= self.p2:
@@ -175,15 +191,6 @@ class StegoParams:
         return (self.M // self.l) ** 2
 
 
-def _checked_seed(seed) -> int:
-    """The seed as an int: an integer, not a bool, with 0 <= seed < 2^64."""
-    if not _is_number(seed, _INTEGERS):
-        raise ParamError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if not 0 <= seed < 2 ** 64:
-        raise ParamError(f"seed out of unsigned 64-bit range: {seed}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class StegoKey:
     """The shared secret: generator seed, parameters, secret-to-sub-image map."""
@@ -206,11 +213,11 @@ class StegoKey:
 
 
 def make_key(seed: int, params: StegoParams | None = None) -> StegoKey:
-    """Build a key whose assignment is the one derived from the seed. The
-    seed is checked by `StegoKey`'s rule before anything is derived from it;
-    a chosen assignment is `StegoKey(seed, params, assignment)`."""
+    """Build a key whose assignment is the one derived from the seed, which
+    `derive_assignment` checks by `StegoKey`'s rule before it draws; a
+    chosen assignment is `StegoKey(seed, params, assignment)`."""
     params = StegoParams() if params is None else params
-    return StegoKey(seed, params, derive_assignment(_checked_seed(seed), params.num_secrets))
+    return StegoKey(seed, params, derive_assignment(seed, params.num_secrets))
 
 
 def gen_matrix(key: StegoKey) -> np.ndarray:

@@ -264,10 +264,10 @@ def test_metrics_refuses_an_all_zero_reference(small_setup, capsys):
 def test_a_file_of_neither_container_is_a_format_error(small_setup, capsys):
     tmp, _, cover_path, _ = small_setup
     text = tmp / "notes.pgm"
-    text.write_bytes(b"P2\n1 1\n255\n0\n")  # ASCII PGM: sniffed, never parsed
+    text.write_bytes(b"P2\n1 1\n255\n0\n")  # ASCII PGM: parsed, refused on its magic
     rc = run("metrics", "--ref", str(text), "--test", str(cover_path))
     assert rc == 3
-    assert "notes.pgm: unrecognized container (expected P5 PGM or SRF1)" in capsys.readouterr().err
+    assert "notes.pgm: unsupported magic b'P2'" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import islice
 
 import numpy as np
@@ -96,10 +97,14 @@ def test_params_refuse_each_broken_invariant_by_name(fields, message):
         StegoParams(**fields)
 
 
-@pytest.mark.parametrize("count", [0, 5])
+@pytest.mark.parametrize("count", [0, 5, True, 2.5])
 def test_derive_assignment_refuses_a_count_outside_one_to_four(count):
-    with pytest.raises(ParamError, match=f"num_secrets must be 1..4, got {count}"):
+    # StegoParams' rule for num_secrets, word for word; a fractional count
+    # must be refused, or the draw never ends: no prefix has 2.5 entries
+    with pytest.raises(ParamError, match="num_secrets must be") as refused:
         derive_assignment(1, count)
+    with pytest.raises(ParamError, match=f"^{re.escape(str(refused.value))}$"):
+        StegoParams(num_secrets=count)
 
 
 def test_key_rejects_an_assignment_entry_outside_one_to_four():
@@ -119,12 +124,16 @@ def test_key_rejects_wrong_assignment_length():
 
 @pytest.mark.parametrize("seed", [True, 3.7, "5", -1, 2 ** 64])
 def test_make_key_and_stego_key_refuse_the_same_seeds(seed):
-    # one rule for both: an integer, not a bool, in [0, 2^64); make_key
-    # checks it before it derives an assignment from the seed
+    # one rule for every entry point: an integer, not a bool, in [0, 2^64);
+    # the public draws refuse what the key refuses, never wrapping a seed
     with pytest.raises(ParamError, match="seed"):
         make_key(seed)
     with pytest.raises(ParamError, match="seed"):
         StegoKey(seed, StegoParams(), (3, 2, 4, 1))
+    with pytest.raises(ParamError, match="seed"):
+        derive_assignment(seed, 1)
+    with pytest.raises(ParamError, match="seed"):
+        keyed_normals(seed, 2)
 
 
 def test_make_key_keeps_a_numpy_integer_seed_as_an_int():
@@ -189,7 +198,7 @@ _RANDOM_SEEDS = [int(s) for s in np.random.default_rng(20140101).integers(
     0, 2 ** 64, size=20, dtype=np.uint64)]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2 ** 64 - 1, -12345] + _RANDOM_SEEDS)
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2 ** 64 - 1] + _RANDOM_SEEDS)
 def test_keyed_normals_equal_the_scalar_loop_bitwise(seed):
     for count in (0, 1, 2, 3, 2049, 10240):  # odd counts drop the last sine
         assert np.array_equal(keyed_normals(seed, count), keyed_normals_loop(seed, count))

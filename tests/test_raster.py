@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from sabmis import (DimensionError, FormatError, Raster, inverse_subsample,
                     quantize_u8, read_pgm, read_srf, subsample, write_pgm, write_srf)
+from sabmis.cli import read_image
 
 from reference import round_half_away
 
@@ -55,6 +58,7 @@ def test_read_pgm_header_rule(tmp_path, header, payload):
     path.write_bytes(header + payload)
     want = payload[0] if len(payload) == 1 else int.from_bytes(payload, "big") * 255 / 65535
     assert read_pgm(path).pixels.tolist() == [[want]]
+    assert read_image(path).pixels.tolist() == [[want]]  # sabmis reads by the same rule
 
 
 @pytest.mark.parametrize("data, message", [
@@ -75,6 +79,8 @@ def test_read_pgm_refuses_a_malformed_header(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(FormatError, match=message):
         read_pgm(path)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: ')}{message}"):
+        read_image(path)
 
 
 def test_write_pgm_clamps_below_range(tmp_path):
